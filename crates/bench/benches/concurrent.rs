@@ -28,7 +28,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use bx_core::pipeline::{BackgroundWriter, PipelineConfig};
 use bx_core::storage::MemoryBackend;
-use bx_core::{EntryId, EventSink, Principal, Repository};
+use bx_core::{EntryId, EventSink, Principal, Repository, Runtime};
 use bx_examples::benchmark::Lcg;
 
 const WRITERS: usize = 4;
@@ -118,9 +118,11 @@ fn bench_concurrent_with_pipeline(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("shards", 16), &16usize, |b, &shards| {
         b.iter(|| {
             let (repo, slices) = seeded_repository(shards);
-            let writer = Arc::new(BackgroundWriter::with_config(
+            let writer = Arc::new(BackgroundWriter::on_runtime(
                 MemoryBackend::new(),
                 PipelineConfig::default(),
+                &Runtime::new(1),
+                "writer",
             ));
             repo.subscribe(writer.clone() as Arc<dyn EventSink>);
             run_contended(&repo, &slices);

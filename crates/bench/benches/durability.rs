@@ -25,7 +25,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use bx_core::pipeline::{BackgroundWriter, PipelineConfig};
 use bx_core::storage::{EventLogBackend, StorageBackend};
-use bx_core::{BinaryLogBackend, Principal, RepoEvent, Repository};
+use bx_core::{BinaryLogBackend, Principal, RepoEvent, Repository, Runtime};
 
 /// Events one producer hands over per enqueue call.
 const PRODUCER_BATCH: usize = 4;
@@ -72,7 +72,12 @@ where
     F: Fn(&Path) -> B,
 {
     std::fs::remove_dir_all(dir).ok();
-    let writer = Arc::new(BackgroundWriter::with_config(open(dir), config));
+    let writer = Arc::new(BackgroundWriter::on_runtime(
+        open(dir),
+        config,
+        &Runtime::new(1),
+        "writer",
+    ));
     let share = events.len() / producers;
     let threads: Vec<_> = (0..producers)
         .map(|p| {

@@ -60,18 +60,12 @@ fn bench_federation(c: &mut Criterion) {
         // Acceptance bar on a multi-core host: the 8-source row ≥ 3× the
         // sequential cold open. On a single-core host the two rows
         // measure the same work plus pool overhead and stay ~equal.
+        let runtime = Runtime::new(8);
         group.bench_with_input(
             BenchmarkId::new("cold_open_parallel_t8", n_sources),
             &sources,
             |b, sources| {
-                b.iter(|| {
-                    Federation::open_with(
-                        "fed",
-                        sources.clone(),
-                        bx_core::RestoreOptions::with_threads(8),
-                    )
-                    .expect("opens")
-                })
+                b.iter(|| Federation::open_on("fed", sources.clone(), &runtime).expect("opens"))
             },
         );
 

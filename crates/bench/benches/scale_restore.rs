@@ -11,12 +11,12 @@
 //! events/s; current numbers live in the README's backend table.
 //!
 //! The `-t<n>` rows restore the same directories through the parallel
-//! pipeline ([`EventLogBackend::restore_dir_with`]) at 1/2/4/8 worker
-//! threads: chunked (JSONL) or per-segment (binary) decode, then sharded
+//! pipeline ([`EventLogBackend::restore_dir_on`]) on a 1/2/4/8-worker
+//! runtime: chunked (JSONL) or per-segment (binary) decode, then sharded
 //! replay. On a multi-core host the 8-thread binary row's bar is ≥ 2.5×
 //! the sequential binary row; on a single-core host (like this repo's CI
 //! container) every thread count measures the same work and the rows
-//! converge — that convergence is itself the `threads: 1 == sequential`
+//! converge — that convergence is itself the one-worker == sequential
 //! sanity check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -24,7 +24,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use bx_core::event::{Commented, RepoEvent};
 use bx_core::storage::{EventLogBackend, StorageBackend};
 use bx_core::template::Comment;
-use bx_core::{BinaryLogBackend, Principal, Repository};
+use bx_core::{BinaryLogBackend, Principal, Repository, Runtime};
 use bx_examples::benchmark::{generate_composers, pairs_of, perturb_pairs, Lcg};
 use bx_examples::composers::composers_bx;
 use bx_theory::Bx;
@@ -116,13 +116,13 @@ fn bench_log_restore(c: &mut Criterion) {
     });
     // The parallel pipeline at fixed thread counts, both formats.
     for threads in [1usize, 2, 4, 8] {
-        let options = bx_core::RestoreOptions::with_threads(threads);
+        let runtime = Runtime::new(threads);
         group.bench_with_input(
             BenchmarkId::new(format!("jsonl-cold-t{threads}"), N),
             &(),
             |b, _| {
                 b.iter_with_large_drop(|| {
-                    EventLogBackend::restore_dir_with(&jsonl, options).expect("restores")
+                    EventLogBackend::restore_dir_on(&jsonl, &runtime).expect("restores")
                 })
             },
         );
@@ -131,7 +131,7 @@ fn bench_log_restore(c: &mut Criterion) {
             &(),
             |b, _| {
                 b.iter_with_large_drop(|| {
-                    EventLogBackend::restore_dir_with(&binary, options).expect("restores")
+                    EventLogBackend::restore_dir_on(&binary, &runtime).expect("restores")
                 })
             },
         );

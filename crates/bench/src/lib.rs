@@ -1,9 +1,9 @@
 //! # bx-bench
 //!
 //! Shared workload builders for the criterion benches. Each bench target
-//! regenerates one row/series of the experiment index in the workspace's
-//! EXPERIMENTS.md (E1–E10); this crate keeps the workload construction
-//! out of the measurement loops.
+//! measures one experiment series (E1–E13, named in its module docs);
+//! this crate keeps the workload construction out of the measurement
+//! loops.
 
 use std::collections::BTreeMap;
 

@@ -46,9 +46,7 @@ use std::path::{Path, PathBuf};
 use crate::error::RepoError;
 use crate::event::{replay, RepoEvent};
 use crate::repo::RepositorySnapshot;
-use crate::storage::{
-    DurabilityMode, EventLogBackend, FsyncStats, Manifest, StorageBackend, TailRepaired,
-};
+use crate::storage::{DurabilityMode, EventLogBackend, Manifest, StorageBackend, TailRepaired};
 use crate::template::{
     Artefact, ArtefactKind, Comment, ExampleEntry, ExampleType, Reference, RestorationSpec,
     VariantPoint,
@@ -863,35 +861,14 @@ pub fn corrupt_frame_bytes() -> Vec<u8> {
 /// round-trip property (JSONL → binary → JSONL restores identically)
 /// is tested over generated op scripts in `tests/logconv_roundtrip.rs`.
 pub fn convert_log_dir(src: &Path, dst: &Path, to_binary: bool) -> Result<usize, RepoError> {
-    convert_log_dir_with(
-        src,
-        dst,
-        to_binary,
-        crate::runtime::RestoreOptions::sequential(),
-    )
+    convert_log_dir_pooled(src, dst, to_binary, None)
 }
 
-/// [`convert_log_dir`] with the source decode fanned out over
-/// [`crate::runtime::RestoreOptions::threads`] workers — what the
-/// `bx_logconv` CLI uses, so a whole federation's source set converts on
-/// all cores. Decode order, the converted bytes and which error a
-/// corrupt source surfaces are identical to the sequential conversion.
-pub fn convert_log_dir_with(
-    src: &Path,
-    dst: &Path,
-    to_binary: bool,
-    options: crate::runtime::RestoreOptions,
-) -> Result<usize, RepoError> {
-    if !options.is_parallel() {
-        return convert_log_dir_pooled(src, dst, to_binary, None);
-    }
-    let pool = crate::runtime::WorkerPool::new(options.threads);
-    convert_log_dir_pooled(src, dst, to_binary, Some(&pool))
-}
-
-/// [`convert_log_dir_with`] on a shared [`Runtime`](crate::runtime::Runtime)'s
-/// pool instead of a pool of its own — batch conversions become one more
-/// tenant of a node's bounded worker set.
+/// [`convert_log_dir`] with the source decode fanned out over a
+/// [`Runtime`](crate::runtime::Runtime)'s workers — what the `bx_logconv`
+/// CLI uses, so a whole federation's source set converts on all cores.
+/// Decode order, the converted bytes and which error a corrupt source
+/// surfaces are identical to the sequential conversion.
 pub fn convert_log_dir_on(
     src: &Path,
     dst: &Path,
@@ -961,10 +938,8 @@ pub struct BinaryLogBackend {
     appender: Option<File>,
     /// Bytes staged but not fsynced — only in [`DurabilityMode::GroupCommit`].
     dirty: bool,
-    /// Current segment's length at its last fsync, for the
-    /// `sync_data`-when-unchanged downgrade.
-    synced_len: Option<u64>,
-    fsync_stats: FsyncStats,
+    /// Fsyncs this instance has issued.
+    fsyncs: u64,
     /// The torn-tail truncation `open` performed, if any.
     tail_repaired: Option<TailRepaired>,
 }
@@ -983,8 +958,7 @@ impl Clone for BinaryLogBackend {
             durability: self.durability,
             appender: None,
             dirty: false,
-            synced_len: None,
-            fsync_stats: FsyncStats::default(),
+            fsyncs: 0,
             tail_repaired: None,
         }
     }
@@ -1037,8 +1011,7 @@ impl BinaryLogBackend {
             durability: DurabilityMode::default(),
             appender: None,
             dirty: false,
-            synced_len: None,
-            fsync_stats: FsyncStats::default(),
+            fsyncs: 0,
             tail_repaired: None,
         };
         backend.tail_repaired = backend.repair_torn_tail()?;
@@ -1050,10 +1023,9 @@ impl BinaryLogBackend {
         self.durability
     }
 
-    /// How this instance's fsyncs split between `sync_all` and
-    /// `sync_data` (same accounting as the JSONL backend).
-    pub fn fsync_stats(&self) -> FsyncStats {
-        self.fsync_stats
+    /// Fsyncs this instance has issued, sealed-segment syncs included.
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs
     }
 
     /// The current generation's logical name (what the manifest records).
@@ -1194,11 +1166,10 @@ impl BinaryLogBackend {
         if let Some(file) = self.appender.take() {
             file.sync_all()
                 .map_err(|e| RepoError::persist_io("fsync sealed binary segment", e))?;
-            self.fsync_stats.sync_all += 1;
+            self.fsyncs += 1;
         }
         self.segment_index += 1;
         self.segment_len = 0;
-        self.synced_len = None;
         Ok(())
     }
 
@@ -1259,8 +1230,7 @@ impl StorageBackend for BinaryLogBackend {
                 let file = self.appender()?;
                 file.sync_all()
                     .map_err(|e| RepoError::persist_io("fsync binary log", e))?;
-                self.fsync_stats.sync_all += 1;
-                self.synced_len = Some(self.segment_len);
+                self.fsyncs += 1;
             }
             DurabilityMode::GroupCommit => self.dirty = true,
         }
@@ -1291,7 +1261,6 @@ impl StorageBackend for BinaryLogBackend {
         self.segment_len = 0;
         self.appender = None;
         self.dirty = false;
-        self.synced_len = None;
         for name in segment_files(&self.dir, &old_generation).unwrap_or_default() {
             std::fs::remove_file(self.dir.join(name)).ok();
         }
@@ -1304,32 +1273,16 @@ impl StorageBackend for BinaryLogBackend {
 
     /// One fsync covering every batch staged since the last call.
     /// Mid-window segment rolls already fsynced the sealed segments (see
-    /// [`Self::roll_segment`]), so only the live segment needs syncing —
-    /// `sync_data` when its length is unchanged since the last fsync,
-    /// `sync_all` otherwise, mirroring the JSONL backend's split.
+    /// [`Self::roll_segment`]), so only the live segment needs syncing,
+    /// with the full `sync_all` the JSONL backend uses too.
     fn flush_durable(&mut self) -> Result<(), RepoError> {
         if !self.dirty {
             return Ok(());
         }
-        let last_synced = self.synced_len;
-        let len = self.segment_len;
-        let data_only = last_synced == Some(len);
-        {
-            let file = self.appender()?;
-            if data_only {
-                file.sync_data()
-                    .map_err(|e| RepoError::persist_io("fdatasync binary log", e))?;
-            } else {
-                file.sync_all()
-                    .map_err(|e| RepoError::persist_io("fsync binary log", e))?;
-            }
-        }
-        if data_only {
-            self.fsync_stats.sync_data += 1;
-        } else {
-            self.fsync_stats.sync_all += 1;
-            self.synced_len = Some(len);
-        }
+        self.appender()?
+            .sync_all()
+            .map_err(|e| RepoError::persist_io("fsync binary log", e))?;
+        self.fsyncs += 1;
         self.dirty = false;
         Ok(())
     }
@@ -1550,7 +1503,7 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_stages_until_flush_and_splits_fsync_kinds() {
+    fn group_commit_stages_until_flush() {
         let dir = unique_dir("binlog-gc");
         let r = busy_repository();
         let mut backend = BinaryLogBackend::open(&dir).unwrap();
@@ -1559,21 +1512,13 @@ mod tests {
         let (a, b) = events.split_at(events.len() / 2);
         backend.record(a).unwrap();
         backend.record(b).unwrap();
-        assert_eq!(backend.fsync_stats().total(), 0, "record only stages");
+        assert_eq!(backend.fsyncs(), 0, "record only stages");
         backend.flush_durable().unwrap();
-        assert_eq!(
-            backend.fsync_stats(),
-            FsyncStats {
-                sync_all: 1,
-                sync_data: 0
-            }
-        );
+        assert_eq!(backend.fsyncs(), 1);
         // Nothing staged: flush is a no-op.
         backend.flush_durable().unwrap();
-        assert_eq!(backend.fsync_stats().total(), 1);
-        // Same-length re-flush after a stage that wrote nothing new is
-        // impossible here (record always appends), but a second flush
-        // after more records grows the segment: sync_all again.
+        assert_eq!(backend.fsyncs(), 1);
+        // More records stage again; the next flush fsyncs once more.
         r.comment(
             "alice",
             &crate::repo::EntryId::from_title("DATES"),
@@ -1583,7 +1528,7 @@ mod tests {
         .unwrap();
         backend.record(&r.drain_events()).unwrap();
         backend.flush_durable().unwrap();
-        assert_eq!(backend.fsync_stats().sync_all, 2);
+        assert_eq!(backend.fsyncs(), 2);
         assert_eq!(backend.restore().unwrap(), r.snapshot());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1597,9 +1542,9 @@ mod tests {
         backend.record(&r.drain_events()).unwrap();
         let mut fresh = backend.clone();
         fresh.flush_durable().unwrap();
-        assert_eq!(fresh.fsync_stats().total(), 0, "clone owes no fsync");
+        assert_eq!(fresh.fsyncs(), 0, "clone owes no fsync");
         backend.flush_durable().unwrap();
-        assert_eq!(backend.fsync_stats().total(), 1);
+        assert_eq!(backend.fsyncs(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -382,7 +382,7 @@ fn fold_run_sharded(
 /// events touching distinct entries commute, each entry folds in log
 /// order on one worker, and barriers are the only events that read or
 /// write shared state (`name`, `accounts`).
-pub fn replay_parallel(
+pub(crate) fn replay_parallel(
     base: RepositorySnapshot,
     events: Vec<RepoEvent>,
     pool: &crate::runtime::WorkerPool,
@@ -547,7 +547,7 @@ mod tests {
 
         let sequential = replay(RepositorySnapshot::empty(""), &events);
         for threads in [1, 2, 4, 8] {
-            let pool = crate::runtime::WorkerPool::new(threads);
+            let pool = crate::runtime::WorkerPool::named("bx-worker", threads);
             let parallel = replay_parallel(RepositorySnapshot::empty(""), events.clone(), &pool);
             assert_eq!(parallel, sequential, "threads={threads}");
         }
@@ -565,7 +565,7 @@ mod tests {
             }),
             RepoEvent::ReviewRequested(EntryRef { id }),
         ];
-        let pool = crate::runtime::WorkerPool::new(4);
+        let pool = crate::runtime::WorkerPool::named("bx-worker", 4);
         let out = replay_parallel(RepositorySnapshot::empty("bx"), orphans, &pool);
         assert!(out.records.is_empty());
     }

@@ -144,7 +144,7 @@ impl SearchIndex {
 
     /// Merge a partial index covering a *disjoint* set of entries into
     /// this one — the gather step of the parallel derived-state rebuild
-    /// ([`crate::replica::Replica::open_with`]), where each worker
+    /// ([`crate::replica::Replica::open_on`]), where each worker
     /// indexes its own shard of entries. With disjoint entry sets the
     /// result is exactly the index of the union (both maps key on terms
     /// and entry ids, so disjoint inserts cannot collide).

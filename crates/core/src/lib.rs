@@ -19,17 +19,18 @@
 //! * [`event`] — the typed change-event stream every mutation records,
 //!   pushed at commit time to every subscribed [`event::EventSink`];
 //!   downstream layers consume these deltas instead of whole snapshots;
-//! * [`pipeline`] — the background durability pipeline: a writer thread
+//! * [`pipeline`] — the background durability pipeline: a writer task
 //!   behind a bounded channel drains events into any storage backend,
 //!   with explicit flush and drop-shutdown semantics;
 //! * [`replica`] — read replicas that tail a shipped event-log directory
 //!   and incrementally maintain their own snapshot, search index and
 //!   wiki site; [`replica::Federation`] fans N independent primaries into
 //!   one namespaced merged node, and [`replica::ReplicaDaemon`] polls it
-//!   on a background thread with clean start/stop and lag stats;
-//! * [`runtime`] — the shared worker pool behind the parallel restore
-//!   pipeline (chunked decode, sharded replay, parallel derived-state
-//!   rebuild), sized by the machine's available parallelism;
+//!   as a runtime tenant with clean start/stop and lag stats;
+//! * [`runtime`] — the one source of worker threads and the one health
+//!   channel: every background tenant and every parallel restore
+//!   (chunked decode, sharded replay, parallel derived-state rebuild)
+//!   runs on a caller's [`Runtime`];
 //! * [`cite`] — citation formats for entries and the repository (§5.2);
 //! * [`index`] — keyword search with type/property filters (§5.2
 //!   findability);
@@ -73,20 +74,19 @@ pub use curation::EntryStatus;
 pub use error::RepoError;
 pub use event::{EventSink, RepoEvent};
 pub use manuscript::{export_manuscript, ManuscriptOptions};
-pub use pipeline::{BackgroundWriter, HealthSink, PipelineConfig, PipelineHealth, PipelineStats};
+pub use pipeline::{BackgroundWriter, PipelineConfig, PipelineStats};
 pub use principal::{Principal, Role};
 pub use replica::{
     federate_snapshots, DaemonConfig, DaemonStats, Federation, Replica, ReplicaDaemon, SourceId,
 };
 pub use repo::{EntryId, Repository};
 pub use runtime::{
-    ComponentHealth, HealthReport, HealthSink as RuntimeHealthSink, PoolStats, RestoreOptions,
-    Runtime, RuntimeHealth, SerialTask, TimerTask, WeakSerialTask, WorkerPool,
+    ComponentHealth, HealthReport, HealthSink, PoolStats, Runtime, RuntimeHealth, SerialTask,
+    TimerTask, WeakSerialTask,
 };
 pub use storage::{
     AutoCompactingBinaryLog, AutoCompactingEventLog, CompactionPolicy, DurabilityMode,
-    EventLogBackend, FsyncStats, GenerationLog, JsonFileBackend, MemoryBackend, StorageBackend,
-    TailRepaired,
+    EventLogBackend, GenerationLog, JsonFileBackend, MemoryBackend, StorageBackend, TailRepaired,
 };
 pub use supervise::{RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus};
 pub use template::{

@@ -7,15 +7,13 @@
 //! caller's thread — `contribute`/`revise`/… return as soon as the event
 //! is *enqueued*; the writer batches queued events and calls
 //! `StorageBackend::record` off to the side. The writer is a
-//! [`crate::runtime::SerialTask`] tenant on a [`Runtime`]:
-//! [`BackgroundWriter::spawn`]/[`BackgroundWriter::with_config`] give it
-//! a private single-worker runtime (`bx-durability-0`, the drop-in
-//! equivalent of the old dedicated thread), while
-//! [`BackgroundWriter::on_runtime`] lets many writers share one bounded
+//! [`crate::runtime::SerialTask`] tenant on a caller's [`Runtime`]
+//! ([`BackgroundWriter::on_runtime`]): many writers share one bounded
 //! pool — a federation's per-source writers run as N serialized tasks
 //! on a handful of threads, with group-commit window closes arriving as
-//! timer-wheel one-shots instead of per-writer sleeps. Four properties
-//! define the pipeline:
+//! timer-wheel one-shots instead of per-writer sleeps. Every commit
+//! point and failure publishes a [`HealthReport::Pipeline`] on the
+//! runtime's health channel. Four properties define the pipeline:
 //!
 //! * **Bounded, with backpressure.** The channel holds at most
 //!   [`PipelineConfig::channel_capacity`] events. When it is full,
@@ -70,10 +68,6 @@ pub const DEFAULT_WRITE_BATCH: usize = 256;
 /// suffix a crash inside the window can lose).
 pub const DEFAULT_MAX_GROUP_EVENTS: usize = 4096;
 
-/// How many periodic [`PipelineHealth`] reports the writer retains before
-/// dropping the oldest.
-const HEALTH_BACKLOG: usize = 64;
-
 /// Tuning knobs for a [`BackgroundWriter`].
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
@@ -91,22 +85,6 @@ pub struct PipelineConfig {
     /// Most events one group-commit window may cover before its fsync is
     /// forced (≥ 1; ignored in per-batch mode).
     pub max_group_events: usize,
-    /// When true (and a group-commit window is set), the window adapts to
-    /// load: [`PipelineConfig::group_commit_window`] becomes the *ceiling*
-    /// and the writer halves the window toward zero whenever a window
-    /// closes nearly empty (light load → per-event latency approaches a
-    /// bare fsync) and doubles it back toward the ceiling whenever a
-    /// window fills a quarter of [`PipelineConfig::max_group_events`]
-    /// (saturation → maximum fsync amortisation). The window currently in
-    /// force is observable as [`PipelineStats::window_micros`].
-    pub adaptive_window: bool,
-    /// Every `health_every` successful commits (record batches in
-    /// per-batch mode, windows in group-commit mode) the writer thread
-    /// snapshots a [`PipelineHealth`] report, drainable via
-    /// [`BackgroundWriter::drain_health_reports`]. `0` (the default)
-    /// disables periodic reporting; [`BackgroundWriter::health`] always
-    /// works on demand.
-    pub health_every: usize,
 }
 
 impl Default for PipelineConfig {
@@ -116,8 +94,6 @@ impl Default for PipelineConfig {
             write_batch: DEFAULT_WRITE_BATCH,
             group_commit_window: None,
             max_group_events: DEFAULT_MAX_GROUP_EVENTS,
-            health_every: 0,
-            adaptive_window: false,
         }
     }
 }
@@ -128,18 +104,6 @@ impl PipelineConfig {
         PipelineConfig {
             group_commit_window: Some(window),
             ..PipelineConfig::default()
-        }
-    }
-
-    /// Group commit with an adaptive window: `max_window` is the ceiling,
-    /// and the writer sizes the actual window to the observed load (see
-    /// [`PipelineConfig::adaptive_window`]). The first window opens at
-    /// the ceiling — the safe choice for throughput — and shrinks within
-    /// a few light windows.
-    pub fn adaptive_group_commit(max_window: Duration) -> PipelineConfig {
-        PipelineConfig {
-            adaptive_window: true,
-            ..PipelineConfig::group_commit(max_window)
         }
     }
 }
@@ -164,50 +128,10 @@ pub struct PipelineStats {
     /// Group-commit windows closed. Always 0 in per-batch mode;
     /// `durable / group_commits` is the realised amortisation factor.
     pub group_commits: u64,
-    /// The group-commit window in force after the most recent window
-    /// close, in microseconds: the configured window in fixed mode, the
-    /// load-adapted value under [`PipelineConfig::adaptive_window`], and
-    /// 0 in per-batch mode (or before the first window has closed).
+    /// The configured group-commit window, in microseconds; 0 in
+    /// per-batch mode.
     pub window_micros: u64,
 }
-
-/// A point-in-time health snapshot of the pipeline: the counters plus the
-/// queue state and the sticky error, if any. Taken on demand by
-/// [`BackgroundWriter::health`] and periodically by the writer thread
-/// when [`PipelineConfig::health_every`] is non-zero.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineHealth {
-    /// The counters at snapshot time.
-    pub stats: PipelineStats,
-    /// Events sitting in the channel, not yet handed to the backend.
-    pub queue_depth: usize,
-    /// Events accepted but not yet durable (includes `queue_depth` and
-    /// any open group-commit window's staged events).
-    pub lag: u64,
-    /// The sticky writer error, if the pipeline has failed.
-    pub error: Option<String>,
-}
-
-impl PipelineHealth {
-    /// No sticky error: every accepted event has reached, or will reach,
-    /// the backend.
-    pub fn healthy(&self) -> bool {
-        self.error.is_none()
-    }
-
-    fn of(state: &State) -> PipelineHealth {
-        PipelineHealth {
-            stats: state.stats,
-            queue_depth: state.queue.len(),
-            lag: state.stats.enqueued - state.stats.durable - state.stats.dropped,
-            error: state.error.clone(),
-        }
-    }
-}
-
-/// A push target for [`PipelineHealth`] reports; see
-/// [`BackgroundWriter::set_health_sink`].
-pub type HealthSink = Arc<dyn Fn(PipelineHealth) + Send + Sync>;
 
 /// Everything the producer side and the writer task share.
 struct Shared {
@@ -217,11 +141,10 @@ struct Shared {
     /// Signalled when `durable` advances, the writer fails, or the
     /// shutdown drain completes (`State::closed`).
     progress: Condvar,
-    /// When the writer was placed on a shared runtime via
-    /// [`BackgroundWriter::on_runtime`], every commit point and failure
-    /// also publishes a [`HealthReport::Pipeline`] on the runtime's
-    /// unified channel under this component name.
-    runtime_channel: Option<(Arc<RuntimeHealth>, String)>,
+    /// Every commit point and failure publishes a
+    /// [`HealthReport::Pipeline`] here under `component`.
+    health: Arc<RuntimeHealth>,
+    component: String,
 }
 
 struct State {
@@ -241,70 +164,27 @@ struct State {
     /// window is open. The close is driven by a timer-wheel one-shot
     /// re-notifying the writer task, not by a sleeping thread.
     window_deadline: Option<Instant>,
-    /// The group-commit window currently in force: the configured value
-    /// in fixed mode, the load-adapted value in adaptive mode.
-    current_window: Duration,
     /// First backend error, stringified; sticky once set.
     error: Option<String>,
     stats: PipelineStats,
-    /// Successful commits (record batches / windows), for the periodic
-    /// health cadence.
-    commits: u64,
-    /// [`PipelineConfig::health_every`]; 0 disables periodic reports.
-    health_every: usize,
-    /// Periodic health reports (bounded; oldest dropped first).
-    health: VecDeque<PipelineHealth>,
-    /// Push target: called with a fresh report after every commit point
-    /// and on failure. Invoked strictly *outside* the state lock.
-    health_sink: Option<HealthSink>,
 }
 
 impl State {
-    /// Account a successful commit and, on the configured cadence, file a
-    /// health report — under the same lock that advanced `durable`, so a
-    /// flusher woken by this commit already sees its report.
-    fn committed(&mut self) {
-        self.commits += 1;
-        if self.health_every > 0 && self.commits.is_multiple_of(self.health_every as u64) {
-            if self.health.len() >= HEALTH_BACKLOG {
-                self.health.pop_front();
-            }
-            let report = PipelineHealth::of(self);
-            self.health.push_back(report);
+    /// The report a commit point (or failure) publishes. Taken under the
+    /// state lock and published only after releasing it, since a channel
+    /// sink may call back into the writer.
+    fn report(&self) -> HealthReport {
+        HealthReport::Pipeline {
+            enqueued: self.stats.enqueued,
+            durable: self.stats.durable,
+            dropped: self.stats.dropped,
+            backpressure_waits: self.stats.backpressure_waits,
+            fsyncs: self.stats.fsyncs,
+            group_commits: self.stats.group_commits,
+            window_micros: self.stats.window_micros,
+            queue_len: self.queue.len(),
+            error: self.error.clone(),
         }
-    }
-
-    /// The push sink (if one is set) paired with a fresh report. The
-    /// caller hands both to [`publish`] only after releasing the state
-    /// lock, so a sink is free to call back into the writer (`stats`,
-    /// `health`, …) without deadlocking.
-    fn pending_push(&self) -> (Option<HealthSink>, PipelineHealth) {
-        (self.health_sink.clone(), PipelineHealth::of(self))
-    }
-}
-
-/// Deliver one commit-point (or failure) report to the per-writer push
-/// sink and, for writers on a shared runtime, to the unified
-/// [`RuntimeHealth`] channel. Called strictly outside the state lock.
-fn publish(shared: &Shared, sink: Option<HealthSink>, report: PipelineHealth) {
-    if let Some((health, component)) = &shared.runtime_channel {
-        health.report(
-            component,
-            HealthReport::Pipeline {
-                enqueued: report.stats.enqueued,
-                durable: report.stats.durable,
-                dropped: report.stats.dropped,
-                backpressure_waits: report.stats.backpressure_waits,
-                fsyncs: report.stats.fsyncs,
-                group_commits: report.stats.group_commits,
-                window_micros: report.stats.window_micros,
-                queue_len: report.queue_depth,
-                error: report.error.clone(),
-            },
-        );
-    }
-    if let Some(sink) = sink {
-        sink(report);
     }
 }
 
@@ -323,9 +203,9 @@ fn poke(slot: &TaskSlot) {
 pub struct BackgroundWriter {
     shared: Arc<Shared>,
     task: SerialTask,
-    /// The private runtime backing `spawn`/`with_config` writers; `None`
-    /// for tenants of a shared runtime ([`BackgroundWriter::on_runtime`]).
-    _runtime: Option<Arc<Runtime>>,
+    /// Keeps the runtime (whose timer wheel closes windows) alive for as
+    /// long as the writer, so a caller may drop its own handle.
+    _runtime: Arc<Runtime>,
 }
 
 impl std::fmt::Debug for BackgroundWriter {
@@ -342,55 +222,27 @@ fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, State> {
 }
 
 impl BackgroundWriter {
-    /// Spawn a writer around `backend` with default tuning, on a private
-    /// single-worker runtime (`bx-durability-0`).
-    pub fn spawn<B: StorageBackend + Send + 'static>(backend: B) -> BackgroundWriter {
-        BackgroundWriter::with_config(backend, PipelineConfig::default())
-    }
-
-    /// Spawn a writer around `backend` with explicit tuning, on a
-    /// private single-worker runtime. A
-    /// [`PipelineConfig::group_commit_window`] switches the backend to
-    /// `DurabilityMode::GroupCommit` before the task starts, so staging
-    /// and the window's single fsync line up automatically.
-    pub fn with_config<B: StorageBackend + Send + 'static>(
-        backend: B,
-        config: PipelineConfig,
-    ) -> BackgroundWriter {
-        let runtime = Runtime::named("bx-durability", 1);
-        let mut writer = BackgroundWriter::build(backend, config, &runtime, None);
-        writer._runtime = Some(runtime);
-        writer
-    }
-
-    /// Place a writer on a *shared* [`Runtime`]: the writer becomes one
-    /// serialized task among the runtime's tenants instead of owning a
-    /// thread, and every commit point (and failure) publishes a
+    /// Place a writer around `backend` on `runtime`: the writer becomes
+    /// one serialized task among the runtime's tenants instead of owning
+    /// a thread, and every commit point (and failure) publishes a
     /// [`HealthReport::Pipeline`] under `component` on the runtime's
-    /// unified health channel. The runtime must outlive the writer's
-    /// shutdown (callers keep their own `Arc`).
+    /// health channel. A [`PipelineConfig::group_commit_window`] switches
+    /// the backend to `DurabilityMode::GroupCommit` before the task
+    /// starts, so staging and the window's single fsync line up. The
+    /// writer holds its own `Arc` of the runtime.
     pub fn on_runtime<B: StorageBackend + Send + 'static>(
-        backend: B,
-        config: PipelineConfig,
-        runtime: &Arc<Runtime>,
-        component: &str,
-    ) -> BackgroundWriter {
-        BackgroundWriter::build(backend, config, runtime, Some(component))
-    }
-
-    fn build<B: StorageBackend + Send + 'static>(
         mut backend: B,
         config: PipelineConfig,
         runtime: &Arc<Runtime>,
-        component: Option<&str>,
+        component: &str,
     ) -> BackgroundWriter {
         if config.group_commit_window.is_some() {
             backend.set_durability(DurabilityMode::GroupCommit);
         }
         // A backend that repaired a torn tail when it opened says so on
-        // the unified channel — the repair predates this writer, but this
+        // the health channel — the repair predates this writer, but this
         // is the first observer that can publish it.
-        if let (Some(component), Some(repair)) = (component, backend.tail_repaired()) {
+        if let Some(repair) = backend.tail_repaired() {
             runtime.health().report(
                 component,
                 HealthReport::TailRepaired {
@@ -399,6 +251,7 @@ impl BackgroundWriter {
                 },
             );
         }
+        let window = config.group_commit_window;
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -408,23 +261,21 @@ impl BackgroundWriter {
                 flush_requested: false,
                 staged: 0,
                 window_deadline: None,
-                current_window: config.group_commit_window.unwrap_or(Duration::ZERO),
                 error: None,
-                stats: PipelineStats::default(),
-                commits: 0,
-                health_every: config.health_every,
-                health: VecDeque::new(),
-                health_sink: None,
+                stats: PipelineStats {
+                    window_micros: window.map_or(0, |w| w.as_micros() as u64),
+                    ..PipelineStats::default()
+                },
             }),
             not_full: Condvar::new(),
             progress: Condvar::new(),
-            runtime_channel: component.map(|name| (Arc::clone(runtime.health()), name.to_string())),
+            health: Arc::clone(runtime.health()),
+            component: component.to_string(),
         });
         let tuning = WriterTuning {
             batch_max: config.write_batch.max(1),
-            window: config.group_commit_window,
+            window,
             group_max: config.max_group_events.max(1),
-            adaptive: config.adaptive_window,
         };
         let slot: TaskSlot = Arc::default();
         let drive_shared = Arc::clone(&shared);
@@ -443,7 +294,7 @@ impl BackgroundWriter {
         BackgroundWriter {
             shared,
             task,
-            _runtime: None,
+            _runtime: Arc::clone(runtime),
         }
     }
 
@@ -493,8 +344,8 @@ impl BackgroundWriter {
     }
 
     /// Drain the queue, close any open window with its fsync, and wait
-    /// for the writer task to confirm it is done, returning the writer's
-    /// final health. Idempotent; also run (result ignored) by `Drop`.
+    /// for the writer task to confirm it is done, returning the sticky
+    /// error, if any. Idempotent; also run (result ignored) by `Drop`.
     pub fn shutdown(&self) -> Result<(), RepoError> {
         {
             let mut state = lock(&self.shared);
@@ -522,9 +373,8 @@ impl BackgroundWriter {
             None => Ok(()),
         };
         drop(state);
-        // Wait out any in-flight pass so its health pushes (including a
-        // failure report) have landed — the task-world equivalent of
-        // joining the old writer thread.
+        // Wait out any in-flight pass so its health reports (including a
+        // failure report) have landed on the runtime's channel.
         self.task.wait_idle();
         result
     }
@@ -532,31 +382,6 @@ impl BackgroundWriter {
     /// Current progress/backpressure counters.
     pub fn stats(&self) -> PipelineStats {
         lock(&self.shared).stats
-    }
-
-    /// A point-in-time [`PipelineHealth`] snapshot, on demand.
-    pub fn health(&self) -> PipelineHealth {
-        PipelineHealth::of(&lock(&self.shared))
-    }
-
-    /// Take the periodic health reports accumulated since the last drain
-    /// (oldest first). Empty unless [`PipelineConfig::health_every`] was
-    /// set. A bounded backlog (64 reports) is retained between drains;
-    /// older ones are dropped.
-    pub fn drain_health_reports(&self) -> Vec<PipelineHealth> {
-        lock(&self.shared).health.drain(..).collect()
-    }
-
-    /// Push health reports instead of (only) pulling them: `sink` is
-    /// called with a fresh [`PipelineHealth`] after every commit point
-    /// (one `record` batch in per-batch mode, one window in group-commit
-    /// mode) and once when the writer fails. Reports arrive on the writer
-    /// thread, outside the pipeline's internal lock — a sink may call
-    /// back into the writer, but should return quickly since it delays
-    /// the next commit. Replaces any previously set sink; independent of
-    /// the pull-side [`PipelineConfig::health_every`] cadence.
-    pub fn set_health_sink(&self, sink: HealthSink) {
-        lock(&self.shared).health_sink = Some(sink);
     }
 
     /// Events accepted but not yet durably recorded.
@@ -612,10 +437,8 @@ impl Drop for BackgroundWriter {
 #[derive(Clone, Copy)]
 struct WriterTuning {
     batch_max: usize,
-    /// The configured window — the fixed value, or the adaptive ceiling.
     window: Option<Duration>,
     group_max: usize,
-    adaptive: bool,
 }
 
 /// One pass of the writer task. Never blocks waiting for work or for a
@@ -631,10 +454,9 @@ fn drive<B: StorageBackend>(
     runtime: &Weak<Runtime>,
     slot: &TaskSlot,
 ) {
-    if tuning.window.is_none() {
-        drive_batch(shared, backend, tuning.batch_max, slot);
-    } else {
-        drive_group(shared, backend, tuning, runtime, slot);
+    match tuning.window {
+        None => drive_batch(shared, backend, tuning.batch_max, slot),
+        Some(window) => drive_group(shared, backend, window, tuning.group_max, runtime, slot),
     }
 }
 
@@ -668,16 +490,15 @@ fn drive_batch<B: StorageBackend>(
     };
     match backend.record(&batch) {
         Ok(()) => {
-            let (sink, report) = {
+            let report = {
                 let mut state = lock(shared);
                 state.stats.durable += batch.len() as u64;
                 state.stats.fsyncs += 1;
                 state.flush_requested = false;
-                state.committed();
                 shared.progress.notify_all();
-                state.pending_push()
+                state.report()
             };
-            publish(shared, sink, report);
+            shared.health.report(&shared.component, report);
         }
         Err(e) => {
             fail(shared, batch.len(), e);
@@ -702,11 +523,11 @@ fn drive_batch<B: StorageBackend>(
 fn drive_group<B: StorageBackend>(
     shared: &Arc<Shared>,
     backend: &mut B,
-    tuning: WriterTuning,
+    window: Duration,
+    group_max: usize,
     runtime: &Weak<Runtime>,
     slot: &TaskSlot,
 ) {
-    let max_window = tuning.window.expect("group mode has a window");
     let (batch, staged_before) = {
         let mut state = lock(shared);
         if state.error.is_some() {
@@ -717,7 +538,7 @@ fn drive_group<B: StorageBackend>(
             confirm_closed(shared, &mut state);
             return;
         }
-        let room = tuning.group_max - state.staged;
+        let room = group_max - state.staged;
         let n = state.queue.len().min(room);
         let batch: Vec<RepoEvent> = state.queue.drain(..n).collect();
         if n > 0 {
@@ -735,17 +556,16 @@ fn drive_group<B: StorageBackend>(
     }
     let mut state = lock(shared);
     state.staged += batch.len();
-    if state.staged > 0 && state.window_deadline.is_none() && !state.current_window.is_zero() {
+    if state.staged > 0 && state.window_deadline.is_none() && !window.is_zero() {
         // Open the window: deadline first, then the timer — the wheel
         // measures its own delay from *after* the deadline was fixed,
         // so the one-shot can never fire before the deadline check
         // passes and strand the window open.
-        let delay = state.current_window;
-        state.window_deadline = Some(Instant::now() + delay);
+        state.window_deadline = Some(Instant::now() + window);
         drop(state);
         let timer_slot = Arc::clone(slot);
         if let Some(runtime) = runtime.upgrade() {
-            runtime.schedule_once(delay, move || poke(&timer_slot));
+            runtime.schedule_once(window, move || poke(&timer_slot));
         }
         state = lock(shared);
     }
@@ -753,40 +573,29 @@ fn drive_group<B: StorageBackend>(
         .window_deadline
         .is_some_and(|deadline| Instant::now() >= deadline);
     let close = state.staged > 0
-        && (state.staged >= tuning.group_max
+        && (state.staged >= group_max
             || state.shutdown
             || (state.flush_requested && state.queue.is_empty())
             || deadline_passed
-            || state.current_window.is_zero());
+            || window.is_zero());
     if close {
         let staged = state.staged;
-        // Decide the next window before the commit lock so flush
-        // waiters see stats (including `window_micros`) fully settled
-        // when they wake.
-        let next_window = if tuning.adaptive {
-            adapt_window(state.current_window, max_window, staged, tuning.group_max)
-        } else {
-            state.current_window
-        };
         drop(state);
         // The window's single fsync point, covering every staged batch.
         match backend.flush_durable() {
             Ok(()) => {
-                let (sink, report) = {
+                let report = {
                     let mut state = lock(shared);
                     state.stats.durable += staged as u64;
                     state.stats.fsyncs += 1;
                     state.stats.group_commits += 1;
-                    state.stats.window_micros = next_window.as_micros() as u64;
                     state.staged = 0;
                     state.window_deadline = None;
-                    state.current_window = next_window;
                     state.flush_requested = false;
-                    state.committed();
                     shared.progress.notify_all();
-                    state.pending_push()
+                    state.report()
                 };
-                publish(shared, sink, report);
+                shared.health.report(&shared.component, report);
             }
             Err(e) => {
                 fail(shared, staged, e);
@@ -805,42 +614,12 @@ fn drive_group<B: StorageBackend>(
     }
 }
 
-/// Size the next group-commit window from how the one that just closed
-/// went. `staged` near the group budget means producers are saturating
-/// the writer: double the window (more amortisation per fsync), up to the
-/// configured ceiling. A window that closed nearly empty means load is
-/// light: halve it (down to zero — drain-and-fsync immediately) so a lone
-/// producer's ack latency is one fsync, not one timer. The growth floor
-/// is a small quantum of the ceiling so recovery from zero is geometric,
-/// not stuck.
-fn adapt_window(
-    current: Duration,
-    max_window: Duration,
-    staged: usize,
-    group_max: usize,
-) -> Duration {
-    let quantum = (max_window / 16)
-        .max(Duration::from_micros(50))
-        .min(max_window);
-    if staged.saturating_mul(4) >= group_max {
-        return current.saturating_mul(2).clamp(quantum, max_window);
-    }
-    if staged <= 1 {
-        return if current <= quantum {
-            Duration::ZERO
-        } else {
-            current / 2
-        };
-    }
-    current
-}
-
 /// The writer failed with `in_flight` events handed to the backend but
 /// not durable (a durable *prefix* of them may exist on disk; recovery
 /// reconciles via the primary's journal). They and everything still
 /// queued are lost and counted; the error turns sticky.
 fn fail(shared: &Shared, in_flight: usize, e: RepoError) {
-    let (sink, report) = {
+    let report = {
         let mut state = lock(shared);
         state.stats.dropped += in_flight as u64;
         state.stats.dropped += state.queue.len() as u64;
@@ -853,10 +632,10 @@ fn fail(shared: &Shared, in_flight: usize, e: RepoError) {
         state.window_deadline = None;
         shared.not_full.notify_all();
         shared.progress.notify_all();
-        state.pending_push()
+        state.report()
     };
-    // The sinks hear about the failure too — pushed outside the lock.
-    publish(shared, sink, report);
+    // The channel hears about the failure too — outside the lock.
+    shared.health.report(&shared.component, report);
 }
 
 #[cfg(test)]
@@ -927,7 +706,12 @@ mod tests {
     #[test]
     fn subscribed_writer_persists_the_live_state() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::spawn(storage.clone()));
+        let writer = Arc::new(BackgroundWriter::on_runtime(
+            storage.clone(),
+            PipelineConfig::default(),
+            &Runtime::new(1),
+            "writer",
+        ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         // Backfill the founding event, then go push-mode.
         writer.enqueue(&repo.drain_events());
@@ -959,13 +743,15 @@ mod tests {
         repo.register(Principal::member("alice")).unwrap();
         repo.contribute("alice", entry("COMPOSERS")).unwrap();
         {
-            let writer = BackgroundWriter::with_config(
+            let writer = BackgroundWriter::on_runtime(
                 storage.clone(),
                 PipelineConfig {
                     channel_capacity: 2, // force backpressure on the way in
                     write_batch: 1,
                     ..PipelineConfig::default()
                 },
+                &Runtime::new(1),
+                "writer",
             );
             writer.enqueue(&repo.drain_events());
             // No flush: Drop must drain.
@@ -978,13 +764,15 @@ mod tests {
 
     #[test]
     fn backend_errors_are_sticky_and_do_not_block_producers() {
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(BackgroundWriter::on_runtime(
             BrokenBackend,
             PipelineConfig {
                 channel_capacity: 2,
                 write_batch: 8,
                 ..PipelineConfig::default()
             },
+            &Runtime::new(1),
+            "writer",
         ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         repo.subscribe(writer.clone());
@@ -1008,7 +796,12 @@ mod tests {
     #[test]
     fn events_after_shutdown_fail_the_next_flush() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::spawn(storage.clone()));
+        let writer = Arc::new(BackgroundWriter::on_runtime(
+            storage.clone(),
+            PipelineConfig::default(),
+            &Runtime::new(1),
+            "writer",
+        ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
         repo.subscribe(writer.clone());
@@ -1024,7 +817,12 @@ mod tests {
     #[test]
     fn flush_then_more_events_then_flush_again() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::spawn(storage.clone()));
+        let writer = Arc::new(BackgroundWriter::on_runtime(
+            storage.clone(),
+            PipelineConfig::default(),
+            &Runtime::new(1),
+            "writer",
+        ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
         repo.subscribe(writer.clone());
@@ -1043,9 +841,11 @@ mod tests {
     #[test]
     fn group_commit_coalesces_commit_points() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(BackgroundWriter::on_runtime(
             storage.clone(),
             PipelineConfig::group_commit(Duration::from_millis(5)),
+            &Runtime::new(1),
+            "writer",
         ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
@@ -1075,91 +875,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_window_shrinks_to_zero_under_light_load() {
-        let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
-            storage.clone(),
-            PipelineConfig::adaptive_group_commit(Duration::from_millis(4)),
-        ));
-        let repo = Repository::found("bx", vec![Principal::curator("c")]);
-        writer.enqueue(&repo.drain_events());
-        repo.subscribe(writer.clone());
-        repo.register(Principal::member("alice")).unwrap();
-        let id = repo.contribute("alice", entry("COMPOSERS")).unwrap();
-        // One event per flush: every window closes with staged ≤ 1, so
-        // from the 4ms ceiling the window halves to the quantum and then
-        // to zero within a handful of rounds.
-        for i in 0..10 {
-            repo.comment("alice", &id, "2014-03-28", &format!("solo{i}"))
-                .unwrap();
-            writer.flush().unwrap();
-        }
-        let stats = writer.stats();
-        assert_eq!(stats.window_micros, 0, "light load shrinks to zero");
-        assert_eq!(stats.durable, stats.enqueued);
-        assert_eq!(
-            storage.0.lock().unwrap().restore().unwrap(),
-            repo.snapshot()
-        );
-        writer.shutdown().unwrap();
-    }
-
-    #[test]
-    fn adaptive_window_grows_back_under_saturation() {
-        let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
-            storage.clone(),
-            PipelineConfig {
-                // A tiny group budget so a burst saturates many windows
-                // in a row (growth needs staged*4 >= group_max).
-                max_group_events: 8,
-                ..PipelineConfig::adaptive_group_commit(Duration::from_millis(4))
-            },
-        ));
-        let repo = Repository::found("bx", vec![Principal::curator("c")]);
-        writer.enqueue(&repo.drain_events());
-        repo.subscribe(writer.clone());
-        repo.register(Principal::member("alice")).unwrap();
-        let id = repo.contribute("alice", entry("COMPOSERS")).unwrap();
-        // Shrink first: sparse singles take the window to zero.
-        for i in 0..10 {
-            repo.comment("alice", &id, "2014-03-28", &format!("s{i}"))
-                .unwrap();
-            writer.flush().unwrap();
-        }
-        assert_eq!(writer.stats().window_micros, 0);
-        // Then saturate: a 64-event burst fills windows to the 8-event
-        // budget back to back, doubling the window from the quantum.
-        for i in 0..64 {
-            repo.comment("alice", &id, "2014-03-28", &format!("burst{i}"))
-                .unwrap();
-        }
-        writer.flush().unwrap();
-        let stats = writer.stats();
-        assert!(
-            stats.window_micros > 0,
-            "saturation must grow the window back (got {} µs)",
-            stats.window_micros
-        );
-        assert!(
-            stats.window_micros <= 4_000,
-            "the configured ceiling caps growth (got {} µs)",
-            stats.window_micros
-        );
-        assert_eq!(stats.durable, stats.enqueued);
-        assert_eq!(
-            storage.0.lock().unwrap().restore().unwrap(),
-            repo.snapshot()
-        );
-        writer.shutdown().unwrap();
-    }
-
-    #[test]
     fn fixed_window_reports_its_configured_size() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(BackgroundWriter::on_runtime(
             storage.clone(),
             PipelineConfig::group_commit(Duration::from_millis(2)),
+            &Runtime::new(1),
+            "writer",
         ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
@@ -1173,9 +895,11 @@ mod tests {
         let storage = SharedMemory::default();
         // A window far longer than any test timeout: only the
         // flush-requested path can acknowledge promptly.
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(BackgroundWriter::on_runtime(
             storage.clone(),
             PipelineConfig::group_commit(Duration::from_secs(600)),
+            &Runtime::new(1),
+            "writer",
         ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
@@ -1199,12 +923,14 @@ mod tests {
         // windows; each window fsync clears `flush_requested`, so the
         // flusher must re-arm it or the last window waits out the 600 s
         // timer and this test hangs.
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(BackgroundWriter::on_runtime(
             storage.clone(),
             PipelineConfig {
                 max_group_events: 4,
                 ..PipelineConfig::group_commit(Duration::from_secs(600))
             },
+            &Runtime::new(1),
+            "writer",
         ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         repo.register(Principal::member("alice")).unwrap();
@@ -1240,9 +966,11 @@ mod tests {
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         repo.register(Principal::member("alice")).unwrap();
         {
-            let writer = BackgroundWriter::with_config(
+            let writer = BackgroundWriter::on_runtime(
                 storage.clone(),
                 PipelineConfig::group_commit(Duration::from_secs(600)),
+                &Runtime::new(1),
+                "writer",
             );
             writer.enqueue(&repo.drain_events());
             // No flush: Drop's shutdown must close the window durably.
@@ -1253,84 +981,61 @@ mod tests {
         );
     }
 
-    #[test]
-    fn periodic_health_reports_accumulate_and_drain() {
-        let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
-            storage.clone(),
-            PipelineConfig {
-                health_every: 1,
-                ..PipelineConfig::group_commit(Duration::from_millis(2))
-            },
-        ));
-        let repo = Repository::found("bx", vec![Principal::curator("c")]);
-        writer.enqueue(&repo.drain_events());
-        repo.subscribe(writer.clone());
-        repo.register(Principal::member("alice")).unwrap();
-        repo.contribute("alice", entry("COMPOSERS")).unwrap();
-        writer.flush().unwrap();
-
-        let reports = writer.drain_health_reports();
-        assert!(!reports.is_empty(), "health_every=1 reports every commit");
-        assert!(reports.iter().all(PipelineHealth::healthy));
-        // Reports are ordered: durable never regresses.
-        for pair in reports.windows(2) {
-            assert!(pair[0].stats.durable <= pair[1].stats.durable);
-        }
-        assert!(writer.drain_health_reports().is_empty(), "drain empties");
-
-        // The on-demand snapshot agrees with the counters.
-        let health = writer.health();
-        assert!(health.healthy());
-        assert_eq!(health.stats, writer.stats());
-        assert_eq!(health.lag, 0);
-        assert_eq!(health.queue_depth, 0);
-        writer.shutdown().unwrap();
+    /// The `HealthReport::Pipeline` reports `component` published, in
+    /// order, taken off the runtime's channel.
+    fn pipeline_reports(runtime: &Runtime, component: &str) -> Vec<(u64, Option<String>)> {
+        runtime
+            .health()
+            .drain()
+            .into_iter()
+            .filter(|entry| entry.component == component)
+            .filter_map(|entry| match entry.report {
+                HealthReport::Pipeline { durable, error, .. } => Some((durable, error)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
-    fn health_sink_pushes_reports_per_commit_and_on_failure() {
+    fn every_commit_and_failure_publishes_on_the_runtime_channel() {
+        let runtime = Runtime::new(1);
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(BackgroundWriter::on_runtime(
             storage.clone(),
             PipelineConfig::group_commit(Duration::from_millis(2)),
+            &runtime,
+            "writer",
         ));
-        let seen: Arc<Mutex<Vec<PipelineHealth>>> = Arc::default();
-        let sink_seen = seen.clone();
-        writer.set_health_sink(Arc::new(move |report| {
-            sink_seen.lock().unwrap().push(report);
-        }));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
         repo.subscribe(writer.clone());
         repo.register(Principal::member("alice")).unwrap();
         repo.contribute("alice", entry("COMPOSERS")).unwrap();
         writer.flush().unwrap();
-        // Join the writer thread first: the push happens outside the
-        // pipeline lock, so it may trail the flush acknowledgement.
+        // Shut down first: a report is published outside the pipeline
+        // lock, so it may trail the flush acknowledgement.
         writer.shutdown().unwrap();
-        {
-            let reports = seen.lock().unwrap();
-            assert!(!reports.is_empty(), "each window pushes a report");
-            assert!(reports.iter().all(PipelineHealth::healthy));
-            for pair in reports.windows(2) {
-                assert!(pair[0].stats.durable <= pair[1].stats.durable);
-            }
+        let reports = pipeline_reports(&runtime, "writer");
+        assert!(!reports.is_empty(), "each window publishes a report");
+        assert!(reports.iter().all(|(_, error)| error.is_none()));
+        for pair in reports.windows(2) {
+            assert!(pair[0].0 <= pair[1].0, "durable never regresses");
         }
+        assert_eq!(reports.last().unwrap().0, writer.stats().durable);
 
-        // A failing backend pushes an unhealthy report.
-        let broken = Arc::new(BackgroundWriter::spawn(BrokenBackend));
-        let failures: Arc<Mutex<Vec<PipelineHealth>>> = Arc::default();
-        let sink_failures = failures.clone();
-        broken.set_health_sink(Arc::new(move |report| {
-            sink_failures.lock().unwrap().push(report);
-        }));
+        // A failing backend publishes an error report.
+        let broken = Arc::new(BackgroundWriter::on_runtime(
+            BrokenBackend,
+            PipelineConfig::default(),
+            &runtime,
+            "broken",
+        ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         broken.enqueue(&repo.drain_events());
         assert!(broken.flush().is_err());
         assert!(broken.shutdown().is_err(), "the error stays sticky");
-        let failures = failures.lock().unwrap();
-        assert!(failures.iter().any(|r| !r.healthy()));
+        let reports = pipeline_reports(&runtime, "broken");
+        assert!(reports.iter().any(|(_, error)| error.is_some()));
     }
 
     #[test]
@@ -1417,16 +1122,19 @@ mod tests {
 
     #[test]
     fn group_commit_surfaces_backend_errors_via_flush() {
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let runtime = Runtime::new(1);
+        let writer = Arc::new(BackgroundWriter::on_runtime(
             BrokenBackend,
             PipelineConfig::group_commit(Duration::from_millis(2)),
+            &runtime,
+            "writer",
         ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
         let err = writer.flush().unwrap_err();
         assert!(matches!(err, RepoError::Persist(ref m) if m.contains("disk on fire")));
-        let health = writer.health();
-        assert!(!health.healthy());
         assert!(writer.shutdown().is_err());
+        let reports = pipeline_reports(&runtime, "writer");
+        assert!(reports.last().is_some_and(|(_, error)| error.is_some()));
     }
 }

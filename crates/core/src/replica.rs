@@ -78,7 +78,7 @@ use crate::index::SearchIndex;
 use crate::manuscript::{export_manuscript, ManuscriptOptions};
 use crate::principal::Principal;
 use crate::repo::{EntryId, EntryRecord, RepositorySnapshot};
-use crate::runtime::{HealthReport, RestoreOptions, Runtime, RuntimeHealth, TimerTask, WorkerPool};
+use crate::runtime::{HealthReport, Runtime, RuntimeHealth, TimerTask, WorkerPool};
 use crate::storage::EventLogBackend;
 use crate::supervise::{
     RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus, SourceSupervisor,
@@ -324,13 +324,15 @@ impl LogTail {
     }
 
     /// [`LogTail::poll`] with whole-generation decodes fanned out over
-    /// `pool` — the cold-open path of [`Replica::open_with`] and
-    /// [`Federation::open_with`]. Only reads that start at the beginning
-    /// of a generation parallelise; incremental polls of a live tail are
-    /// small and stay sequential. Observed behaviour is identical to
-    /// [`LogTail::poll`] in every case, including which error a corrupt
-    /// log surfaces.
-    pub fn poll_with(&mut self, pool: Option<&WorkerPool>) -> Result<TailProgress, RepoError> {
+    /// `pool` — the cold-open path of [`Replica::open_on`]. Only reads
+    /// that start at the beginning of a generation parallelise;
+    /// incremental polls of a live tail are small and stay sequential.
+    /// Observed behaviour is identical to [`LogTail::poll`] in every
+    /// case, including which error a corrupt log surfaces.
+    pub(crate) fn poll_with(
+        &mut self,
+        pool: Option<&WorkerPool>,
+    ) -> Result<TailProgress, RepoError> {
         let mut progress = TailProgress::default();
         if !self.dir.exists() {
             if self.observed() {
@@ -557,27 +559,11 @@ impl Replica {
     }
 
     /// [`Replica::open`] with decode, replay and derived-state rebuild
-    /// fanned out over [`RestoreOptions::threads`] workers. With
-    /// `threads: 1` this *is* [`Replica::open`] (no pool is created);
-    /// with more, the snapshot, index and site of a quiescent directory
-    /// are byte-for-byte what the sequential open produces, including
-    /// which error a corrupt log surfaces
-    /// (`tests/restore_parallel.rs`).
-    pub fn open_with(
-        dir: impl Into<PathBuf>,
-        options: RestoreOptions,
-    ) -> Result<Replica, RepoError> {
-        let dir = dir.into();
-        if !options.is_parallel() {
-            return Self::open(dir);
-        }
-        let pool = WorkerPool::new(options.threads);
-        Self::open_pooled(dir, &pool)
-    }
-
-    /// [`Replica::open_with`] on a shared [`Runtime`]'s pool instead of
-    /// a pool of its own — the cold-open path for nodes that host many
-    /// replicas on one bounded set of workers.
+    /// fanned out over `runtime`'s workers — the cold-open path for
+    /// nodes that host many replicas on one bounded set of workers. The
+    /// snapshot, index and site of a quiescent directory are
+    /// byte-for-byte what the sequential open produces, including which
+    /// error a corrupt log surfaces (`tests/restore_parallel.rs`).
     pub fn open_on(dir: impl Into<PathBuf>, runtime: &Arc<Runtime>) -> Result<Replica, RepoError> {
         Self::open_pooled(dir.into(), runtime.pool())
     }
@@ -983,33 +969,18 @@ impl Federation {
         Ok(())
     }
 
-    /// [`Federation::open`] with the N sources tailed **concurrently**:
-    /// each source's open-and-decode runs as one pool job (source-level
-    /// parallelism — a nested scatter from inside a job would run
-    /// inline, so per-source decode stays a single sequential job), then
-    /// the merged replay and derived-state rebuild fan out over the same
-    /// pool. With `threads: 1` this *is* [`Federation::open`]. On
-    /// quiescent directories the merged snapshot, index and site are
-    /// byte-for-byte the sequential open's; a failing source surfaces
-    /// the same error the sequential open would (the first in source
-    /// order), though sources listed after it will already have been
-    /// read.
-    pub fn open_with(
-        name: &str,
-        sources: Vec<(SourceId, PathBuf)>,
-        options: RestoreOptions,
-    ) -> Result<Federation, RepoError> {
-        if !options.is_parallel() {
-            return Self::open(name, sources);
-        }
-        let pool = WorkerPool::new(options.threads);
-        Self::open_pooled(name, sources, &pool)
-    }
-
-    /// [`Federation::open_with`] on a shared [`Runtime`]'s pool instead
-    /// of a pool of its own — the cold-open path for nodes that host
+    /// [`Federation::open`] with the N sources tailed **concurrently**
+    /// on `runtime`'s workers — the cold-open path for nodes that host
     /// many federations (or federations of many sources) on one bounded
-    /// set of workers.
+    /// set of workers. Each source's open-and-decode runs as one pool job
+    /// (source-level parallelism — a nested scatter from inside a job
+    /// would run inline, so per-source decode stays a single sequential
+    /// job), then the merged replay and derived-state rebuild fan out
+    /// over the same pool. On quiescent directories the merged snapshot,
+    /// index and site are byte-for-byte the sequential open's; a failing
+    /// source surfaces the same error the sequential open would (the
+    /// first in source order), though sources listed after it will
+    /// already have been read.
     pub fn open_on(
         name: &str,
         sources: Vec<(SourceId, PathBuf)>,
@@ -1492,9 +1463,10 @@ struct DaemonShared {
     /// [`ReplicaDaemon::clear_source_error`] (or wholesale on
     /// [`ReplicaDaemon::clear_error`]).
     errors: Mutex<BTreeMap<SourceId, RepoError>>,
-    /// When the daemon is a tenant of a shared [`Runtime`], every pass
-    /// publishes a [`HealthReport::Daemon`] under this component name.
-    runtime_channel: Option<(Arc<RuntimeHealth>, String)>,
+    /// Every pass publishes a [`HealthReport::Daemon`] here under
+    /// `component`.
+    health: Arc<RuntimeHealth>,
+    component: String,
     /// The runtime whose timer wheel schedules backoff retries. Weak:
     /// a pending retry one-shot must not keep the runtime (or, via the
     /// closure, this shared state) alive past the daemon.
@@ -1546,22 +1518,20 @@ impl DaemonShared {
         self.schedule_retry(retry_in);
         // Publish after the daemon locks are released: a health sink is
         // arbitrary user code and must not nest inside them.
-        if let Some((health, component)) = &self.runtime_channel {
-            let (polls, events_applied, rebases) = {
-                let stats = daemon_lock(&self.stats);
-                (stats.polls, stats.events_applied, stats.rebases)
-            };
-            let error = daemon_lock(&self.error).as_ref().map(|e| e.to_string());
-            health.report(
-                component,
-                HealthReport::Daemon {
-                    polls,
-                    events_applied,
-                    rebases_detected: rebases,
-                    error,
-                },
-            );
-        }
+        let (polls, events_applied, rebases) = {
+            let stats = daemon_lock(&self.stats);
+            (stats.polls, stats.events_applied, stats.rebases)
+        };
+        let error = daemon_lock(&self.error).as_ref().map(|e| e.to_string());
+        self.health.report(
+            &self.component,
+            HealthReport::Daemon {
+                polls,
+                events_applied,
+                rebases_detected: rebases,
+                error,
+            },
+        );
         outcome
     }
 
@@ -1593,10 +1563,9 @@ impl DaemonShared {
 }
 
 /// A background polling tenant around a [`Federation`]: starts at
-/// [`ReplicaDaemon::spawn`] (private [`Runtime`]) or
-/// [`ReplicaDaemon::spawn_on`] (tenant of a shared one), catches up
-/// every [`DaemonConfig::poll_interval`] via the runtime's timer wheel,
-/// and stops cleanly (tick cancelled, in-flight pass waited out) on
+/// [`ReplicaDaemon::spawn_on`] as a tenant of a caller's [`Runtime`],
+/// catches up every [`DaemonConfig::poll_interval`] via the runtime's
+/// timer wheel, and stops cleanly (tick cancelled, in-flight pass waited out) on
 /// [`ReplicaDaemon::stop`] or drop — stop is prompt even mid-interval.
 /// Poll errors are sticky — per source in
 /// [`ReplicaDaemon::last_errors`], with [`ReplicaDaemon::last_error`]
@@ -1609,10 +1578,9 @@ impl DaemonShared {
 pub struct ReplicaDaemon {
     shared: Arc<DaemonShared>,
     tick: Option<TimerTask>,
-    /// Present only for [`ReplicaDaemon::spawn`]: the private runtime
-    /// whose sole tenant this daemon is. Dropped (threads joined) after
-    /// the tick is cancelled.
-    _runtime: Option<Arc<Runtime>>,
+    /// Keeps the runtime alive for as long as the daemon, so a caller may
+    /// drop its own handle. Dropped after the tick is cancelled.
+    _runtime: Arc<Runtime>,
 }
 
 impl std::fmt::Debug for ReplicaDaemon {
@@ -1626,47 +1594,24 @@ impl std::fmt::Debug for ReplicaDaemon {
 
 impl ReplicaDaemon {
     /// Take ownership of `federation` and poll it every
-    /// [`DaemonConfig::poll_interval`] on a private single-worker
-    /// [`Runtime`] — the standalone deployment shape.
-    pub fn spawn(federation: Federation, config: DaemonConfig) -> ReplicaDaemon {
-        let runtime = Runtime::named("bx-replica-daemon", 1);
-        let mut daemon = Self::build(federation, config, &runtime, None);
-        daemon._runtime = Some(runtime);
-        daemon
-    }
-
-    /// [`ReplicaDaemon::spawn`] as a tenant of an existing shared
-    /// [`Runtime`]: poll ticks fire on the shared pool, and every pass
-    /// publishes [`HealthReport::Daemon`] on the runtime's unified
-    /// health channel under `component`.
+    /// [`DaemonConfig::poll_interval`] as a tenant of `runtime`: poll
+    /// ticks fire on the runtime's pool, and every pass publishes
+    /// [`HealthReport::Daemon`] on the runtime's health channel under
+    /// `component`, next to the federation's supervision transitions.
     pub fn spawn_on(
-        federation: Federation,
+        mut federation: Federation,
         config: DaemonConfig,
         runtime: &Arc<Runtime>,
         component: &str,
     ) -> ReplicaDaemon {
-        Self::build(federation, config, runtime, Some(component))
-    }
-
-    fn build(
-        mut federation: Federation,
-        config: DaemonConfig,
-        runtime: &Arc<Runtime>,
-        component: Option<&str>,
-    ) -> ReplicaDaemon {
-        if let Some(component) = component {
-            // Supervision transitions (degraded, quarantined, recovered,
-            // salvaged) publish on the same unified channel as the
-            // daemon's own pass reports.
-            federation.attach_runtime_health(runtime.health(), component);
-        }
+        federation.attach_runtime_health(runtime.health(), component);
         let shared = Arc::new(DaemonShared {
             federation: Mutex::new(federation),
             stats: Mutex::new(DaemonStats::default()),
             error: Mutex::new(None),
             errors: Mutex::new(BTreeMap::new()),
-            runtime_channel: component
-                .map(|component| (Arc::clone(runtime.health()), component.to_string())),
+            health: Arc::clone(runtime.health()),
+            component: component.to_string(),
             runtime: Arc::downgrade(runtime),
             poll_interval: config.poll_interval,
             retry_scheduled: AtomicBool::new(false),
@@ -1677,13 +1622,13 @@ impl ReplicaDaemon {
             // a vanished source may come back.
             let _ = tick_shared.pass();
         });
-        // The dedicated-thread daemon polled once immediately on start;
-        // keep that, so a fresh daemon isn't blind for a full interval.
+        // Poll once immediately, so a fresh daemon isn't blind for a
+        // full interval.
         tick.fire_now();
         ReplicaDaemon {
             shared,
             tick: Some(tick),
-            _runtime: None,
+            _runtime: Arc::clone(runtime),
         }
     }
 
@@ -2279,7 +2224,7 @@ mod tests {
         let (dir, r) = textured_dir("par-open");
         let sequential = Replica::open(&dir).unwrap();
         for threads in [1, 2, 4, 8] {
-            let parallel = Replica::open_with(&dir, RestoreOptions::with_threads(threads)).unwrap();
+            let parallel = Replica::open_on(&dir, &Runtime::new(threads)).unwrap();
             assert_eq!(
                 parallel.snapshot(),
                 sequential.snapshot(),
@@ -2307,12 +2252,8 @@ mod tests {
         ];
         let sequential = Federation::open("fed", sources.clone()).unwrap();
         for threads in [1, 4] {
-            let parallel = Federation::open_with(
-                "fed",
-                sources.clone(),
-                RestoreOptions::with_threads(threads),
-            )
-            .unwrap();
+            let parallel =
+                Federation::open_on("fed", sources.clone(), &Runtime::new(threads)).unwrap();
             assert_eq!(parallel.name(), sequential.name());
             assert_eq!(
                 parallel.snapshot(),
@@ -2346,8 +2287,7 @@ mod tests {
             (SourceId::new("b"), dir_b.clone()),
         ];
         let sequential = Federation::open("fed", sources.clone()).unwrap_err();
-        let parallel =
-            Federation::open_with("fed", sources, RestoreOptions::with_threads(4)).unwrap_err();
+        let parallel = Federation::open_on("fed", sources, &Runtime::new(4)).unwrap_err();
         assert_eq!(parallel, sequential, "same typed error, same source");
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
@@ -2399,11 +2339,13 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut daemon = ReplicaDaemon::spawn(
+        let mut daemon = ReplicaDaemon::spawn_on(
             federation,
             DaemonConfig {
                 poll_interval: Duration::from_millis(5),
             },
+            &Runtime::new(1),
+            "daemon",
         );
         assert!(daemon.is_running());
 
@@ -2747,7 +2689,12 @@ mod tests {
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         backend.record(&a.drain_events()).unwrap();
         let federation = Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap();
-        let daemon = ReplicaDaemon::spawn(federation, DaemonConfig::default());
+        let daemon = ReplicaDaemon::spawn_on(
+            federation,
+            DaemonConfig::default(),
+            &Runtime::new(1),
+            "daemon",
+        );
         let federation = daemon.into_federation();
         assert_eq!(federation.name(), "fed");
         std::fs::remove_dir_all(&dir).ok();
@@ -2760,11 +2707,13 @@ mod tests {
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         backend.record(&a.drain_events()).unwrap();
         let federation = Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap();
-        let mut daemon = ReplicaDaemon::spawn(
+        let mut daemon = ReplicaDaemon::spawn_on(
             federation,
             DaemonConfig {
                 poll_interval: Duration::from_secs(5),
             },
+            &Runtime::new(1),
+            "daemon",
         );
         // Let the immediate first pass land so stop() isn't racing it.
         let settle = std::time::Instant::now();

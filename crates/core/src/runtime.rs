@@ -1,12 +1,14 @@
 //! The shared background runtime: one scheduler for all background work.
 //!
-//! This module grew out of the parallel-restore [`WorkerPool`] (ROADMAP
-//! direction 5) into the process-wide [`Runtime`] every background
-//! tenant schedules onto:
+//! A [`Runtime`] is the only source of worker threads and the only
+//! health channel in bx-core. Every background tenant (the durability
+//! writer, the replica daemon, the law checker) and every parallel
+//! restore is built on a caller's `&Arc<Runtime>` plus a component name;
+//! none of them owns threads of its own. A runtime bundles:
 //!
-//! * **[`WorkerPool`]** — a fixed set of named threads
+//! * **A worker pool** (crate-private) — a fixed set of named threads
 //!   (`bx-worker-0` … `bx-worker-{n-1}`) draining a shared job queue.
-//!   Ordered scatter/gather ([`WorkerPool::scatter`]) is the scoped-job
+//!   Ordered scatter/gather ([`Runtime::scatter`]) is the scoped-job
 //!   primitive: results come back in **submission order** regardless of
 //!   completion order, which is what makes error reporting from
 //!   parallel decode deterministic (the first error *in log order*
@@ -51,50 +53,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Options for the parallel restore pipeline, accepted by
-/// [`crate::storage::EventLogBackend::restore_dir_with`],
-/// [`crate::replica::Replica::open_with`] and
-/// [`crate::replica::Federation::open_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestoreOptions {
-    /// Worker threads for decode, replay and derived-state rebuild.
-    /// `1` reproduces the sequential code path exactly (no pool is
-    /// created); the default is [`std::thread::available_parallelism`].
-    pub threads: usize,
-}
-
-impl Default for RestoreOptions {
-    fn default() -> RestoreOptions {
-        RestoreOptions {
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-}
-
-impl RestoreOptions {
-    /// The sequential pipeline: identical code path to the pre-pool
-    /// `restore_dir`/`open`, kept as the oracle the parallel pipeline is
-    /// property-tested against.
-    pub fn sequential() -> RestoreOptions {
-        RestoreOptions { threads: 1 }
-    }
-
-    /// A pipeline pinned to exactly `threads` workers (tests and benches
-    /// use this to compare thread counts on fixed inputs).
-    pub fn with_threads(threads: usize) -> RestoreOptions {
-        RestoreOptions {
-            threads: threads.max(1),
-        }
-    }
-
-    /// Whether these options select the parallel pipeline at all.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-}
-
 /// One queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -107,8 +65,8 @@ thread_local! {
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Counters a [`WorkerPool`] keeps about itself; snapshot via
-/// [`WorkerPool::stats`] or push one as [`HealthReport::Pool`].
+/// Counters a runtime's worker pool keeps about itself; snapshot via
+/// [`Runtime::pool_stats`] or push one as [`HealthReport::Pool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Worker threads in the pool.
@@ -130,6 +88,7 @@ struct PoolShared {
 }
 
 /// A fixed-size pool of named worker threads; see the module docs.
+/// Crate-private: callers reach it only through a [`Runtime`].
 ///
 /// Dropping the pool signals shutdown and joins every worker: jobs
 /// already dequeued run to completion, queued-but-unstarted jobs are
@@ -137,7 +96,7 @@ struct PoolShared {
 /// submitted work is silently lost. A panicking job never kills its
 /// worker: the unwind is caught in the worker loop, counted, and the
 /// thread returns to draining the queue.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -152,15 +111,8 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// A pool of `threads` workers (clamped to at least 1), named
-    /// `bx-worker-0` … so they are identifiable in thread dumps.
-    pub fn new(threads: usize) -> WorkerPool {
-        WorkerPool::named("bx-worker", threads)
-    }
-
-    /// A pool whose workers are named `{prefix}-0` … `{prefix}-{n-1}`;
-    /// dedicated runtimes (the single-thread durability writer, a lint
-    /// engine with its own workers) use this so thread dumps still say
-    /// who owns each thread.
+    /// `{prefix}-0` … `{prefix}-{n-1}` so thread dumps say who owns each
+    /// thread.
     pub fn named(prefix: &str, threads: usize) -> WorkerPool {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
@@ -180,11 +132,6 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool { shared, workers }
-    }
-
-    /// A pool sized by [`std::thread::available_parallelism`].
-    pub fn with_available_parallelism() -> WorkerPool {
-        WorkerPool::new(RestoreOptions::default().threads)
     }
 
     /// Number of worker threads.
@@ -337,7 +284,16 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            // Set the flag under the queue lock: `work` checks it and
+            // then waits while holding that lock, so a worker is either
+            // before the check (and sees the flag) or already waiting
+            // (and gets the notify). An unlocked store could land between
+            // a worker's check and its wait; that worker would sleep
+            // through the notify and `join` below would never return.
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         let me = std::thread::current().id();
         for worker in self.workers.drain(..) {
@@ -371,7 +327,7 @@ pub enum HealthReport {
         backpressure_waits: u64,
         fsyncs: u64,
         group_commits: u64,
-        /// Current adaptive group-commit window, in microseconds.
+        /// The configured group-commit window, in microseconds.
         window_micros: u64,
         queue_len: usize,
         error: Option<String>,
@@ -956,7 +912,7 @@ impl WeakSerialTask {
 // Runtime
 // ---------------------------------------------------------------------------
 
-/// The shared background runtime: one bounded [`WorkerPool`], one timer
+/// The shared background runtime: one bounded worker pool, one timer
 /// wheel, one [`RuntimeHealth`] channel. Components "rent" capacity —
 /// the durability writer and lint fold as [`SerialTask`]s, the replica
 /// daemon and compaction triggers as timer entries, parallel restore as
@@ -987,8 +943,8 @@ impl Runtime {
         Runtime::named("bx-worker", threads)
     }
 
-    /// A runtime whose workers carry a custom name prefix (dedicated
-    /// single-tenant runtimes use this, e.g. `bx-durability`).
+    /// A runtime whose workers carry a custom name prefix, so thread
+    /// dumps say which node or test owns them.
     pub fn named(prefix: &str, threads: usize) -> Arc<Runtime> {
         let pool = Arc::new(WorkerPool::named(prefix, threads));
         Arc::new(Runtime {
@@ -1000,11 +956,11 @@ impl Runtime {
 
     /// A runtime sized by [`std::thread::available_parallelism`].
     pub fn with_available_parallelism() -> Arc<Runtime> {
-        Runtime::new(RestoreOptions::default().threads)
+        Runtime::new(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
     }
 
     /// The scatter/gather pool.
-    pub fn pool(&self) -> &Arc<WorkerPool> {
+    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
     }
 
@@ -1018,7 +974,9 @@ impl Runtime {
         self.pool.execute(job);
     }
 
-    /// Ordered scatter/gather on the pool; see [`WorkerPool::scatter`].
+    /// Ordered scatter/gather on the pool: results in submission order,
+    /// the first panic in submission order re-raised on the caller, and
+    /// a nested call from a worker run inline (see the module docs).
     pub fn scatter<T: Send + 'static>(
         &self,
         jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
@@ -1107,7 +1065,7 @@ mod tests {
 
     #[test]
     fn scatter_returns_results_in_submission_order() {
-        let pool = WorkerPool::new(4);
+        let pool = WorkerPool::named("bx-worker", 4);
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..64usize)
             .map(|i| {
                 Box::new(move || {
@@ -1125,7 +1083,7 @@ mod tests {
     fn drop_drains_queued_jobs() {
         let counter = Arc::new(AtomicUsize::new(0));
         {
-            let pool = WorkerPool::new(2);
+            let pool = WorkerPool::named("bx-worker", 2);
             for _ in 0..32 {
                 let counter = Arc::clone(&counter);
                 pool.execute(move || {
@@ -1138,7 +1096,7 @@ mod tests {
 
     #[test]
     fn workers_are_named() {
-        let pool = WorkerPool::new(1);
+        let pool = WorkerPool::named("bx-worker", 1);
         let jobs: Vec<Box<dyn FnOnce() -> String + Send>> = vec![Box::new(|| {
             std::thread::current().name().unwrap_or("").to_string()
         })];
@@ -1146,18 +1104,8 @@ mod tests {
     }
 
     #[test]
-    fn options_default_to_available_parallelism() {
-        let options = RestoreOptions::default();
-        assert!(options.threads >= 1);
-        assert!(RestoreOptions::sequential().threads == 1);
-        assert!(!RestoreOptions::sequential().is_parallel());
-        assert_eq!(RestoreOptions::with_threads(0).threads, 1);
-        assert!(RestoreOptions::with_threads(8).is_parallel());
-    }
-
-    #[test]
     fn empty_scatter_is_fine() {
-        let pool = WorkerPool::new(2);
+        let pool = WorkerPool::named("bx-worker", 2);
         let jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
         assert!(pool.scatter(jobs).is_empty());
     }
@@ -1168,7 +1116,7 @@ mod tests {
     /// scatter blocked forever on its result channel.
     #[test]
     fn pool_survives_panicking_jobs() {
-        let pool = WorkerPool::new(2);
+        let pool = WorkerPool::named("bx-worker", 2);
         // More panics than workers: under the old behaviour the pool is
         // certainly dead after these.
         for i in 0..8 {
@@ -1197,7 +1145,7 @@ mod tests {
 
     #[test]
     fn scatter_reraises_first_panic_in_submission_order() {
-        let pool = WorkerPool::new(4);
+        let pool = WorkerPool::named("bx-worker", 4);
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
             .map(|i| {
                 Box::new(move || {
@@ -1228,7 +1176,7 @@ mod tests {
 
     #[test]
     fn nested_scatter_runs_inline_on_the_worker() {
-        let pool = Arc::new(WorkerPool::new(2));
+        let pool = Arc::new(WorkerPool::named("bx-worker", 2));
         let inner_pool = Arc::clone(&pool);
         type NestedJob = Box<dyn FnOnce() -> (bool, Vec<usize>) + Send>;
         let jobs: Vec<NestedJob> = vec![Box::new(move || {
@@ -1250,7 +1198,7 @@ mod tests {
 
     #[test]
     fn nested_scatter_preserves_panic_contract() {
-        let pool = Arc::new(WorkerPool::new(1));
+        let pool = Arc::new(WorkerPool::named("bx-worker", 1));
         let inner_pool = Arc::clone(&pool);
         let ran_after = Arc::new(AtomicUsize::new(0));
         let ran = Arc::clone(&ran_after);

@@ -277,26 +277,6 @@ impl StorageBackend for JsonFileBackend {
     }
 }
 
-/// How an [`EventLogBackend`]'s fsyncs split between the full
-/// [`File::sync_all`] (data + all metadata, required whenever the segment
-/// grew since the last sync so the new length reaches disk) and the
-/// cheaper [`File::sync_data`] (data + only the metadata needed to read
-/// it back, sufficient when the segment length is unchanged).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FsyncStats {
-    /// Full syncs: the segment length changed since the last fsync.
-    pub sync_all: u64,
-    /// Data-only syncs: the segment length was unchanged.
-    pub sync_data: u64,
-}
-
-impl FsyncStats {
-    /// Total fsyncs of either kind.
-    pub fn total(&self) -> u64 {
-        self.sync_all + self.sync_data
-    }
-}
-
 /// The checkpoint manifest an [`EventLogBackend`] persists: the base
 /// state plus the name of the generation log file its deltas live in.
 /// Keeping both in one file makes the manifest rename the single atomic
@@ -405,12 +385,8 @@ pub struct EventLogBackend {
     /// Bytes staged (written but not fsynced) since the last
     /// `flush_durable` — only ever true in [`DurabilityMode::GroupCommit`].
     dirty: bool,
-    /// Segment length at the last fsync of the current generation, if one
-    /// has happened — the length whose durability the next fsync may rely
-    /// on to downgrade `sync_all` to `sync_data`.
-    synced_len: Option<u64>,
-    /// How this instance's fsyncs split between full and data-only syncs.
-    fsync_stats: FsyncStats,
+    /// Fsyncs this instance has issued.
+    fsyncs: u64,
     /// The torn-tail truncation `open` performed, if any.
     tail_repaired: Option<TailRepaired>,
 }
@@ -427,8 +403,7 @@ impl Clone for EventLogBackend {
             durability: self.durability,
             appender: None,
             dirty: false,
-            synced_len: None,
-            fsync_stats: FsyncStats::default(),
+            fsyncs: 0,
             tail_repaired: None,
         }
     }
@@ -462,8 +437,7 @@ impl EventLogBackend {
             durability: DurabilityMode::default(),
             appender: None,
             dirty: false,
-            synced_len: None,
-            fsync_stats: FsyncStats::default(),
+            fsyncs: 0,
             tail_repaired: None,
         };
         backend.tail_repaired = backend.repair_torn_tail()?;
@@ -475,10 +449,9 @@ impl EventLogBackend {
         self.durability
     }
 
-    /// How this instance's fsyncs have split between [`File::sync_all`]
-    /// and [`File::sync_data`] (see [`FsyncStats`]).
-    pub fn fsync_stats(&self) -> FsyncStats {
-        self.fsync_stats
+    /// Fsyncs this instance has issued (each a full [`File::sync_all`]).
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs
     }
 
     /// The persistent appender for the current generation, opened on
@@ -603,7 +576,7 @@ impl EventLogBackend {
     /// concurrently being tailed or deliberately left torn.
     ///
     /// This sequential path is the oracle for
-    /// [`EventLogBackend::restore_dir_with`], which runs the same recovery
+    /// [`EventLogBackend::restore_dir_on`], which runs the same recovery
     /// through the parallel pipeline.
     pub fn restore_dir(dir: &Path) -> Result<RepositorySnapshot, RepoError> {
         let (base, log) = Self::read_state_in(dir)?;
@@ -611,52 +584,20 @@ impl EventLogBackend {
     }
 
     /// [`EventLogBackend::restore_dir`] through the parallel restore
-    /// pipeline: chunked decode (newline-aligned JSONL chunks, or one
-    /// worker per binary segment), ordered splice, then the sharded
-    /// [`crate::event::replay_parallel`] fold — bit-identical to the
-    /// sequential path on every input, including which error a corrupt
-    /// log surfaces (first offending offset in log order, regardless of
-    /// worker completion order). `options.threads == 1` runs the
-    /// sequential code path exactly.
-    pub fn restore_dir_with(
+    /// pipeline on `runtime`'s workers: chunked decode (newline-aligned
+    /// JSONL chunks, or one worker per binary segment), ordered splice,
+    /// then the sharded [`crate::event::replay_parallel`] fold —
+    /// bit-identical to the sequential path on every input, including
+    /// which error a corrupt log surfaces (first offending offset in log
+    /// order, regardless of worker completion order).
+    pub fn restore_dir_on(
         dir: &Path,
-        options: crate::runtime::RestoreOptions,
+        runtime: &Arc<crate::runtime::Runtime>,
     ) -> Result<RepositorySnapshot, RepoError> {
-        if !options.is_parallel() {
-            return Self::restore_dir(dir);
-        }
-        let pool = crate::runtime::WorkerPool::new(options.threads);
+        let pool = runtime.pool();
         let (base, log) = Self::read_state_in(dir)?;
-        let events = Self::read_generation_events_pooled(dir, &log, &pool)?;
-        Ok(crate::event::replay_parallel(base, events, &pool))
-    }
-
-    /// [`EventLogBackend::read_state_in`] with explicit
-    /// [`crate::runtime::RestoreOptions`], for call-site symmetry with
-    /// [`EventLogBackend::restore_dir_with`]. The manifest is one JSON
-    /// document parsed in a single pass, so there is nothing to fan out;
-    /// the options select behaviour only in the functions that go on to
-    /// read the generation's events.
-    pub fn read_state_in_with(
-        dir: &Path,
-        _options: crate::runtime::RestoreOptions,
-    ) -> Result<(RepositorySnapshot, String), RepoError> {
-        Self::read_state_in(dir)
-    }
-
-    /// [`EventLogBackend::read_generation_events`] with a thread budget:
-    /// parallel when `options.threads > 1`, the sequential oracle
-    /// otherwise.
-    pub fn read_generation_events_with(
-        dir: &Path,
-        generation: &str,
-        options: crate::runtime::RestoreOptions,
-    ) -> Result<Vec<RepoEvent>, RepoError> {
-        if !options.is_parallel() {
-            return Self::read_generation_events(dir, generation);
-        }
-        let pool = crate::runtime::WorkerPool::new(options.threads);
-        Self::read_generation_events_pooled(dir, generation, &pool)
+        let events = Self::read_generation_events_pooled(dir, &log, pool)?;
+        Ok(crate::event::replay_parallel(base, events, pool))
     }
 
     /// Format-dispatched parallel generation read on an existing pool.
@@ -893,31 +834,20 @@ impl StorageBackend for EventLogBackend {
         // One buffered write of the whole batch through the persistent
         // appender — the open cost was paid once at the generation start.
         let mode = self.durability;
-        let mut synced = None;
-        {
-            let file = self.appender()?;
-            file.write_all(lines.as_bytes())
-                .map_err(|e| RepoError::persist_io("append event log", e))?;
-            if mode == DurabilityMode::PerBatch {
+        let file = self.appender()?;
+        file.write_all(lines.as_bytes())
+            .map_err(|e| RepoError::persist_io("append event log", e))?;
+        match mode {
+            DurabilityMode::PerBatch => {
                 // "Durably append" means surviving power loss, not just a
                 // process crash: flush the page cache before reporting
                 // success. The append grew the segment, so the full
                 // `sync_all` is required (the new length is metadata).
                 file.sync_all()
                     .map_err(|e| RepoError::persist_io("fsync event log", e))?;
-                synced = Some(
-                    file.metadata()
-                        .map_err(|e| RepoError::persist_io("stat event log", e))?
-                        .len(),
-                );
+                self.fsyncs += 1;
             }
-        }
-        if let Some(len) = synced {
-            self.fsync_stats.sync_all += 1;
-            self.synced_len = Some(len);
-        }
-        if mode == DurabilityMode::GroupCommit {
-            self.dirty = true;
+            DurabilityMode::GroupCommit => self.dirty = true,
         }
         Ok(())
     }
@@ -949,8 +879,6 @@ impl StorageBackend for EventLogBackend {
         // no fsync of their own.
         self.appender = None;
         self.dirty = false;
-        // The fresh generation has never been fsynced.
-        self.synced_len = None;
         // Past the commit point: the old generation is garbage now.
         std::fs::remove_file(self.dir.join(old_log)).ok();
         Ok(())
@@ -970,38 +898,16 @@ impl StorageBackend for EventLogBackend {
     /// One fsync covering every batch staged since the last call. A no-op
     /// when nothing is staged — including the whole
     /// [`DurabilityMode::PerBatch`] regime, where `record` already synced.
-    ///
-    /// The fsync is the full `sync_all` when the segment grew since the
-    /// last fsync (the new length must reach disk), and the cheaper
-    /// `sync_data` when the length is unchanged — then the durable size
-    /// metadata is already correct and only data pages need flushing.
-    /// [`EventLogBackend::fsync_stats`] counts the split.
+    /// Staged batches always grew the segment, so the fsync is the full
+    /// `sync_all` (the new length is metadata that must reach disk).
     fn flush_durable(&mut self) -> Result<(), RepoError> {
         if !self.dirty {
             return Ok(());
         }
-        let last_synced = self.synced_len;
-        let (len, data_only) = {
-            let file = self.appender()?;
-            let len = file
-                .metadata()
-                .map_err(|e| RepoError::persist_io("stat event log", e))?
-                .len();
-            if last_synced == Some(len) {
-                file.sync_data()
-                    .map_err(|e| RepoError::persist_io("fdatasync event log", e))?;
-            } else {
-                file.sync_all()
-                    .map_err(|e| RepoError::persist_io("fsync event log", e))?;
-            }
-            (len, last_synced == Some(len))
-        };
-        if data_only {
-            self.fsync_stats.sync_data += 1;
-        } else {
-            self.fsync_stats.sync_all += 1;
-            self.synced_len = Some(len);
-        }
+        self.appender()?
+            .sync_all()
+            .map_err(|e| RepoError::persist_io("fsync event log", e))?;
+        self.fsyncs += 1;
         self.dirty = false;
         Ok(())
     }
@@ -1673,55 +1579,29 @@ mod tests {
     }
 
     #[test]
-    fn fsync_split_counts_sync_all_for_growth_and_sync_data_otherwise() {
-        let dir = unique_dir("fsync-split");
+    fn fsyncs_count_per_batch_records_and_dirty_flushes_only() {
+        let dir = unique_dir("fsync-count");
         let r = busy_repository();
         let mut backend = EventLogBackend::open(&dir).unwrap();
 
-        // Per-batch appends grow the segment: every record is a sync_all.
+        // Per-batch: every record fsyncs.
         let events = r.drain_events();
         let (a, b) = events.split_at(events.len() / 2);
         backend.record(a).unwrap();
-        assert_eq!(
-            backend.fsync_stats(),
-            FsyncStats {
-                sync_all: 1,
-                sync_data: 0
-            }
-        );
+        assert_eq!(backend.fsyncs(), 1);
 
-        // Group commit: a staged batch grew the segment, so the flush is
-        // still a sync_all.
+        // Group commit: record only stages, the flush is the fsync.
         backend.set_durability(DurabilityMode::GroupCommit);
         backend.record(b).unwrap();
+        assert_eq!(backend.fsyncs(), 1, "record only stages");
         backend.flush_durable().unwrap();
-        assert_eq!(
-            backend.fsync_stats(),
-            FsyncStats {
-                sync_all: 2,
-                sync_data: 0
-            }
-        );
-        // Clean flush: no fsync of either kind.
+        assert_eq!(backend.fsyncs(), 2);
+        // Clean flush: no fsync.
         backend.flush_durable().unwrap();
-        assert_eq!(backend.fsync_stats().total(), 2);
-
-        // Dirty with the segment length unchanged since the last fsync
-        // (no append happened): the durable size metadata is already
-        // right, so the flush downgrades to sync_data.
-        backend.dirty = true;
-        backend.flush_durable().unwrap();
-        assert_eq!(
-            backend.fsync_stats(),
-            FsyncStats {
-                sync_all: 2,
-                sync_data: 1
-            }
-        );
+        assert_eq!(backend.fsyncs(), 2, "clean flush is a no-op");
         assert_eq!(backend.restore().unwrap(), r.snapshot());
 
-        // A checkpoint rolls the generation: the first flush over the new
-        // segment must be a full sync again.
+        // Across a checkpoint the next staged batch fsyncs once more.
         backend.checkpoint(&r.snapshot()).unwrap();
         r.comment(
             "alice",
@@ -1732,13 +1612,7 @@ mod tests {
         .unwrap();
         backend.record(&r.drain_events()).unwrap();
         backend.flush_durable().unwrap();
-        assert_eq!(
-            backend.fsync_stats(),
-            FsyncStats {
-                sync_all: 3,
-                sync_data: 1
-            }
-        );
+        assert_eq!(backend.fsyncs(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,9 +3,8 @@
 //! be seen as a distinct class and therefore should be included").
 //!
 //! The entry packages deterministic, scale-parameterised workload
-//! generators for the COMPOSERS models; the bench harness (crate
-//! `bx-bench`) uses them to regenerate the scaling series in
-//! EXPERIMENTS.md.
+//! generators for the COMPOSERS models; the criterion benches (crate
+//! `bx-bench`) use them to regenerate the scaling series.
 
 use bx_core::{ArtefactKind, ExampleEntry, ExampleType};
 
@@ -134,7 +133,7 @@ pub fn benchmark_entry() -> ExampleEntry {
             "A benchmark packaging of COMPOSERS: deterministic generators \
              produce models of any size, with a standard perturbation defining \
              the pre-restoration state. Regenerates the scaling series of the \
-             workspace's EXPERIMENTS.md.",
+             workspace's criterion benches.",
         )
         .models(
             "As COMPOSERS, with |m| = n generated composers and n-proportional \

@@ -9,10 +9,9 @@
 //! [`LawChecker`] wraps the same logic as a live service: an
 //! [`EventSink`] whose `accept` does only O(affected-set) bookkeeping
 //! under the publisher's lock — fold the event into a mirrored snapshot,
-//! consult the dependency map, enqueue the affected entries — while a
-//! [`bx_core::Runtime`] pool (a private one by default, or a node's
-//! shared one via [`LawChecker::on_runtime`]) runs the actual checks
-//! off-thread and folds results into a shared index with
+//! consult the dependency map, enqueue the affected entries — while the
+//! caller's [`bx_core::Runtime`] ([`LawChecker::on_runtime`]) runs the
+//! actual checks off-thread and folds results into a shared index with
 //! last-write-wins version stamps. Subscribe it to a
 //! [`bx_core::Repository`], a [`bx_core::Replica`] or a
 //! [`bx_core::Federation`] and query diagnostics next to search.
@@ -31,8 +30,9 @@ use crate::deps::DepMap;
 use crate::diagnostics::{Diagnostic, DiagnosticsIndex};
 
 /// Called with `(entry, its new findings)` every time the engine folds a
-/// fresh check result in — the push protocol for diagnostics deltas,
-/// mirroring `BackgroundWriter::set_health_sink`.
+/// fresh check result in — the push protocol for diagnostics deltas.
+/// Engine health goes to the runtime's channel instead
+/// ([`HealthReport::Lint`]).
 pub type DeltaSink = Arc<dyn Fn(&EntryId, &[Diagnostic]) + Send + Sync>;
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -132,9 +132,10 @@ struct Inner {
     checks_run: AtomicU64,
     catalog: Arc<CheckCatalog>,
     delta_sink: Mutex<Option<DeltaSink>>,
-    /// When the checker is a tenant of a shared [`Runtime`], every
-    /// folded check publishes [`HealthReport::Lint`] under this name.
-    runtime_channel: Option<(Arc<RuntimeHealth>, String)>,
+    /// Every folded check publishes [`HealthReport::Lint`] here under
+    /// `component`.
+    health: Arc<RuntimeHealth>,
+    component: String,
 }
 
 /// Releases one pending slot when the check job ends — **including by
@@ -187,15 +188,13 @@ impl Inner {
                 sink(&id, &diagnostics);
             }
         }
-        if let Some((health, component)) = &self.runtime_channel {
-            health.report(
-                component,
-                HealthReport::Lint {
-                    checks_run: self.checks_run.load(Ordering::Relaxed),
-                    entries_with_diagnostics,
-                },
-            );
-        }
+        self.health.report(
+            &self.component,
+            HealthReport::Lint {
+                checks_run: self.checks_run.load(Ordering::Relaxed),
+                entries_with_diagnostics,
+            },
+        );
     }
 }
 
@@ -219,33 +218,13 @@ impl std::fmt::Debug for LawChecker {
 }
 
 impl LawChecker {
-    /// A checker over an initially empty state with two workers (on a
-    /// private `bx-lint` [`Runtime`]).
-    pub fn new(catalog: Arc<CheckCatalog>) -> LawChecker {
-        LawChecker::with_workers(catalog, 2)
-    }
-
-    /// A checker with an explicit private worker-pool size (at least
-    /// one).
-    pub fn with_workers(catalog: Arc<CheckCatalog>, workers: usize) -> LawChecker {
-        LawChecker::build(catalog, Runtime::named("bx-lint", workers), None)
-    }
-
-    /// A checker that runs its checks as a tenant of an existing shared
-    /// [`Runtime`], publishing [`HealthReport::Lint`] on the runtime's
-    /// unified health channel under `component` after every check.
+    /// A checker over an initially empty state that runs its checks as a
+    /// tenant of `runtime`, publishing [`HealthReport::Lint`] on the
+    /// runtime's health channel under `component` after every check.
     pub fn on_runtime(
         catalog: Arc<CheckCatalog>,
         runtime: &Arc<Runtime>,
         component: &str,
-    ) -> LawChecker {
-        LawChecker::build(catalog, Arc::clone(runtime), Some(component))
-    }
-
-    fn build(
-        catalog: Arc<CheckCatalog>,
-        runtime: Arc<Runtime>,
-        component: Option<&str>,
     ) -> LawChecker {
         let inner = Arc::new(Inner {
             state: Mutex::new(EngineState {
@@ -263,10 +242,13 @@ impl LawChecker {
             checks_run: AtomicU64::new(0),
             catalog,
             delta_sink: Mutex::new(None),
-            runtime_channel: component
-                .map(|component| (Arc::clone(runtime.health()), component.to_string())),
+            health: Arc::clone(runtime.health()),
+            component: component.to_string(),
         });
-        LawChecker { inner, runtime }
+        LawChecker {
+            inner,
+            runtime: Arc::clone(runtime),
+        }
     }
 
     /// Push `(entry, findings)` deltas to `sink` as checks fold in (the
@@ -358,9 +340,9 @@ impl EventSink for LawChecker {
 
 impl Drop for LawChecker {
     fn drop(&mut self) {
-        // Still-queued checks become no-ops. A private runtime then
-        // joins its workers when its Arc drops with this struct; a
-        // shared one just gets its slots back.
+        // Still-queued checks become no-ops, so the runtime gets its
+        // workers back promptly. If this struct held the last Arc of the
+        // runtime, dropping it joins the workers.
         self.inner.shutdown.store(true, Ordering::Release);
     }
 }
@@ -432,7 +414,7 @@ mod tests {
         r.register(Principal::member("alice")).unwrap();
         r.register(Principal::member("bob")).unwrap();
 
-        let checker = Arc::new(LawChecker::new(catalog()));
+        let checker = Arc::new(LawChecker::on_runtime(catalog(), &Runtime::new(2), "lint"));
         let deltas: Arc<StdMutex<Vec<EntryId>>> = Arc::default();
         let seen = deltas.clone();
         checker.set_delta_sink(Arc::new(move |id, _| {
@@ -479,7 +461,7 @@ mod tests {
             .build_unchecked();
         bad.overview = String::new();
 
-        let checker = LawChecker::new(catalog());
+        let checker = LawChecker::on_runtime(catalog(), &Runtime::new(2), "lint");
         let mut tampered = r.snapshot();
         tampered.records.insert(
             EntryId::from_title("BROKEN"),

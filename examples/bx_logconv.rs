@@ -17,7 +17,7 @@
 //! tails), converted to the same-named subdirectory of `<dst-root>`. A
 //! per-source summary line reports each outcome; a source that fails
 //! does not stop the others. Decode fans out over all cores via the
-//! parallel restore pipeline.
+//! parallel restore pipeline, on one runtime shared by every source.
 //!
 //! Exit codes: `0` — converted; `1` — conversion failed (corrupt
 //! source, unwritable destination; in `--federation` mode, any source
@@ -26,9 +26,10 @@
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 
-use bx::core::binlog::convert_log_dir_with;
-use bx::core::RestoreOptions;
+use bx::core::binlog::convert_log_dir_on;
+use bx::core::Runtime;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,11 +57,12 @@ fn main() -> ExitCode {
         eprintln!("bx logconv: source `{}` is not a directory", src.display());
         return ExitCode::from(2);
     }
+    let runtime = Runtime::with_available_parallelism();
     if federation {
-        return convert_federation(src, dst, to_binary, format);
+        return convert_federation(src, dst, to_binary, format, &runtime);
     }
 
-    match convert_log_dir_with(src, dst, to_binary, RestoreOptions::default()) {
+    match convert_log_dir_on(src, dst, to_binary, &runtime) {
         Ok(events) => {
             println!(
                 "bx logconv: wrote {} pending event(s) from `{}` to `{}` as {}",
@@ -81,7 +83,13 @@ fn main() -> ExitCode {
 /// Convert every source subdirectory of `src_root` into the same-named
 /// subdirectory of `dst_root`, reporting each outcome and failing the
 /// run (exit 1) if any source failed while still attempting the rest.
-fn convert_federation(src_root: &Path, dst_root: &Path, to_binary: bool, format: &str) -> ExitCode {
+fn convert_federation(
+    src_root: &Path,
+    dst_root: &Path,
+    to_binary: bool,
+    format: &str,
+    runtime: &Arc<Runtime>,
+) -> ExitCode {
     let mut sources: Vec<(String, std::path::PathBuf)> = match std::fs::read_dir(src_root) {
         Ok(entries) => entries
             .filter_map(Result::ok)
@@ -105,7 +113,7 @@ fn convert_federation(src_root: &Path, dst_root: &Path, to_binary: bool, format:
     let mut failed = 0usize;
     for (name, src) in &sources {
         let dst = dst_root.join(name);
-        match convert_log_dir_with(src, &dst, to_binary, RestoreOptions::default()) {
+        match convert_log_dir_on(src, &dst, to_binary, runtime) {
             Ok(events) => {
                 converted += 1;
                 println!("bx logconv: source `{name}`: {events} pending event(s) as {format}");

@@ -1,4 +1,4 @@
-//! Regenerates the verification side of EXPERIMENTS.md: for every
+//! Prints the verification side of the experiments: for every
 //! executable entry in the collection, the law matrix and the verdict on
 //! each published property claim — the paper's §4 Properties list as a
 //! machine-checked table.

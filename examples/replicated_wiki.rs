@@ -10,7 +10,7 @@ use std::time::Duration;
 use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
 use bx::core::replica::Replica;
 use bx::core::storage::{AutoCompactingEventLog, CompactionPolicy};
-use bx::core::{EntryId, ExampleEntry, ExampleType, Principal, Repository};
+use bx::core::{EntryId, ExampleEntry, ExampleType, Principal, Repository, Runtime};
 
 fn entry(title: &str, overview: &str) -> ExampleEntry {
     ExampleEntry::builder(title)
@@ -32,7 +32,7 @@ fn main() {
     // == the primary ==
     // Found a repository and attach the background durability pipeline:
     // an event-log backend under an aggressive auto-compaction policy,
-    // written by a dedicated thread behind a bounded channel.
+    // written by a runtime task behind a bounded channel.
     let primary = Repository::found("bx-examples", vec![Principal::curator("curator")]);
     let backend = AutoCompactingEventLog::open(
         &dir,
@@ -44,13 +44,15 @@ fn main() {
         },
     )
     .expect("event log opens");
-    // Group-commit durability: the writer thread holds a 2 ms fsync
+    // Group-commit durability: the writer task holds a 2 ms fsync
     // window open, so concurrent commits share one `sync_all` instead of
     // paying one each; `flush()` still blocks until *our* events are
     // durable (a waiting flush closes the window early).
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let writer = Arc::new(BackgroundWriter::on_runtime(
         backend,
         PipelineConfig::group_commit(Duration::from_millis(2)),
+        &Runtime::new(1),
+        "writer",
     ));
     // Plain subscribe() is forward-only; subscribe_with_backfill also
     // hands the sink the pending history (here: the founding event),
@@ -69,13 +71,12 @@ fn main() {
 
     // Durability point: everything enqueued so far is on disk after this.
     writer.flush().expect("background writer healthy");
-    let health = writer.health();
+    let stats = writer.stats();
     println!(
-        "primary: {} entries, pipeline healthy: {}, {} events over {} group commit(s)",
+        "primary: {} entries, {} events durable over {} group commit(s)",
         primary.len(),
-        health.healthy(),
-        health.stats.durable,
-        health.stats.group_commits,
+        stats.durable,
+        stats.group_commits,
     );
 
     // == the replica ==

@@ -1,7 +1,8 @@
 //! The group-commit durability pipeline end to end over real files:
 //! concurrent producers converge through one fsync per window, the
-//! window composes with auto-compaction's generation rolls, periodic
-//! health reports surface the amortisation, and the per-batch default
+//! window composes with auto-compaction's generation rolls, per-commit
+//! health reports on the runtime's channel surface the amortisation,
+//! and the per-batch default
 //! stays exactly as durable as it always was.
 
 use std::sync::Arc;
@@ -11,7 +12,7 @@ use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
 use bx::core::storage::{
     AutoCompactingEventLog, CompactionPolicy, EventLogBackend, StorageBackend,
 };
-use bx::core::{EntryId, ExampleEntry, ExampleType, Principal, Repository};
+use bx::core::{EntryId, ExampleEntry, ExampleType, HealthReport, Principal, Repository, Runtime};
 use bx_testkit::ops::unique_temp_dir;
 
 fn entry(title: &str) -> ExampleEntry {
@@ -44,9 +45,11 @@ fn seeded(producers: usize) -> (Arc<Repository>, Vec<EntryId>) {
 fn concurrent_producers_converge_through_group_commit() {
     let dir = unique_temp_dir("group-commit-concurrent");
     let (repo, ids) = seeded(4);
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let writer = Arc::new(BackgroundWriter::on_runtime(
         EventLogBackend::open(&dir).unwrap(),
         PipelineConfig::group_commit(Duration::from_millis(2)),
+        &Runtime::new(1),
+        "writer",
     ));
     repo.subscribe_with_backfill(writer.clone());
 
@@ -101,9 +104,11 @@ fn group_commit_composes_with_auto_compaction() {
         },
     )
     .unwrap();
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let writer = Arc::new(BackgroundWriter::on_runtime(
         backend,
         PipelineConfig::group_commit(Duration::from_millis(1)),
+        &Runtime::new(1),
+        "writer",
     ));
     repo.subscribe_with_backfill(writer.clone());
     for i in 0..40 {
@@ -129,12 +134,12 @@ fn group_commit_composes_with_auto_compaction() {
 fn periodic_health_reports_show_the_amortisation() {
     let dir = unique_temp_dir("group-commit-health");
     let (repo, ids) = seeded(1);
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let runtime = Runtime::new(1);
+    let writer = Arc::new(BackgroundWriter::on_runtime(
         EventLogBackend::open(&dir).unwrap(),
-        PipelineConfig {
-            health_every: 1,
-            ..PipelineConfig::group_commit(Duration::from_millis(1))
-        },
+        PipelineConfig::group_commit(Duration::from_millis(1)),
+        &runtime,
+        "writer",
     ));
     repo.subscribe_with_backfill(writer.clone());
     for i in 0..16 {
@@ -142,20 +147,31 @@ fn periodic_health_reports_show_the_amortisation() {
             .unwrap();
     }
     writer.flush().unwrap();
-
-    let reports = writer.drain_health_reports();
-    assert!(!reports.is_empty());
-    let last = reports.last().unwrap();
-    assert!(last.healthy());
-    assert_eq!(last.stats.group_commits, last.stats.fsyncs);
-    for pair in reports.windows(2) {
-        assert!(
-            pair[0].stats.group_commits < pair[1].stats.group_commits,
-            "each health_every=1 report marks one more window"
-        );
-    }
-    assert!(writer.health().healthy());
+    // Shut down first, so no report can still be in flight.
     writer.shutdown().unwrap();
+
+    let reports: Vec<(u64, u64, Option<String>)> = runtime
+        .health()
+        .drain()
+        .into_iter()
+        .filter(|entry| entry.component == "writer")
+        .filter_map(|entry| match entry.report {
+            HealthReport::Pipeline {
+                group_commits,
+                fsyncs,
+                error,
+                ..
+            } => Some((group_commits, fsyncs, error)),
+            _ => None,
+        })
+        .collect();
+    assert!(!reports.is_empty());
+    let (group_commits, fsyncs, error) = reports.last().unwrap();
+    assert!(error.is_none());
+    assert_eq!(group_commits, fsyncs);
+    for pair in reports.windows(2) {
+        assert!(pair[0].0 < pair[1].0, "each report marks one more window");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -163,8 +179,11 @@ fn periodic_health_reports_show_the_amortisation() {
 fn per_batch_default_remains_one_call_durable() {
     let dir = unique_temp_dir("per-batch-default");
     let (repo, ids) = seeded(1);
-    let writer = Arc::new(BackgroundWriter::spawn(
+    let writer = Arc::new(BackgroundWriter::on_runtime(
         EventLogBackend::open(&dir).unwrap(),
+        PipelineConfig::default(),
+        &Runtime::new(1),
+        "writer",
     ));
     repo.subscribe_with_backfill(writer.clone());
     for i in 0..8 {

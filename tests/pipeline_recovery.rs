@@ -14,7 +14,7 @@ use bx::core::replica::Replica;
 use bx::core::repo::RepositorySnapshot;
 use bx::core::storage::{EventLogBackend, StorageBackend};
 use bx::core::wiki_bx::WikiBx;
-use bx::core::RepoError;
+use bx::core::{RepoError, Runtime};
 use bx::theory::Bx;
 use bx_testkit::faults::{torn_append, CrashingBackend};
 use bx_testkit::ops::{apply_ops, scripted_repository, unique_temp_dir, RepoOp};
@@ -55,13 +55,15 @@ fn killed_writer_and_torn_append_recover_to_the_primary() {
     let mut all_events = repo.drain_events();
     let fuse = 7;
     let backend = CrashingBackend::new(EventLogBackend::open(&dir).unwrap(), fuse);
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let writer = Arc::new(BackgroundWriter::on_runtime(
         backend,
         PipelineConfig {
             channel_capacity: 4, // keep batches small so the crash lands mid-stream
             write_batch: 4,
             ..PipelineConfig::default()
         },
+        &Runtime::new(1),
+        "writer",
     ));
     writer.enqueue(&all_events);
     repo.subscribe(writer.clone());
@@ -130,9 +132,11 @@ fn mid_window_kill_keeps_acknowledged_events_and_loses_a_clean_suffix() {
     // windows, so the window boundaries are deterministic. The fsync
     // fuse burns at the *second* window's commit point.
     let backend = CrashingBackend::fail_at_flush(EventLogBackend::open(&dir).unwrap(), 1);
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let writer = Arc::new(BackgroundWriter::on_runtime(
         backend,
         PipelineConfig::group_commit(Duration::from_secs(600)),
+        &Runtime::new(1),
+        "writer",
     ));
     writer.enqueue(&all_events);
     repo.subscribe(writer.clone());
@@ -202,13 +206,15 @@ fn replica_converges_while_the_writer_crashes_and_is_replaced() {
 
     // First writer: crashes mid-script.
     let fuse = 5;
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let writer = Arc::new(BackgroundWriter::on_runtime(
         CrashingBackend::new(EventLogBackend::open(&dir).unwrap(), fuse),
         PipelineConfig {
             channel_capacity: 2,
             write_batch: 2,
             ..PipelineConfig::default()
         },
+        &Runtime::new(1),
+        "writer",
     ));
     writer.enqueue(&all_events);
     repo.subscribe(writer.clone());
@@ -238,8 +244,11 @@ fn replica_converges_while_the_writer_crashes_and_is_replaced() {
         .pending_events()
         .unwrap();
     assert_eq!(durable, fuse);
-    let writer = Arc::new(BackgroundWriter::spawn(
+    let writer = Arc::new(BackgroundWriter::on_runtime(
         EventLogBackend::open(&dir).unwrap(),
+        PipelineConfig::default(),
+        &Runtime::new(1),
+        "writer",
     ));
     writer.enqueue(&all_events[durable..]);
     repo.subscribe(writer.clone());

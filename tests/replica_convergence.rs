@@ -8,10 +8,11 @@
 use std::sync::Arc;
 
 use bx::core::index::SearchIndex;
-use bx::core::pipeline::BackgroundWriter;
+use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
 use bx::core::replica::Replica;
 use bx::core::storage::{AutoCompactingEventLog, CompactionPolicy};
 use bx::core::wiki_bx::WikiBx;
+use bx::core::Runtime;
 use bx::theory::Bx;
 use bx_testkit::ops::{apply_op, arb_ops, scripted_repository, unique_temp_dir, TITLES};
 use proptest::prelude::*;
@@ -52,7 +53,7 @@ proptest! {
             &dir,
             CompactionPolicy { checkpoint_every },
         ).unwrap();
-        let writer = Arc::new(BackgroundWriter::spawn(backend));
+        let writer = Arc::new(BackgroundWriter::on_runtime(backend, PipelineConfig::default(), &Runtime::new(1), "writer"));
         // Backfill the pre-subscription history (founding + cast), then
         // switch to push delivery.
         writer.enqueue(&repo.drain_events());
@@ -106,9 +107,8 @@ proptest! {
         let repo = scripted_repository();
         let policy = CompactionPolicy { checkpoint_every };
 
-        let writer = Arc::new(BackgroundWriter::spawn(
-            AutoCompactingEventLog::open(&dir, policy).unwrap(),
-        ));
+        let writer = Arc::new(BackgroundWriter::on_runtime(
+            AutoCompactingEventLog::open(&dir, policy).unwrap(), PipelineConfig::default(), &Runtime::new(1), "writer"));
         writer.enqueue(&repo.drain_events());
         repo.subscribe(writer.clone());
 
@@ -124,9 +124,8 @@ proptest! {
         // Second writer process over the same directory. The old writer
         // is still subscribed but shut down; its accepts are counted as
         // dropped and must not disturb the successor.
-        let writer2 = Arc::new(BackgroundWriter::spawn(
-            AutoCompactingEventLog::open(&dir, policy).unwrap(),
-        ));
+        let writer2 = Arc::new(BackgroundWriter::on_runtime(
+            AutoCompactingEventLog::open(&dir, policy).unwrap(), PipelineConfig::default(), &Runtime::new(1), "writer"));
         repo.drain_events(); // journal caught everything; second writer starts in sync
         repo.subscribe(writer2.clone());
         for op in &ops[split..] {

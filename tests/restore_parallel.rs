@@ -1,10 +1,10 @@
 //! The parallel restore pipeline is an *optimisation*, not a semantics
 //! change — property-tested here. For any random mutation script, in
-//! both on-disk formats, `restore(threads = N)` equals
-//! `restore(threads = 1)` byte-for-byte: same snapshot from
-//! `restore_dir_with`, same snapshot **and** search index **and** wiki
-//! site (full revision histories included) from `Replica::open_with`
-//! and `Federation::open_with`. Corruption reporting is deterministic
+//! both on-disk formats, a restore on an N-worker runtime equals
+//! the sequential, runtime-less restore byte-for-byte: same snapshot
+//! from `restore_dir_on`, same snapshot **and** search index **and**
+//! wiki site (full revision histories included) from `Replica::open_on`
+//! and `Federation::open_on`. Corruption reporting is deterministic
 //! too: a corrupt log surfaces the same typed error — same segment,
 //! same offset — at every thread count, across repeated runs, even
 //! though the parallel decode *discovers* errors in scrambled order.
@@ -12,7 +12,7 @@
 use bx::core::binlog::BinaryLogBackend;
 use bx::core::replica::{Federation, Replica, SourceId};
 use bx::core::storage::{EventLogBackend, StorageBackend};
-use bx::core::{RepoError, RestoreOptions};
+use bx::core::{RepoError, Runtime};
 use bx_testkit::ops::{apply_ops, arb_ops, scripted_repository, unique_temp_dir};
 use proptest::prelude::*;
 
@@ -37,7 +37,7 @@ fn checkpointed_jsonl(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `EventLogBackend::restore_dir_with(threads = N)` equals the
+    /// `EventLogBackend::restore_dir_on` at N workers equals the
     /// sequential restore on any script, in both formats.
     #[test]
     fn parallel_restore_matches_sequential(before in arb_ops(16), after in arb_ops(16)) {
@@ -50,14 +50,14 @@ proptest! {
             prop_assert_eq!(&sequential, &expected);
             for threads in [2usize, 8] {
                 let parallel =
-                    EventLogBackend::restore_dir_with(dir, RestoreOptions::with_threads(threads))
+                    EventLogBackend::restore_dir_on(dir, &Runtime::new(threads))
                         .unwrap();
                 prop_assert_eq!(&parallel, &sequential);
             }
         }
     }
 
-    /// `Replica::open_with(threads = N)` rebuilds the *same bytes* as
+    /// `Replica::open_on` at N workers rebuilds the *same bytes* as
     /// the sequential open: snapshot, index, and wiki site with its full
     /// per-page revision history.
     #[test]
@@ -69,7 +69,7 @@ proptest! {
         for dir in [&jsonl, &binary] {
             let sequential = Replica::open(dir).unwrap();
             for threads in [2usize, 8] {
-                let parallel = Replica::open_with(dir, RestoreOptions::with_threads(threads)).unwrap();
+                let parallel = Replica::open_on(dir, &Runtime::new(threads)).unwrap();
                 prop_assert_eq!(parallel.snapshot(), sequential.snapshot());
                 prop_assert_eq!(parallel.index(), sequential.index());
                 prop_assert_eq!(parallel.site(), sequential.site());
@@ -77,7 +77,7 @@ proptest! {
         }
     }
 
-    /// `Federation::open_with(threads = N)` over several sources merges
+    /// `Federation::open_on` at N workers over several sources merges
     /// to the sequential open's exact state.
     #[test]
     fn parallel_federation_open_matches_sequential(
@@ -102,7 +102,7 @@ proptest! {
         ];
         let sequential = Federation::open("fed", sources.clone()).unwrap();
         let parallel =
-            Federation::open_with("fed", sources, RestoreOptions::with_threads(8)).unwrap();
+            Federation::open_on("fed", sources, &Runtime::new(8)).unwrap();
         prop_assert_eq!(parallel.snapshot(), sequential.snapshot());
         prop_assert_eq!(parallel.index(), sequential.index());
         prop_assert_eq!(parallel.site(), sequential.site());
@@ -153,9 +153,7 @@ fn corrupt_segment_reports_identically_at_every_thread_count() {
     assert_eq!(segment, early, "the corrupted segment is the one reported");
     for _run in 0..5 {
         for threads in [1usize, 8] {
-            let err =
-                EventLogBackend::restore_dir_with(&dir, RestoreOptions::with_threads(threads))
-                    .unwrap_err();
+            let err = EventLogBackend::restore_dir_on(&dir, &Runtime::new(threads)).unwrap_err();
             assert_eq!(err, baseline, "threads={threads}");
         }
     }
@@ -193,10 +191,9 @@ fn corrupt_jsonl_line_reports_identically_at_every_thread_count() {
         "corrupt JSONL is typed with its segment and offset: {baseline:?}"
     );
     for threads in [2usize, 8] {
-        let err = EventLogBackend::restore_dir_with(&dir, RestoreOptions::with_threads(threads))
-            .unwrap_err();
+        let err = EventLogBackend::restore_dir_on(&dir, &Runtime::new(threads)).unwrap_err();
         assert_eq!(err, baseline, "threads={threads}");
-        let open_err = Replica::open_with(&dir, RestoreOptions::with_threads(threads)).unwrap_err();
+        let open_err = Replica::open_on(&dir, &Runtime::new(threads)).unwrap_err();
         assert_eq!(
             open_err,
             Replica::open(&dir).unwrap_err(),

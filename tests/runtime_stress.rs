@@ -4,9 +4,11 @@
 //! fault injection (a `CrashingBackend` fuse burns a writer out
 //! mid-stream, a planted lint check panics on a pool worker). The pool
 //! must survive both faults, every healthy tenant must converge, and no
-//! tenant may starve another. Runs in the CI release test step.
+//! tenant may starve another. A pool-churn loop guards runtime shutdown
+//! against lost wakeups. Runs in the CI release test step.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
@@ -268,4 +270,54 @@ fn sixty_four_sources_cold_open_and_poll_on_one_shared_pool() {
         std::fs::remove_dir_all(dir).ok();
     }
     std::fs::remove_dir_all(&bin).ok();
+}
+
+/// Regression: dropping a runtime set the pool's shutdown flag and
+/// notified the workers without holding the queue lock, so a worker that
+/// had just seen the flag unset missed the notify, slept forever, and
+/// the drop hung in `join` (seen after a few thousand cycles). Churn
+/// runtimes on helper threads and fail on a watchdog deadline instead of
+/// hanging the suite. More churners than cores make it likely that some
+/// worker is preempted between its check and its wait; against the
+/// unfixed drop this loop stalled within its first 40k cycles in each
+/// of three runs on a 2-core host.
+#[test]
+fn runtime_churn_never_hangs_on_drop() {
+    const CHURNERS: usize = 4;
+    const CYCLES: usize = 10_000;
+    let completed = Arc::new(AtomicUsize::new(0));
+    let (done, finished) = mpsc::channel();
+    let mut churners = Vec::with_capacity(CHURNERS);
+    for _ in 0..CHURNERS {
+        let progress = Arc::clone(&completed);
+        let done = done.clone();
+        churners.push(std::thread::spawn(move || {
+            for i in 0..CYCLES {
+                // One job for two workers: the drop often lands while the
+                // idle worker is still starting up.
+                let runtime = Runtime::new(2);
+                let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![Box::new(move || i)];
+                assert_eq!(runtime.scatter(jobs), vec![i]);
+                drop(runtime);
+                progress.fetch_add(1, Ordering::Relaxed);
+            }
+            let _ = done.send(());
+        }));
+    }
+    drop(done);
+    let deadline = Instant::now() + Duration::from_secs(120);
+    for _ in 0..CHURNERS {
+        let outcome = finished.recv_timeout(deadline.saturating_duration_since(Instant::now()));
+        assert!(
+            outcome.is_ok(),
+            "runtime churn ended ({outcome:?}) after {} of {} create/scatter/drop cycles",
+            completed.load(Ordering::Relaxed),
+            CHURNERS * CYCLES
+        );
+    }
+    // Only reached when every churner finished: a stalled one is left
+    // detached, since joining it would hang the suite.
+    for churner in churners {
+        churner.join().expect("churner finished cleanly");
+    }
 }
