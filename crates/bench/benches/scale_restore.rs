@@ -12,8 +12,8 @@
 //!
 //! The `-t<n>` rows restore the same directories through the parallel
 //! pipeline ([`EventLogBackend::restore_dir_on`]) on a 1/2/4/8-worker
-//! runtime: chunked (JSONL) or per-segment (binary) decode, then sharded
-//! replay. On a multi-core host the 8-thread binary row's bar is ≥ 2.5×
+//! runtime: decode in record-aligned byte ranges (never spanning a
+//! segment), then sharded replay. On a multi-core host the 8-thread binary row's bar is ≥ 2.5×
 //! the sequential binary row; on a single-core host (like this repo's CI
 //! container) every thread count measures the same work and the rows
 //! converge — that convergence is itself the one-worker == sequential

@@ -245,8 +245,9 @@ pub fn apply_event(state: &mut RepositorySnapshot, event: &RepoEvent) {
 
 /// Fold a whole event sequence over a base snapshot.
 ///
-/// This sequential fold is the **oracle**: [`replay_parallel`] is
-/// property-tested to produce bit-identical snapshots.
+/// This sequential fold is the **oracle**: the sharded fold behind
+/// [`crate::storage::SegmentedLog::restore_dir_on`] is property-tested
+/// to produce bit-identical snapshots.
 pub fn replay(mut base: RepositorySnapshot, events: &[RepoEvent]) -> RepositorySnapshot {
     for event in events {
         apply_event(&mut base, event);

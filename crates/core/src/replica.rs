@@ -79,7 +79,7 @@ use crate::manuscript::{export_manuscript, ManuscriptOptions};
 use crate::principal::Principal;
 use crate::repo::{EntryId, EntryRecord, RepositorySnapshot};
 use crate::runtime::{HealthReport, Runtime, RuntimeHealth, TimerTask, WorkerPool};
-use crate::storage::EventLogBackend;
+use crate::storage::{read_generation, EventLogBackend};
 use crate::supervise::{
     RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus, SourceSupervisor,
 };
@@ -169,18 +169,11 @@ impl LogTail {
     /// Bytes sitting in the current generation log beyond what has been
     /// applied — the replication lag in bytes (0 when fully caught up or
     /// the log is absent). A torn trailing fragment counts as lag until
-    /// the writer's next durable append resolves it. For a binary
-    /// generation the log spans segment files, so the length is the sum
-    /// of segment sizes — still metadata-only.
+    /// the writer's next durable append resolves it. The length is the
+    /// sum of the generation's file sizes — metadata only.
     pub fn lag_bytes(&self) -> u64 {
-        if crate::binlog::is_binary_generation(&self.generation) {
-            return crate::binlog::generation_len(&self.dir, &self.generation)
-                .map(|len| len.saturating_sub(self.offset))
-                .unwrap_or(0);
-        }
-        std::fs::metadata(self.dir.join(&self.generation))
-            .map(|m| m.len().saturating_sub(self.offset))
-            .unwrap_or(0)
+        crate::binlog::generation_len(&self.dir, &self.generation)
+            .map_or(0, |len| len.saturating_sub(self.offset))
     }
 
     /// Has this tail ever observed primary state? (Distinguishes "the
@@ -201,120 +194,6 @@ impl LogTail {
         Some((meta.modified().ok()?, meta.len()))
     }
 
-    /// The intact events at or after byte `offset` in `path`, plus the
-    /// offset just past the last complete line consumed (a torn trailing
-    /// fragment stays unconsumed for a later call). `offset` always sits
-    /// on a line boundary because it only ever advances past complete
-    /// lines. `Ok(None)` means the file shrank below `offset` (foreign
-    /// truncation) and the caller must re-base.
-    fn read_tail(path: &Path, offset: u64) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
-        use std::io::{Read, Seek, SeekFrom};
-        let io = |e: std::io::Error| RepoError::Persist(e.to_string());
-        let mut file = match std::fs::File::open(path) {
-            Ok(file) => file,
-            // Absent file: an unwritten generation (fine at offset 0) or
-            // a truncation (if we had already read past 0).
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok((offset == 0).then(|| (Vec::new(), 0)));
-            }
-            Err(e) => return Err(io(e)),
-        };
-        if file.metadata().map_err(io)?.len() < offset {
-            return Ok(None);
-        }
-        file.seek(SeekFrom::Start(offset)).map_err(io)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text).map_err(io)?;
-        let intact_end = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
-        let segment = crate::storage::segment_name(path);
-        let mut events = Vec::new();
-        let mut pos = 0usize;
-        for line in text[..intact_end].split_inclusive('\n') {
-            let at = pos;
-            pos += line.len();
-            let body = line.trim_end_matches(['\n', '\r']);
-            if body.trim().is_empty() {
-                continue;
-            }
-            events.push(serde_json::from_str::<RepoEvent>(body).map_err(|e| {
-                // Offset within the *file*, not the tail read: exactly
-                // where a SalvagePrefix recovery truncates.
-                crate::storage::corrupt_jsonl_line(&segment, offset + at as u64, &e)
-            })?);
-        }
-        Ok(Some((events, offset + intact_end as u64)))
-    }
-
-    /// [`Self::read_tail`] at offset 0 with the parse fanned out over
-    /// `pool`: the whole file is read once and its complete lines decode
-    /// in newline-aligned chunks. Identical contract to
-    /// `read_tail(path, 0)` — a torn trailing fragment stays unconsumed
-    /// (unlike a primary's own recovery, a tail never adopts a
-    /// half-written line), an absent file is an unwritten generation, and
-    /// the first corrupt line *in log order* is the one reported.
-    fn read_tail_parallel(
-        path: &Path,
-        pool: &WorkerPool,
-    ) -> Result<(Vec<RepoEvent>, u64), RepoError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(e) => return Err(RepoError::Persist(e.to_string())),
-        };
-        let text = Arc::new(text);
-        let intact_end = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
-        let events = EventLogBackend::parse_jsonl_parallel(
-            &text,
-            intact_end,
-            &crate::storage::segment_name(path),
-            pool,
-        )?;
-        Ok((events, intact_end as u64))
-    }
-
-    /// [`Self::read_tail`] dispatched on the generation's on-disk format:
-    /// JSONL tails one line-oriented file, binary tails the generation's
-    /// segment run by global byte offset ([`crate::binlog::read_tail`]).
-    /// Both share the contract — events at/after `offset` plus the new
-    /// offset, `Ok(None)` on a shrink that demands a re-base, and an
-    /// unchanged log costing only metadata stats.
-    fn read_generation_tail(
-        &self,
-        offset: u64,
-    ) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
-        if crate::binlog::is_binary_generation(&self.generation) {
-            crate::binlog::read_tail(&self.dir, &self.generation, offset)
-        } else {
-            Self::read_tail(&self.dir.join(&self.generation), offset)
-        }
-    }
-
-    /// [`Self::read_generation_tail`], decoding on `pool` when the read
-    /// starts from the beginning of the generation (the cold-open /
-    /// re-base case, where the whole log must be decoded anyway). A
-    /// nonzero offset is an incremental tail — typically a handful of
-    /// fresh events — and stays on the sequential path.
-    fn read_generation_tail_pooled(
-        &self,
-        offset: u64,
-        pool: Option<&WorkerPool>,
-    ) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
-        if let Some(pool) = pool {
-            if offset == 0 {
-                if crate::binlog::is_binary_generation(&self.generation) {
-                    return crate::binlog::read_generation_parallel(
-                        &self.dir,
-                        &self.generation,
-                        pool,
-                    )
-                    .map(Some);
-                }
-                return Self::read_tail_parallel(&self.dir.join(&self.generation), pool).map(Some);
-            }
-        }
-        self.read_generation_tail(offset)
-    }
-
     /// Observe the log's current durable end. Within a generation this
     /// reads only the bytes appended since the last poll (polling an
     /// unchanged log is a metadata check); across a checkpoint it reports
@@ -323,12 +202,11 @@ impl LogTail {
         self.poll_with(None)
     }
 
-    /// [`LogTail::poll`] with whole-generation decodes fanned out over
-    /// `pool` — the cold-open path of [`Replica::open_on`]. Only reads
-    /// that start at the beginning of a generation parallelise;
-    /// incremental polls of a live tail are small and stay sequential.
-    /// Observed behaviour is identical to [`LogTail::poll`] in every
-    /// case, including which error a corrupt log surfaces.
+    /// [`LogTail::poll`] with large reads decoded on `pool` — the
+    /// cold-open path of [`Replica::open_on`]. Incremental polls of a
+    /// live tail are small and stay on the calling thread. Observed
+    /// behaviour is identical to [`LogTail::poll`] in every case,
+    /// including which error a corrupt log surfaces.
     pub(crate) fn poll_with(
         &mut self,
         pool: Option<&WorkerPool>,
@@ -377,7 +255,7 @@ impl LogTail {
                 progress.rebased = true;
             }
         }
-        match self.read_generation_tail_pooled(self.offset, pool)? {
+        match read_generation(&self.dir, &self.generation, self.offset, pool)? {
             Some((events, new_offset)) => {
                 self.applied += events.len();
                 self.offset = new_offset;
@@ -388,9 +266,8 @@ impl LogTail {
                 // beyond torn-tail repair). Rolling individual events
                 // back is not possible; re-base onto what the directory
                 // actually holds.
-                let (all, end) = self
-                    .read_generation_tail_pooled(0, pool)?
-                    .unwrap_or((Vec::new(), 0));
+                let (all, end) =
+                    read_generation(&self.dir, &self.generation, 0, pool)?.unwrap_or_default();
                 let (base, _) = EventLogBackend::read_state_in(&self.dir)?;
                 self.applied = all.len();
                 self.offset = end;

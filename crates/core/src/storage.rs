@@ -1,4 +1,4 @@
-//! Pluggable persistence: the [`StorageBackend`] trait and its three
+//! Pluggable persistence: the [`StorageBackend`] trait and its
 //! implementations.
 //!
 //! * [`MemoryBackend`] — snapshot + event log held in memory; the unit-test
@@ -7,12 +7,18 @@
 //!   format [`crate::persist`] has always written (archives stay
 //!   readable). Recording deltas rewrites the whole file, so its cost
 //!   scales with repository size — it is the compatibility backend.
-//! * [`EventLogBackend`] — an append-only generation log of [`RepoEvent`]
-//!   lines next to an optional checkpoint manifest; recording a delta
-//!   batch is O(batch), and recovery is checkpoint + replay. This is the
-//!   scaling backend.
+//! * [`SegmentedLog`] — the append-only log engine: a generation of
+//!   [`RepoEvent`] records next to an optional checkpoint manifest;
+//!   recording a delta batch is O(batch), and recovery is checkpoint +
+//!   replay. This is the scaling backend. One engine owns generation
+//!   naming, the manifest commit, the appender and both durability
+//!   modes, segment rolls, torn-tail repair, pruning and the one reader;
+//!   a [`Codec`] only says how a record is written and found. It comes in
+//!   two formats: [`EventLogBackend`] writes JSONL lines ([`JsonlCodec`]),
+//!   and [`crate::binlog::BinaryLogBackend`] writes CRC frames
+//!   ([`crate::binlog::FrameCodec`]).
 //!
-//! All three observe the same contract, checked in
+//! All of them observe the same contract, checked in
 //! `tests/storage_backends.rs` and property-tested in
 //! `tests/delta_equivalence.rs`: after `record`ing a repository's drained
 //! events (or `checkpoint`ing its snapshot), `restore` returns exactly
@@ -34,11 +40,14 @@
 use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use crate::binlog::{generation_of, segment_files, FrameCodec};
 use crate::error::RepoError;
 use crate::event::{apply_event, replay, RepoEvent};
 use crate::persist;
@@ -116,31 +125,8 @@ pub struct TailRepaired {
     pub bytes_dropped: u64,
 }
 
-fn io_err(e: std::io::Error) -> RepoError {
+pub(crate) fn io_err(e: std::io::Error) -> RepoError {
     RepoError::Persist(e.to_string())
-}
-
-/// The typed error for a complete-but-unparseable JSONL line: a
-/// [`RepoError::CorruptFrame`] whose offset is the line's first byte —
-/// the boundary a `SalvagePrefix` recovery truncates at. `segment` is
-/// the log file's relative name, mirroring the binary log's frames.
-pub(crate) fn corrupt_jsonl_line(
-    segment: &str,
-    offset: u64,
-    err: &dyn std::fmt::Display,
-) -> RepoError {
-    RepoError::CorruptFrame {
-        segment: segment.to_string(),
-        offset,
-        reason: format!("corrupt event log line: {err}"),
-    }
-}
-
-/// A path's file name for corruption reports (lossy; logs are ASCII).
-pub(crate) fn segment_name(path: &Path) -> String {
-    path.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.display().to_string())
 }
 
 /// Boxed backends forward the contract, so heterogeneous backend
@@ -277,16 +263,16 @@ impl StorageBackend for JsonFileBackend {
     }
 }
 
-/// The checkpoint manifest an [`EventLogBackend`] persists: the base
+/// The checkpoint manifest a [`SegmentedLog`] persists: the base
 /// state plus the name of the generation log file its deltas live in.
 /// Keeping both in one file makes the manifest rename the single atomic
 /// commit point of a checkpoint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct Manifest {
+struct Manifest {
     /// Log file (relative to the backend directory) this base replays.
-    pub(crate) log: String,
+    log: String,
     /// The checkpointed base state.
-    pub(crate) state: RepositorySnapshot,
+    state: RepositorySnapshot,
 }
 
 /// The on-disk shape of `checkpoint.json`: the [`Manifest`] body plus a
@@ -322,7 +308,7 @@ pub fn manifests_parsed() -> u64 {
 /// (the serialiser is deterministic — fixed field order, sorted maps, no
 /// floats), so any flipped byte that survives JSON parsing fails the
 /// checksum comparison.
-pub(crate) fn manifest_json(manifest: &Manifest) -> Result<String, RepoError> {
+fn manifest_json(manifest: &Manifest) -> Result<String, RepoError> {
     let body = serde_json::to_string(manifest)
         .map_err(|e| RepoError::Persist(format!("cannot serialise manifest: {e}")))?;
     let crc = crate::binlog::crc32(body.as_bytes());
@@ -331,10 +317,10 @@ pub(crate) fn manifest_json(manifest: &Manifest) -> Result<String, RepoError> {
 }
 
 /// Write `manifest` to `dir/checkpoint.json` with the atomic
-/// write-fsync-rename protocol both log backends share: the rename is
+/// write-fsync-rename protocol: the rename is
 /// the single commit point of a checkpoint, so a crash at any step
 /// leaves either the old manifest or the new one, never a torn mix.
-pub(crate) fn write_manifest_in(dir: &Path, manifest: &Manifest) -> Result<(), RepoError> {
+fn write_manifest_in(dir: &Path, manifest: &Manifest) -> Result<(), RepoError> {
     let json = manifest_json(manifest)?;
     let tmp = dir.join("checkpoint.json.tmp");
     {
@@ -353,15 +339,90 @@ pub(crate) fn write_manifest_in(dir: &Path, manifest: &Manifest) -> Result<(), R
     Ok(())
 }
 
-/// Append-only event-log backend: a generation log file (`events-<n>.jsonl`,
-/// one serialised [`RepoEvent`] per line) beside an optional
-/// `checkpoint.json` manifest. Recording appends through a persistent
-/// appender handle (opened once per generation, not per call);
-/// checkpointing writes a new manifest pointing at a fresh empty log
-/// generation (one atomic rename of the fsynced manifest is the commit
-/// point, so a crash at any step leaves a state `restore` recovers
-/// exactly); recovery is snapshot + replay, tolerating a torn final line
-/// from an append cut short mid-write.
+/// An on-disk record format of a [`SegmentedLog`]: how one event is
+/// written, and how a reader finds and decodes the record at a byte
+/// position. [`JsonlCodec`] and [`FrameCodec`] are the two formats;
+/// everything else about a log belongs to the engine.
+pub trait Codec: std::fmt::Debug + Send + Sync + 'static {
+    /// The suffix of this format's generation names (`events-<n>` + suffix).
+    const SUFFIX: &'static str;
+    /// [`StorageBackend::kind`] of the plain log.
+    const KIND: &'static str;
+    /// [`StorageBackend::kind`] of the log under [`AutoCompactingEventLog`].
+    const COMPACTED_KIND: &'static str;
+    /// Whether a generation rolls into numbered segment files at the
+    /// segment cap. Otherwise it is one file named after the generation.
+    const SEGMENTED: bool;
+
+    /// Append the encoding of `event` to `out`.
+    fn encode(event: &RepoEvent, out: &mut Vec<u8>) -> Result<(), RepoError>;
+
+    /// Find the record at byte `pos < buf.len()` without decoding it.
+    /// `Ok(Some(record))`: a whole record occupies `record`, and the next
+    /// one starts at `record.end`; an empty `record` is filler to step
+    /// over (a blank JSONL line). `Ok(None)`: fewer bytes remain than the
+    /// record needs, a torn tail. `Err(reason)`: the bytes at `pos`
+    /// cannot start a record.
+    fn frame(buf: &[u8], pos: usize) -> Result<Option<Range<usize>>, String>;
+
+    /// Check and decode one whole record found by [`Codec::frame`].
+    fn decode(record: &[u8]) -> Result<RepoEvent, String>;
+}
+
+/// The JSONL format: one compact JSON event per `\n`-terminated line.
+/// A line without its `\n` is a torn append, never an event.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonlCodec;
+
+impl Codec for JsonlCodec {
+    const SUFFIX: &'static str = ".jsonl";
+    const KIND: &'static str = "event-log";
+    const COMPACTED_KIND: &'static str = "event-log+auto-compact";
+    const SEGMENTED: bool = false;
+
+    fn encode(event: &RepoEvent, out: &mut Vec<u8>) -> Result<(), RepoError> {
+        // Compact JSON keeps each event on one line (newlines inside
+        // strings are escaped by the serialiser).
+        let line = serde_json::to_string(event)
+            .map_err(|e| RepoError::Persist(format!("cannot serialise event: {e}")))?;
+        out.extend_from_slice(line.as_bytes());
+        out.push(b'\n');
+        Ok(())
+    }
+
+    fn frame(buf: &[u8], pos: usize) -> Result<Option<Range<usize>>, String> {
+        let Some(len) = buf[pos..].iter().position(|&b| b == b'\n') else {
+            return Ok(None);
+        };
+        let next = pos + len + 1;
+        if buf[pos..next].iter().all(u8::is_ascii_whitespace) {
+            return Ok(Some(next..next));
+        }
+        Ok(Some(pos..next))
+    }
+
+    fn decode(record: &[u8]) -> Result<RepoEvent, String> {
+        let corrupt = |e: &dyn std::fmt::Display| format!("corrupt event log line: {e}");
+        let line = std::str::from_utf8(record).map_err(|e| corrupt(&e))?;
+        serde_json::from_str(line.trim_end_matches(['\n', '\r'])).map_err(|e| corrupt(&e))
+    }
+}
+
+/// The append-only log engine behind both file-backed log formats,
+/// generic over the record [`Codec`]: [`EventLogBackend`] writes JSONL
+/// lines, [`crate::binlog::BinaryLogBackend`] writes CRC frames.
+///
+/// A log is a *generation* (`events-<n>` plus the codec's suffix)
+/// beside an optional `checkpoint.json` manifest naming it. Recording
+/// appends through a persistent appender opened once per segment.
+/// Checkpointing writes a manifest naming a fresh, empty generation: the
+/// atomic rename of the fsynced manifest is the single commit point, so
+/// a crash at any step leaves a state `restore` recovers exactly. A
+/// binary generation rolls into segment files `<generation>.NNNNNN` of
+/// at most the segment cap each, fsyncing each one it seals; a JSONL
+/// generation stays one file with the generation's name. Opening
+/// truncates a torn final record, which was never durable, and reports
+/// it as [`TailRepaired`].
 ///
 /// Durability is two-phase (see the module docs): in the default
 /// [`DurabilityMode::PerBatch`], `record` fsyncs before returning; in
@@ -369,84 +430,117 @@ pub(crate) fn write_manifest_in(dir: &Path, manifest: &Manifest) -> Result<(), R
 /// [`StorageBackend::flush_durable`] issues the one `sync_all` covering
 /// every staged batch.
 ///
-/// The backend assumes a single writer per directory (the current log
+/// The engine assumes a single writer per directory (the current
 /// generation is cached at `open` and only advanced by this instance's
 /// own `checkpoint`); concurrent readers are fine.
 #[derive(Debug)]
-pub struct EventLogBackend {
+pub struct SegmentedLog<C: Codec> {
     dir: PathBuf,
-    /// Current generation's log file name, relative to `dir`.
-    log: String,
+    /// The current generation's name, relative to `dir`.
+    generation: String,
+    /// Index of the segment being appended to (0 unless segmented).
+    segment: u32,
+    /// Byte length of that segment, re-derived whenever the appender
+    /// opens, so rolls need no stat per batch.
+    segment_len: u64,
+    /// Roll to a new segment once the current one would exceed this.
+    segment_bytes: u64,
     durability: DurabilityMode,
-    /// The persistent appender for the current generation, opened lazily
-    /// on first `record` and dropped when `checkpoint` rolls the
-    /// generation.
+    /// The persistent appender for the live segment, opened lazily and
+    /// dropped when a roll or checkpoint moves the writer on.
     appender: Option<File>,
     /// Bytes staged (written but not fsynced) since the last
-    /// `flush_durable` — only ever true in [`DurabilityMode::GroupCommit`].
+    /// `flush_durable`; only ever true in [`DurabilityMode::GroupCommit`].
     dirty: bool,
-    /// Fsyncs this instance has issued.
+    /// Fsyncs this instance has issued, sealed-segment syncs included.
     fsyncs: u64,
     /// The torn-tail truncation `open` performed, if any.
     tail_repaired: Option<TailRepaired>,
+    codec: PhantomData<C>,
 }
+
+/// The JSONL event log: a [`SegmentedLog`] of JSON lines.
+pub type EventLogBackend = SegmentedLog<JsonlCodec>;
+
+/// Both formats' generation suffixes, for rules that span formats.
+const SUFFIXES: [&str; 2] = [JsonlCodec::SUFFIX, FrameCodec::SUFFIX];
 
 /// A clone is a fresh writer over the same directory and generation: it
 /// opens its own appender on first use and owes no fsync for bytes the
 /// original staged (those remain the original's to flush). It performed
 /// no open-time repair, so it carries no `tail_repaired` note.
-impl Clone for EventLogBackend {
-    fn clone(&self) -> EventLogBackend {
-        EventLogBackend {
+impl<C: Codec> Clone for SegmentedLog<C> {
+    fn clone(&self) -> SegmentedLog<C> {
+        SegmentedLog {
             dir: self.dir.clone(),
-            log: self.log.clone(),
+            generation: self.generation.clone(),
+            segment: self.segment,
+            segment_len: self.segment_len,
+            segment_bytes: self.segment_bytes,
             durability: self.durability,
             appender: None,
             dirty: false,
             fsyncs: 0,
             tail_repaired: None,
+            codec: PhantomData,
         }
     }
 }
 
-impl EventLogBackend {
-    /// Open (creating the directory if needed) an event log under `dir`.
-    ///
-    /// Opening also *repairs* a torn final append in the current
-    /// generation: a process killed mid-`write` leaves a partial last
-    /// line, and a fresh writer appending after it would concatenate the
-    /// next event into the fragment and corrupt the log. The fragment was
-    /// never durable (reads have always dropped it), so truncating it at
-    /// open loses nothing.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<EventLogBackend, RepoError> {
+impl<C: Codec> SegmentedLog<C> {
+    /// Default segment size cap. Small enough that tailing re-reads at
+    /// most this much on a partially-consumed segment, large enough that
+    /// a million-event log stays in the tens of segments.
+    pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
+
+    /// Open (creating the directory if needed) a log under `dir` with the
+    /// default segment cap.
+    pub fn open(dir: impl Into<PathBuf>) -> Result<SegmentedLog<C>, RepoError> {
+        Self::open_with_segment_bytes(dir, Self::DEFAULT_SEGMENT_BYTES)
+    }
+
+    /// Open with an explicit segment size cap (records never span
+    /// segments, so a record larger than the cap gets a segment to
+    /// itself; a JSONL generation never rolls). A directory holding the
+    /// other format's log is refused. Opening repairs a torn final record
+    /// in the last segment, which was never readable, but leaves
+    /// *corrupt* records untouched for `restore` to report.
+    pub fn open_with_segment_bytes(
+        dir: impl Into<PathBuf>,
+        segment_bytes: u64,
+    ) -> Result<SegmentedLog<C>, RepoError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(io_err)?;
-        let log = match Self::read_manifest_in(&dir)? {
-            Some(manifest) => manifest.log,
-            None => crate::binlog::unmanifested_generation(&dir),
-        };
-        if crate::binlog::is_binary_generation(&log) {
+        let (_, generation) = Self::read_state_in(&dir)?;
+        if !generation.ends_with(C::SUFFIX) {
             return Err(RepoError::Persist(format!(
-                "directory holds a binary event log (generation `{log}`); \
-                 open it with BinaryLogBackend or convert it with bx_logconv"
+                "directory holds event log generation `{generation}`, which a {} backend \
+                 cannot open; open it with the backend of its format or convert it with bx_logconv",
+                C::KIND
             )));
         }
-        let mut backend = EventLogBackend {
+        let files = segment_files(&dir, &generation)?;
+        let segment = files
+            .last()
+            .and_then(|name| name.rsplit('.').next()?.parse().ok())
+            .unwrap_or(0);
+        let mut log = SegmentedLog {
             dir,
-            log,
+            generation,
+            segment,
+            segment_len: 0,
+            segment_bytes: segment_bytes.max(1),
             durability: DurabilityMode::default(),
             appender: None,
             dirty: false,
             fsyncs: 0,
             tail_repaired: None,
+            codec: PhantomData,
         };
-        backend.tail_repaired = backend.repair_torn_tail()?;
-        Ok(backend)
-    }
-
-    /// The active [`DurabilityMode`].
-    pub fn durability(&self) -> DurabilityMode {
-        self.durability
+        if let Some(last) = files.last() {
+            log.tail_repaired = log.repair_torn_tail(last)?;
+        }
+        Ok(log)
     }
 
     /// Fsyncs this instance has issued (each a full [`File::sync_all`]).
@@ -454,77 +548,39 @@ impl EventLogBackend {
         self.fsyncs
     }
 
-    /// The persistent appender for the current generation, opened on
-    /// first use. `checkpoint` drops it when the generation rolls, so a
-    /// stale handle can never append to a superseded log.
-    fn appender(&mut self) -> Result<&mut File, RepoError> {
-        if self.appender.is_none() {
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.log_path())
-                .map_err(|e| RepoError::persist_io("open event log appender", e))?;
-            self.appender = Some(file);
-        }
-        Ok(self.appender.as_mut().expect("appender was just opened"))
-    }
-
-    /// Truncate an unterminated final line (torn append) off the current
-    /// generation's log, if there is one, returning a note of what was
-    /// dropped.
-    fn repair_torn_tail(&self) -> Result<Option<TailRepaired>, RepoError> {
-        let path = self.log_path();
-        if !path.exists() {
-            return Ok(None);
-        }
-        let bytes = std::fs::read(&path).map_err(io_err)?;
-        if bytes.is_empty() || bytes.ends_with(b"\n") {
-            return Ok(None);
-        }
-        let keep = bytes
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        let file = OpenOptions::new().write(true).open(&path).map_err(io_err)?;
-        file.set_len(keep as u64).map_err(io_err)?;
-        file.sync_all().map_err(io_err)?;
-        Ok(Some(TailRepaired {
-            file: self.log.clone(),
-            bytes_dropped: (bytes.len() - keep) as u64,
-        }))
-    }
-
-    /// The current generation's log file name (relative to the backend
-    /// directory).
+    /// The current generation's name (what the manifest records).
     pub fn current_generation(&self) -> &str {
-        &self.log
+        &self.generation
     }
 
-    /// Every generation log file present in the directory, sorted. A
-    /// healthy, compacted directory holds at most one (the current
-    /// generation, which may also be absent right after a checkpoint).
+    /// Every generation log file in the directory, of either format,
+    /// sorted. A healthy, compacted directory holds only the current
+    /// generation's files (none right after a checkpoint).
     pub fn generation_files(&self) -> Result<Vec<String>, RepoError> {
         let mut files = Vec::new();
         for entry in std::fs::read_dir(&self.dir).map_err(io_err)? {
-            let entry = entry.map_err(io_err)?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with("events-") && name.ends_with(".jsonl") {
-                files.push(name);
+            let name = entry.map_err(io_err)?.file_name();
+            let name = name.to_string_lossy();
+            let generation = generation_of(&name);
+            if generation.starts_with("events-")
+                && SUFFIXES.iter().any(|suffix| generation.ends_with(suffix))
+            {
+                files.push(name.into_owned());
             }
         }
         files.sort();
         Ok(files)
     }
 
-    /// Remove superseded generation logs: every `events-*.jsonl` other
-    /// than the current generation. `checkpoint` already unlinks the one
-    /// generation it supersedes; this sweeps up strays left by crashes in
-    /// the checkpoint window. Returns how many files were removed.
+    /// Remove every generation file, of either format, that is not the
+    /// current generation's. `checkpoint` already unlinks the generation
+    /// it supersedes; this sweeps up strays left by crashes in the
+    /// checkpoint window or by a conversion. Returns how many files were
+    /// removed.
     pub fn prune_stale_generations(&self) -> Result<usize, RepoError> {
         let mut removed = 0;
         for name in self.generation_files()? {
-            if name != self.log {
+            if generation_of(&name) != self.generation {
                 std::fs::remove_file(self.dir.join(&name)).map_err(io_err)?;
                 removed += 1;
             }
@@ -532,182 +588,94 @@ impl EventLogBackend {
         Ok(removed)
     }
 
-    /// The checkpointed base state and current generation log name of an
-    /// event-log directory, read without opening a writer (and therefore
-    /// without the open-time torn-tail repair): `(base, log)` from the
-    /// manifest, or the empty state and the initial generation when no
-    /// checkpoint exists yet (binary if generation-0 binary segments are
-    /// present, the JSONL default otherwise). This is the read-side entry
-    /// point replicas tail from; the generation name's extension tells
-    /// the caller which format to read
-    /// ([`crate::binlog::is_binary_generation`]).
+    /// How many events sit in the log beyond the last checkpoint,
+    /// counted by walking the records without decoding them (the count
+    /// is wanted on open and monitoring paths). A torn final record is
+    /// not counted; a corrupt one stops its segment's walk and surfaces
+    /// at `restore` instead.
+    pub fn pending_events(&self) -> Result<usize, RepoError> {
+        let mut count = 0;
+        for name in segment_files(&self.dir, &self.generation)? {
+            let buf = std::fs::read(self.dir.join(&name)).map_err(io_err)?;
+            let _ = walk::<C>(&buf, |record| count += usize::from(!record.is_empty()));
+        }
+        Ok(count)
+    }
+
+    /// The checkpointed base state and current generation name of a log
+    /// directory, read without opening a writer (and so without the
+    /// open-time torn-tail repair): from the manifest, or the empty state
+    /// and generation 0 when no checkpoint exists yet. Generation 0 is
+    /// JSONL when `events-0.jsonl` is present, binary when
+    /// `events-0.bin` segments are, and in this type's format otherwise.
+    /// This is the read-side entry point replicas tail from.
     pub fn read_state_in(dir: &Path) -> Result<(RepositorySnapshot, String), RepoError> {
-        Ok(match Self::read_manifest_in(dir)? {
-            Some(manifest) => (manifest.state, manifest.log),
-            None => (
-                RepositorySnapshot::empty(""),
-                crate::binlog::unmanifested_generation(dir),
-            ),
-        })
+        if let Some(manifest) = Self::read_manifest_in(dir)? {
+            return Ok((manifest.state, manifest.log));
+        }
+        let generation = SUFFIXES
+            .iter()
+            .map(|suffix| format!("events-0{suffix}"))
+            .find(|generation| segment_files(dir, generation).is_ok_and(|files| !files.is_empty()))
+            .unwrap_or_else(|| format!("events-0{}", C::SUFFIX));
+        Ok((RepositorySnapshot::empty(""), generation))
     }
 
     /// The events of one log generation in `dir`, whichever format the
-    /// generation name declares — JSONL lines or binary frames. A torn
-    /// tail is dropped in both formats; real corruption surfaces as the
-    /// typed [`RepoError::CorruptFrame`] in both, with the offset of the
-    /// first byte the reader could not trust.
+    /// generation name declares. A torn tail is dropped in both formats;
+    /// real corruption surfaces as the typed [`RepoError::CorruptFrame`]
+    /// in both, with the offset of the first byte the reader could not
+    /// trust.
     pub fn read_generation_events(
         dir: &Path,
         generation: &str,
     ) -> Result<Vec<RepoEvent>, RepoError> {
-        if crate::binlog::is_binary_generation(generation) {
-            crate::binlog::read_generation(dir, generation)
-        } else {
-            Self::read_log_file(&dir.join(generation))
-        }
+        Ok(read_generation(dir, generation, 0, None)?
+            .unwrap_or_default()
+            .0)
     }
 
-    /// Recover the durable state of an event-log directory purely by
-    /// reading: manifest base + replay of the intact records of the
-    /// generation it names — transparently for either on-disk format.
-    /// Unlike `EventLogBackend::open(dir)?.restore()`
+    /// Recover the durable state of a log directory purely by reading:
+    /// manifest base + replay of the intact records of the generation it
+    /// names, in either format. Unlike `EventLogBackend::open(dir)?.restore()`
     /// this never mutates the directory (no torn-tail repair), so tests
     /// and tooling can compute the expected fold of a directory that is
     /// concurrently being tailed or deliberately left torn.
     ///
     /// This sequential path is the oracle for
-    /// [`EventLogBackend::restore_dir_on`], which runs the same recovery
+    /// [`SegmentedLog::restore_dir_on`], which runs the same recovery
     /// through the parallel pipeline.
     pub fn restore_dir(dir: &Path) -> Result<RepositorySnapshot, RepoError> {
-        let (base, log) = Self::read_state_in(dir)?;
-        Ok(replay(base, &Self::read_generation_events(dir, &log)?))
+        let (base, generation) = Self::read_state_in(dir)?;
+        Ok(replay(
+            base,
+            &Self::read_generation_events(dir, &generation)?,
+        ))
     }
 
-    /// [`EventLogBackend::restore_dir`] through the parallel restore
-    /// pipeline on `runtime`'s workers: chunked decode (newline-aligned
-    /// JSONL chunks, or one worker per binary segment), ordered splice,
-    /// then the sharded [`crate::event::replay_parallel`] fold —
-    /// bit-identical to the sequential path on every input, including
-    /// which error a corrupt log surfaces (first offending offset in log
-    /// order, regardless of worker completion order).
+    /// [`SegmentedLog::restore_dir`] on `runtime`'s workers: decode in
+    /// record-aligned byte ranges, spliced back in log order, then a
+    /// sharded fold. Bit-identical to the sequential path on every
+    /// input, including which error a corrupt log surfaces (first
+    /// offending offset in log order, regardless of worker completion
+    /// order).
     pub fn restore_dir_on(
         dir: &Path,
         runtime: &Arc<crate::runtime::Runtime>,
     ) -> Result<RepositorySnapshot, RepoError> {
         let pool = runtime.pool();
-        let (base, log) = Self::read_state_in(dir)?;
-        let events = Self::read_generation_events_pooled(dir, &log, pool)?;
+        let (base, generation) = Self::read_state_in(dir)?;
+        let events = read_generation(dir, &generation, 0, Some(pool))?
+            .unwrap_or_default()
+            .0;
         Ok(crate::event::replay_parallel(base, events, pool))
-    }
-
-    /// Format-dispatched parallel generation read on an existing pool.
-    pub(crate) fn read_generation_events_pooled(
-        dir: &Path,
-        generation: &str,
-        pool: &crate::runtime::WorkerPool,
-    ) -> Result<Vec<RepoEvent>, RepoError> {
-        if crate::binlog::is_binary_generation(generation) {
-            crate::binlog::read_generation_parallel(dir, generation, pool).map(|(events, _)| events)
-        } else {
-            Self::read_log_file_parallel(&dir.join(generation), pool)
-        }
-    }
-
-    /// The intact complete lines of `text[..intact_end]` parsed as one
-    /// event per line across the pool: the region splits into
-    /// newline-aligned chunks, each worker parses its chunk's lines, and
-    /// the chunks splice back in file order. A parse failure surfaces as
-    /// the error of the **first** corrupt line in file order (ordered
-    /// gather; within a chunk the scan stops at its first failure), so
-    /// corruption reporting is deterministic regardless of worker timing
-    /// — and byte-identical to what the sequential line loop raises.
-    pub(crate) fn parse_jsonl_parallel(
-        text: &Arc<String>,
-        intact_end: usize,
-        segment: &str,
-        pool: &crate::runtime::WorkerPool,
-    ) -> Result<Vec<RepoEvent>, RepoError> {
-        // Aim for a few chunks per worker so one dense chunk cannot
-        // serialise the whole decode, with a floor that keeps tiny logs
-        // from paying scatter overhead per line.
-        const MIN_CHUNK_BYTES: usize = 64 * 1024;
-        let target_chunks = pool.threads() * 4;
-        let chunk_bytes = (intact_end / target_chunks.max(1)).max(MIN_CHUNK_BYTES);
-        let bytes = text.as_bytes();
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        let mut start = 0usize;
-        while start < intact_end {
-            let mut end = (start + chunk_bytes).min(intact_end);
-            // Advance to the next newline so every chunk holds whole
-            // lines (the region ends on one by construction).
-            while end < intact_end && bytes[end - 1] != b'\n' {
-                end += 1;
-            }
-            ranges.push((start, end));
-            start = end;
-        }
-        type ChunkParse = Result<Vec<RepoEvent>, RepoError>;
-        let segment: Arc<str> = Arc::from(segment);
-        let jobs: Vec<Box<dyn FnOnce() -> ChunkParse + Send>> = ranges
-            .into_iter()
-            .map(|(start, end)| {
-                let text = Arc::clone(text);
-                let segment = Arc::clone(&segment);
-                Box::new(move || -> ChunkParse {
-                    let mut events = Vec::new();
-                    let mut pos = start;
-                    for line in text[start..end].split_inclusive('\n') {
-                        let at = pos;
-                        pos += line.len();
-                        let body = line.trim_end_matches(['\n', '\r']);
-                        if body.trim().is_empty() {
-                            continue;
-                        }
-                        events.push(
-                            serde_json::from_str::<RepoEvent>(body)
-                                .map_err(|e| corrupt_jsonl_line(&segment, at as u64, &e))?,
-                        );
-                    }
-                    Ok(events)
-                }) as Box<dyn FnOnce() -> ChunkParse + Send>
-            })
-            .collect();
-        let mut events = Vec::new();
-        for chunk in pool.scatter(jobs) {
-            events.append(&mut chunk?);
-        }
-        Ok(events)
-    }
-
-    /// [`EventLogBackend::read_log_file`] across a pool: the complete
-    /// lines decode chunked and spliced via
-    /// [`EventLogBackend::parse_jsonl_parallel`]; the torn final line (no
-    /// terminating newline) is then handled exactly as the sequential
-    /// reader does — included if it parses, silently dropped if not.
-    pub(crate) fn read_log_file_parallel(
-        path: &Path,
-        pool: &crate::runtime::WorkerPool,
-    ) -> Result<Vec<RepoEvent>, RepoError> {
-        if !path.exists() {
-            return Ok(Vec::new());
-        }
-        let text = Arc::new(std::fs::read_to_string(path).map_err(io_err)?);
-        let intact_end = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
-        let mut events = Self::parse_jsonl_parallel(&text, intact_end, &segment_name(path), pool)?;
-        let fragment = &text[intact_end..];
-        if !fragment.trim().is_empty() {
-            if let Ok(event) = serde_json::from_str::<RepoEvent>(fragment) {
-                events.push(event);
-            }
-        }
-        Ok(events)
     }
 
     /// Parse (and integrity-check) `dir/checkpoint.json`. `Ok(None)` when
     /// no checkpoint exists yet; [`RepoError::CorruptManifest`] when the
     /// manifest carries a `crc32` that does not match its body (a
     /// checksum-less manifest from an older writer is accepted as-is).
-    pub(crate) fn read_manifest_in(dir: &Path) -> Result<Option<Manifest>, RepoError> {
+    fn read_manifest_in(dir: &Path) -> Result<Option<Manifest>, RepoError> {
         let path = dir.join("checkpoint.json");
         if !path.exists() {
             return Ok(None);
@@ -735,185 +703,175 @@ impl EventLogBackend {
         Ok(Some(manifest))
     }
 
-    fn log_path(&self) -> PathBuf {
-        self.dir.join(&self.log)
-    }
-
-    /// The intact event lines of a generation log. A final line missing
-    /// its terminating newline is a torn append (the process died
-    /// mid-write) and is dropped; a complete line that fails to parse is
-    /// real corruption and surfaces as [`RepoError::CorruptFrame`] with
-    /// the byte offset of the offending line's start.
-    pub(crate) fn read_log_file(path: &Path) -> Result<Vec<RepoEvent>, RepoError> {
-        if !path.exists() {
-            return Ok(Vec::new());
-        }
-        let text = std::fs::read_to_string(path).map_err(io_err)?;
-        let segment = segment_name(path);
-        let mut events = Vec::new();
-        let mut pos = 0usize;
-        for line in text.split_inclusive('\n') {
-            let at = pos;
-            pos += line.len();
-            let terminated = line.ends_with('\n');
-            let body = line.trim_end_matches(['\n', '\r']);
-            if body.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<RepoEvent>(body) {
-                Ok(event) => events.push(event),
-                // An unterminated final line is a torn append, never
-                // durable: drop it.
-                Err(_) if !terminated => break,
-                Err(e) => return Err(corrupt_jsonl_line(&segment, at as u64, &e)),
-            }
-        }
-        Ok(events)
-    }
-
-    /// How many deltas sit in the log beyond the last checkpoint.
-    ///
-    /// Counts intact (newline-terminated, non-empty) lines without
-    /// parsing any of them — the count is needed on hot open/monitoring
-    /// paths where deserialising every event just to discard it would
-    /// dominate. A torn final line (no terminating newline) is not
-    /// counted, exactly as [`Self::read_log_file`] would drop it; a
-    /// complete-but-corrupt line still counts here and surfaces as an
-    /// error at `restore` time instead.
-    pub fn pending_events(&self) -> Result<usize, RepoError> {
-        let path = self.log_path();
-        if !path.exists() {
-            return Ok(0);
-        }
-        let bytes = std::fs::read(&path).map_err(io_err)?;
-        let mut count = 0usize;
-        let mut start = 0usize;
-        for (i, &b) in bytes.iter().enumerate() {
-            if b == b'\n' {
-                if bytes[start..i].iter().any(|c| !c.is_ascii_whitespace()) {
-                    count += 1;
-                }
-                start = i + 1;
-            }
-        }
-        Ok(count)
-    }
-
-    /// `restore()` plus the replayed event count, off a single read of
-    /// the log file (the open path of [`AutoCompactingEventLog`] needs
-    /// both and should not parse the pending tail twice).
-    fn restore_with_pending(&self) -> Result<(RepositorySnapshot, usize), RepoError> {
-        let (base, log) = match Self::read_manifest_in(&self.dir)? {
-            Some(manifest) => (manifest.state, manifest.log),
-            None => (RepositorySnapshot::empty(""), self.log.clone()),
+    /// Truncate a torn final record off `last`, the generation's last
+    /// file, returning a note of what was dropped. The walk checks record
+    /// boundaries only: a corrupt record is real corruption and stays in
+    /// place to surface at `restore`, not silently amputated here.
+    fn repair_torn_tail(&self, last: &str) -> Result<Option<TailRepaired>, RepoError> {
+        let path = self.dir.join(last);
+        let buf = std::fs::read(&path).map_err(io_err)?;
+        let keep = match walk::<C>(&buf, |_| ()) {
+            Ok(end) if end < buf.len() => end,
+            _ => return Ok(None),
         };
-        let events = Self::read_log_file(&self.dir.join(log))?;
-        Ok((replay(base, &events), events.len()))
+        let file = OpenOptions::new().write(true).open(&path).map_err(io_err)?;
+        file.set_len(keep as u64).map_err(io_err)?;
+        file.sync_all().map_err(io_err)?;
+        Ok(Some(TailRepaired {
+            file: last.to_string(),
+            bytes_dropped: (buf.len() - keep) as u64,
+        }))
+    }
+
+    /// The persistent appender for the live segment, opened on first use.
+    /// Rolls and checkpoints drop it, so a stale handle can never append
+    /// to a sealed segment or a superseded generation.
+    fn appender(&mut self) -> Result<&mut File, RepoError> {
+        if self.appender.is_none() {
+            let live = if C::SEGMENTED {
+                format!("{}.{:06}", self.generation, self.segment)
+            } else {
+                self.generation.clone()
+            };
+            let file = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.dir.join(live))
+                .map_err(|e| RepoError::persist_io("open event log appender", e))?;
+            self.segment_len = file
+                .metadata()
+                .map_err(|e| RepoError::persist_io("stat event log segment", e))?
+                .len();
+            self.appender = Some(file);
+        }
+        Ok(self.appender.as_mut().expect("appender was just opened"))
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> Result<(), RepoError> {
+        self.appender()?
+            .write_all(bytes)
+            .map_err(|e| RepoError::persist_io("append event log", e))?;
+        self.segment_len += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Fsync the live segment. Every append grew it, so this is the full
+    /// `sync_all`: the new length is metadata that must reach disk.
+    fn sync(&mut self) -> Result<(), RepoError> {
+        self.appender()?
+            .sync_all()
+            .map_err(|e| RepoError::persist_io("fsync event log", e))?;
+        self.fsyncs += 1;
+        Ok(())
+    }
+
+    /// Seal the live segment (fsync, so its full length is durable before
+    /// anything lands in the next one) and move on to its successor.
+    fn roll_segment(&mut self) -> Result<(), RepoError> {
+        self.sync()?;
+        self.appender = None;
+        self.segment += 1;
+        self.segment_len = 0;
+        Ok(())
     }
 }
 
-impl StorageBackend for EventLogBackend {
+impl<C: Codec> StorageBackend for SegmentedLog<C> {
     fn kind(&self) -> &'static str {
-        "event-log"
+        C::KIND
     }
 
     fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
         if events.is_empty() {
             return Ok(());
         }
-        let mut lines = String::new();
+        // Open the appender first, so `segment_len` is real before the
+        // batch is sized against the cap.
+        self.appender()?;
+        // Pack records greedily: everything bound for the live segment
+        // goes out in one write, rolling to a fresh segment whenever the
+        // next record would take a non-empty one past the cap.
+        let mut chunk = Vec::new();
         for event in events {
-            // Compact JSON keeps each event on one line (newlines inside
-            // strings are escaped by the serialiser).
-            lines.push_str(
-                &serde_json::to_string(event)
-                    .map_err(|e| RepoError::Persist(format!("cannot serialise event: {e}")))?,
-            );
-            lines.push('\n');
-        }
-        // One buffered write of the whole batch through the persistent
-        // appender — the open cost was paid once at the generation start.
-        let mode = self.durability;
-        let file = self.appender()?;
-        file.write_all(lines.as_bytes())
-            .map_err(|e| RepoError::persist_io("append event log", e))?;
-        match mode {
-            DurabilityMode::PerBatch => {
-                // "Durably append" means surviving power loss, not just a
-                // process crash: flush the page cache before reporting
-                // success. The append grew the segment, so the full
-                // `sync_all` is required (the new length is metadata).
-                file.sync_all()
-                    .map_err(|e| RepoError::persist_io("fsync event log", e))?;
-                self.fsyncs += 1;
+            let before = chunk.len();
+            C::encode(event, &mut chunk)?;
+            let start = self.segment_len + before as u64;
+            if C::SEGMENTED
+                && start > 0
+                && start + (chunk.len() - before) as u64 > self.segment_bytes
+            {
+                let record = chunk.split_off(before);
+                self.write(&chunk)?;
+                self.roll_segment()?;
+                chunk = record;
             }
+        }
+        self.write(&chunk)?;
+        match self.durability {
+            DurabilityMode::PerBatch => self.sync()?,
             DurabilityMode::GroupCommit => self.dirty = true,
         }
         Ok(())
     }
 
-    /// Crash-safe compaction. The new manifest names a *fresh* log
+    /// Crash-safe compaction. The new manifest names a *fresh*
     /// generation, so the manifest rename is the single commit point:
     /// dying before it leaves the old manifest + old log (the
     /// pre-checkpoint state, fully replayable); dying after it leaves the
     /// new manifest whose log is empty or absent (exactly the
-    /// checkpointed state). The superseded generation's log is removed
+    /// checkpointed state). The superseded generation's files are removed
     /// opportunistically afterwards.
     fn checkpoint(&mut self, snapshot: &RepositorySnapshot) -> Result<(), RepoError> {
-        let old_log = self.log.clone();
-        let generation: u64 = old_log
+        let n: u64 = self
+            .generation
             .strip_prefix("events-")
-            .and_then(|s| s.strip_suffix(".jsonl"))
+            .and_then(|s| s.strip_suffix(C::SUFFIX))
             .and_then(|s| s.parse().ok())
             .unwrap_or(0);
-        let new_log = format!("events-{}.jsonl", generation + 1);
-        let manifest = Manifest {
-            log: new_log.clone(),
-            state: snapshot.clone(),
-        };
-        write_manifest_in(&self.dir, &manifest)?;
-        self.log = new_log;
-        // The generation rolled: drop the superseded appender (the next
-        // `record` opens one on the fresh log) and forget any staged
-        // bytes — the manifest's snapshot supersedes them, so they need
-        // no fsync of their own.
+        let next = format!("events-{}{}", n + 1, C::SUFFIX);
+        write_manifest_in(
+            &self.dir,
+            &Manifest {
+                log: next.clone(),
+                state: snapshot.clone(),
+            },
+        )?;
+        // Past the commit point: the writer moves to the fresh
+        // generation. Staged bytes are superseded by the manifest's
+        // snapshot, so they need no fsync of their own.
+        let old = std::mem::replace(&mut self.generation, next);
+        self.segment = 0;
+        self.segment_len = 0;
         self.appender = None;
         self.dirty = false;
-        // Past the commit point: the old generation is garbage now.
-        std::fs::remove_file(self.dir.join(old_log)).ok();
+        for name in segment_files(&self.dir, &old).unwrap_or_default() {
+            std::fs::remove_file(self.dir.join(name)).ok();
+        }
         Ok(())
     }
 
-    /// Recover from the on-disk manifest, replaying the log generation
-    /// *the manifest names* — so reads are consistent even if a foreign
-    /// writer advanced the generation behind this instance's back.
+    /// Recover from the on-disk manifest, replaying the generation *the
+    /// manifest names*, so reads are consistent even if a foreign writer
+    /// advanced the generation behind this instance's back.
     fn restore(&self) -> Result<RepositorySnapshot, RepoError> {
-        let (base, log) = match Self::read_manifest_in(&self.dir)? {
-            Some(manifest) => (manifest.state, manifest.log),
-            None => (RepositorySnapshot::empty(""), self.log.clone()),
-        };
-        Ok(replay(base, &Self::read_log_file(&self.dir.join(log))?))
+        GenerationLog::restore_with_pending(self).map(|(state, _)| state)
     }
 
     /// One fsync covering every batch staged since the last call. A no-op
-    /// when nothing is staged — including the whole
+    /// when nothing is staged, including the whole
     /// [`DurabilityMode::PerBatch`] regime, where `record` already synced.
-    /// Staged batches always grew the segment, so the fsync is the full
-    /// `sync_all` (the new length is metadata that must reach disk).
+    /// Segments sealed mid-window were fsynced as they rolled, so only
+    /// the live segment needs syncing.
     fn flush_durable(&mut self) -> Result<(), RepoError> {
-        if !self.dirty {
-            return Ok(());
+        if self.dirty {
+            self.sync()?;
+            self.dirty = false;
         }
-        self.appender()?
-            .sync_all()
-            .map_err(|e| RepoError::persist_io("fsync event log", e))?;
-        self.fsyncs += 1;
-        self.dirty = false;
         Ok(())
     }
 
     /// Switching to [`DurabilityMode::PerBatch`] does not retroactively
-    /// sync staged bytes — call [`StorageBackend::flush_durable`] first
+    /// sync staged bytes: call [`StorageBackend::flush_durable`] first
     /// (the next per-batch `record`'s `sync_all` would cover them too).
     fn set_durability(&mut self, mode: DurabilityMode) {
         self.durability = mode;
@@ -924,9 +882,217 @@ impl StorageBackend for EventLogBackend {
     }
 }
 
+/// Walk the records of `buf` from its start without decoding them,
+/// handing each record's range (empty for filler) to `each`. Returns
+/// where the walk stopped: `Ok(buf.len())` at the end, `Ok(pos)` at a
+/// torn record, `Err(pos)` at a corrupt one.
+fn walk<C: Codec>(buf: &[u8], mut each: impl FnMut(Range<usize>)) -> Result<usize, usize> {
+    let mut pos = 0;
+    while pos < buf.len() {
+        match C::frame(buf, pos) {
+            Ok(Some(record)) => {
+                pos = record.end;
+                each(record);
+            }
+            Ok(None) => return Ok(pos),
+            Err(_) => return Err(pos),
+        }
+    }
+    Ok(pos)
+}
+
+/// A file's length, with an absent file (pruned by a concurrent
+/// checkpoint, say) read as empty.
+fn len_or_absent(path: &Path) -> Result<u64, RepoError> {
+    match std::fs::metadata(path) {
+        Ok(meta) => Ok(meta.len()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+        Err(e) => Err(io_err(e)),
+    }
+}
+
+/// One record-aligned byte range of one log file, decoded as a unit.
+#[derive(Clone)]
+struct ScanJob {
+    file: Arc<str>,
+    /// The file's bytes from `file_at` on, shared by the file's jobs.
+    bytes: Arc<Vec<u8>>,
+    file_at: u64,
+    /// Where `bytes[0]` sits in the generation as a whole.
+    log_at: u64,
+    range: Range<usize>,
+    /// Not the generation's last file, so a torn record is corruption.
+    sealed: bool,
+}
+
+type Scanned = Result<(Vec<RepoEvent>, usize), RepoError>;
+
+impl ScanJob {
+    /// Decode the job's records: the events, and where the scan stopped
+    /// (`range.end`, or the start of a torn record in the last file).
+    fn scan<C: Codec>(&self) -> Scanned {
+        let buf = &self.bytes[..self.range.end];
+        let corrupt = |pos: usize, reason: String| RepoError::CorruptFrame {
+            segment: self.file.to_string(),
+            offset: self.file_at + pos as u64,
+            reason,
+        };
+        // Guess one event per 96 bytes (small comment frames) so a full
+        // segment does not regrow the vector a dozen times.
+        let mut events = Vec::with_capacity(self.range.len() / 96);
+        let mut pos = self.range.start;
+        while pos < buf.len() {
+            match C::frame(buf, pos) {
+                Ok(Some(record)) => {
+                    if !record.is_empty() {
+                        let event = C::decode(&buf[record.clone()]);
+                        events.push(event.map_err(|reason| corrupt(pos, reason))?);
+                    }
+                    pos = record.end;
+                }
+                Ok(None) if self.sealed => {
+                    return Err(corrupt(
+                        pos,
+                        "incomplete frame inside a sealed segment".to_string(),
+                    ))
+                }
+                Ok(None) => break,
+                Err(reason) => return Err(corrupt(pos, reason)),
+            }
+        }
+        Ok((events, pos))
+    }
+}
+
+/// Read generation `generation` of `dir` from global byte `offset`, a
+/// record boundary an earlier read returned: the one reader behind
+/// restore, cold open and the incremental tail, and the one place a
+/// generation's format is picked from its name.
+///
+/// `Ok(None)` means the log is now shorter than `offset` (checkpoint
+/// rolled or truncated by a foreign hand) and the caller must re-base.
+/// Otherwise the result holds the intact events at or after `offset` and
+/// the offset consumed; a torn tail stays unconsumed for a later read.
+/// An unchanged log costs a directory listing and a stat per file.
+///
+/// With a `pool`, files split into record-aligned ranges decoded on its
+/// workers and spliced back in log order, so which corrupt offset
+/// surfaces is the first in log order, exactly as without one.
+pub(crate) fn read_generation(
+    dir: &Path,
+    generation: &str,
+    offset: u64,
+    pool: Option<&crate::runtime::WorkerPool>,
+) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
+    if crate::binlog::is_binary_generation(generation) {
+        read_generation_as::<FrameCodec>(dir, generation, offset, pool)
+    } else {
+        read_generation_as::<JsonlCodec>(dir, generation, offset, pool)
+    }
+}
+
+fn read_generation_as<C: Codec>(
+    dir: &Path,
+    generation: &str,
+    offset: u64,
+    pool: Option<&crate::runtime::WorkerPool>,
+) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
+    use std::io::{Read, Seek, SeekFrom};
+    let files = segment_files(dir, generation)?;
+    let mut sizes = Vec::with_capacity(files.len());
+    for name in &files {
+        sizes.push(len_or_absent(&dir.join(name))?);
+    }
+    let total: u64 = sizes.iter().sum();
+    if total <= offset {
+        return Ok((total == offset).then(|| (Vec::new(), offset)));
+    }
+    // A few ranges per worker, so one dense range cannot serialise the
+    // decode, with a floor that keeps small reads from paying scatter
+    // overhead per record. Without a pool every file is one range.
+    let range_bytes = pool.map_or(usize::MAX, |pool| {
+        ((total - offset) as usize / (pool.threads() * 4)).max(64 * 1024)
+    });
+    let mut jobs = Vec::new();
+    let mut base = 0;
+    for (i, (name, size)) in files.iter().zip(sizes).enumerate() {
+        let file_at = offset.saturating_sub(base);
+        let log_at = base + file_at;
+        base += size;
+        // Sealed segments never change, so one wholly before the offset
+        // needs no read.
+        if file_at >= size {
+            continue;
+        }
+        let mut bytes = Vec::with_capacity((size - file_at) as usize);
+        match File::open(dir.join(name)) {
+            Ok(mut file) => {
+                file.seek(SeekFrom::Start(file_at)).map_err(io_err)?;
+                file.read_to_end(&mut bytes).map_err(io_err)?;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(io_err(e)),
+        }
+        let mut start = 0;
+        let mut ranges = Vec::new();
+        if bytes.len() > range_bytes {
+            let _ = walk::<C>(&bytes, |record| {
+                if record.end - start >= range_bytes {
+                    ranges.push(start..record.end);
+                    start = record.end;
+                }
+            });
+        }
+        // Whatever the walk did not cut, a torn or corrupt record
+        // included, is the last range; its job reports the damage.
+        if start < bytes.len() {
+            ranges.push(start..bytes.len());
+        }
+        let (file, bytes): (Arc<str>, _) = (Arc::from(name.as_str()), Arc::new(bytes));
+        jobs.extend(ranges.into_iter().map(|range| ScanJob {
+            file: Arc::clone(&file),
+            bytes: Arc::clone(&bytes),
+            file_at,
+            log_at,
+            range,
+            sealed: i + 1 < files.len(),
+        }));
+    }
+    let mut scattered = match pool {
+        Some(pool) if jobs.len() > 1 => Some(
+            pool.scatter(
+                jobs.iter()
+                    .cloned()
+                    .map(|job| {
+                        Box::new(move || job.scan::<C>()) as Box<dyn FnOnce() -> Scanned + Send>
+                    })
+                    .collect(),
+            )
+            .into_iter(),
+        ),
+        _ => None,
+    };
+    // Ordered gather: the first failing range in log order wins, however
+    // the workers finished.
+    let mut events = Vec::new();
+    let mut consumed = offset;
+    for job in &jobs {
+        let (mut decoded, end) = match &mut scattered {
+            Some(results) => results.next().expect("one result per job"),
+            None => job.scan::<C>(),
+        }?;
+        events.append(&mut decoded);
+        consumed = job.log_at + end as u64;
+        if end < job.range.end {
+            break;
+        }
+    }
+    Ok(Some((events, consumed)))
+}
+
 /// A generation-rolling log backend [`AutoCompactingEventLog`] can
-/// wrap: both on-disk log formats (JSONL lines, binary frames) checkpoint
-/// by rolling to a fresh generation behind one manifest rename, so the
+/// wrap: every [`SegmentedLog`], whichever its codec, checkpoints by
+/// rolling to a fresh generation behind one manifest rename, so the
 /// compaction policy layer is format-agnostic.
 pub trait GenerationLog: StorageBackend + std::fmt::Debug + Sized {
     /// Open (or create) a log of this format under `dir`.
@@ -946,39 +1112,26 @@ pub trait GenerationLog: StorageBackend + std::fmt::Debug + Sized {
     fn compacted_kind() -> &'static str;
 }
 
-impl GenerationLog for EventLogBackend {
-    fn open_dir(dir: &Path) -> Result<EventLogBackend, RepoError> {
-        EventLogBackend::open(dir)
+impl<C: Codec> GenerationLog for SegmentedLog<C> {
+    fn open_dir(dir: &Path) -> Result<SegmentedLog<C>, RepoError> {
+        SegmentedLog::open(dir)
     }
 
     fn restore_with_pending(&self) -> Result<(RepositorySnapshot, usize), RepoError> {
-        EventLogBackend::restore_with_pending(self)
+        let (base, generation) = match Self::read_manifest_in(&self.dir)? {
+            Some(manifest) => (manifest.state, manifest.log),
+            None => (RepositorySnapshot::empty(""), self.generation.clone()),
+        };
+        let events = Self::read_generation_events(&self.dir, &generation)?;
+        Ok((replay(base, &events), events.len()))
     }
 
     fn prune_stale_generations(&self) -> Result<usize, RepoError> {
-        EventLogBackend::prune_stale_generations(self)
+        SegmentedLog::prune_stale_generations(self)
     }
 
     fn compacted_kind() -> &'static str {
-        "event-log+auto-compact"
-    }
-}
-
-impl GenerationLog for crate::binlog::BinaryLogBackend {
-    fn open_dir(dir: &Path) -> Result<crate::binlog::BinaryLogBackend, RepoError> {
-        crate::binlog::BinaryLogBackend::open(dir)
-    }
-
-    fn restore_with_pending(&self) -> Result<(RepositorySnapshot, usize), RepoError> {
-        crate::binlog::BinaryLogBackend::restore_with_pending(self)
-    }
-
-    fn prune_stale_generations(&self) -> Result<usize, RepoError> {
-        crate::binlog::BinaryLogBackend::prune_stale_generations(self)
-    }
-
-    fn compacted_kind() -> &'static str {
-        "binary-log+auto-compact"
+        C::COMPACTED_KIND
     }
 }
 
@@ -1168,9 +1321,10 @@ impl<B: GenerationLog> StorageBackend for AutoCompactingEventLog<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binlog::{generation_len, BinaryLogBackend};
     use crate::principal::Principal;
-    use crate::repo::Repository;
-    use crate::template::{ExampleEntry, ExampleType};
+    use crate::repo::{EntryId, Repository};
+    use crate::template::{ArtefactKind, ExampleEntry, ExampleType};
 
     use crate::test_support::unique_dir;
 
@@ -1183,6 +1337,9 @@ mod tests {
             .restoration("F.", "B.")
             .discussion("D.")
             .author("alice")
+            .reference("Cheney et al. 2014", Some("10.0/bx"))
+            .variant("unkeyed", "drop the keys")
+            .artefact("demo", ArtefactKind::Code, "examples/demo.rs")
             .build()
             .unwrap()
     }
@@ -1233,44 +1390,6 @@ mod tests {
     }
 
     #[test]
-    fn event_log_backend_appends_and_recovers() {
-        let dir = unique_dir("log");
-        let r = busy_repository();
-        let mut backend = EventLogBackend::open(&dir).unwrap();
-
-        // Record in two batches, as a live system would.
-        let events = r.drain_events();
-        let (a, b) = events.split_at(events.len() / 2);
-        backend.record(a).unwrap();
-        backend.record(b).unwrap();
-        assert_eq!(backend.pending_events().unwrap(), events.len());
-        assert_eq!(backend.restore().unwrap(), r.snapshot());
-
-        // A reopened backend (fresh process) sees the same state.
-        let reopened = EventLogBackend::open(&dir).unwrap();
-        assert_eq!(reopened.restore().unwrap(), r.snapshot());
-
-        // Checkpointing compacts the log; recovery switches to
-        // snapshot + (empty) replay.
-        backend.checkpoint(&r.snapshot()).unwrap();
-        assert_eq!(backend.pending_events().unwrap(), 0);
-        assert_eq!(backend.restore().unwrap(), r.snapshot());
-
-        // Deltas after the checkpoint replay on top of it.
-        r.comment(
-            "alice",
-            &crate::repo::EntryId::from_title("DATES"),
-            "2014-05-01",
-            "post-checkpoint",
-        )
-        .unwrap();
-        backend.record(&r.drain_events()).unwrap();
-        assert_eq!(backend.pending_events().unwrap(), 1);
-        assert_eq!(backend.restore().unwrap(), r.snapshot());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn corrupt_log_lines_report_typed_corrupt_frames() {
         let dir = unique_dir("corrupt");
         let backend = EventLogBackend::open(&dir).unwrap();
@@ -1290,110 +1409,343 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn torn_final_append_recovers_the_intact_prefix() {
-        let dir = unique_dir("torn");
-        let r = busy_repository();
-        let mut backend = EventLogBackend::open(&dir).unwrap();
-        backend.record(&r.drain_events()).unwrap();
-        let expected = backend.restore().unwrap();
-        // Simulate a crash mid-append: a final line with no newline.
-        let log = dir.join("events-0.jsonl");
-        let mut text = std::fs::read_to_string(&log).unwrap();
-        text.push_str("{\"Commented\":{\"id\":\"co");
-        std::fs::write(&log, text).unwrap();
-        assert_eq!(
-            backend.restore().unwrap(),
-            expected,
-            "the torn tail is dropped, the intact prefix recovered"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+    /// A comment on DATES, drained by the caller.
+    fn comment(r: &Repository, text: &str) {
+        r.comment("alice", &EntryId::from_title("DATES"), "2014-05-01", text)
+            .unwrap();
     }
 
-    #[test]
-    fn stale_previous_generation_log_is_ignored_after_checkpoint() {
-        // Simulate dying in the checkpoint window after the manifest
-        // rename but before the old generation's log is unlinked: the
-        // manifest points at the new (absent) log, so the stale events
-        // must not be double-applied.
-        let dir = unique_dir("stale");
-        let r = busy_repository();
-        let mut backend = EventLogBackend::open(&dir).unwrap();
-        let events = r.drain_events();
-        backend.record(&events).unwrap();
-        backend.checkpoint(&r.snapshot()).unwrap();
-        // Resurrect the superseded generation file by hand.
-        let mut stale = String::new();
-        for e in &events {
-            stale.push_str(&serde_json::to_string(e).unwrap());
-            stale.push('\n');
+    /// What a crash mid-append leaves: all of a record but its last byte.
+    /// For JSONL that is a whole JSON object without its `\n` — it parses,
+    /// but it was never acknowledged.
+    fn torn_record<C: Codec>(event: &RepoEvent) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        C::encode(event, &mut bytes).unwrap();
+        bytes.pop();
+        bytes
+    }
+
+    /// The live (last) file of the log's current generation.
+    fn live_file<C: Codec>(dir: &Path, log: &SegmentedLog<C>) -> String {
+        segment_files(dir, log.current_generation())
+            .unwrap()
+            .pop()
+            .unwrap()
+    }
+
+    fn append(path: &Path, bytes: &[u8]) {
+        let mut file = OpenOptions::new().append(true).open(path).unwrap();
+        file.write_all(bytes).unwrap();
+    }
+
+    /// Engine behaviour, specified once and run over both codecs.
+    macro_rules! for_both_codecs {
+        ($($test:ident),* $(,)?) => {$(
+            #[test]
+            fn $test() {
+                engine::$test::<JsonlCodec>();
+                engine::$test::<FrameCodec>();
+            }
+        )*};
+    }
+
+    for_both_codecs!(
+        appends_and_recovers,
+        group_commit_stages_until_one_flush,
+        a_clone_owes_no_fsync_for_the_originals_staged_bytes,
+        torn_tail_is_dropped_by_reads_and_repaired_at_open,
+        prune_removes_only_superseded_generations,
+        pending_events_counts_records_without_decoding,
+        checkpoint_rolls_the_persistent_appender,
+        tail_reads_resume_at_record_boundaries_and_detect_rolls,
+    );
+
+    mod engine {
+        use super::*;
+
+        fn dir<C: Codec>(tag: &str) -> PathBuf {
+            unique_dir(&format!("{tag}{}", C::SUFFIX))
         }
-        std::fs::write(dir.join("events-0.jsonl"), stale).unwrap();
-        assert_eq!(backend.pending_events().unwrap(), 0);
-        assert_eq!(backend.restore().unwrap(), r.snapshot());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
-    #[test]
-    fn reopen_repairs_a_torn_tail_so_appends_stay_clean() {
-        let dir = unique_dir("repair");
-        let r = busy_repository();
-        let events = r.drain_events();
-        let (before, after) = events.split_at(events.len() - 2);
-        {
-            let mut backend = EventLogBackend::open(&dir).unwrap();
+        pub(super) fn appends_and_recovers<C: Codec>() {
+            let dir = dir::<C>("append");
+            let r = busy_repository();
+            let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
+            assert_eq!(backend.kind(), C::KIND);
+
+            // Record in two batches, as a live system would.
+            let events = r.drain_events();
+            let (a, b) = events.split_at(events.len() / 2);
+            backend.record(a).unwrap();
+            backend.record(b).unwrap();
+            assert_eq!(backend.pending_events().unwrap(), events.len());
+            assert_eq!(backend.restore().unwrap(), r.snapshot());
+
+            // A reopened backend (fresh process) sees the same state.
+            let reopened = SegmentedLog::<C>::open(&dir).unwrap();
+            assert_eq!(reopened.restore().unwrap(), r.snapshot());
+
+            // Checkpointing compacts the log onto a fresh generation;
+            // recovery switches to snapshot + (empty) replay.
+            backend.checkpoint(&r.snapshot()).unwrap();
+            assert_eq!(backend.pending_events().unwrap(), 0);
+            assert_eq!(
+                backend.current_generation(),
+                format!("events-1{}", C::SUFFIX)
+            );
+            assert_eq!(backend.restore().unwrap(), r.snapshot());
+
+            // Deltas after the checkpoint replay on top of it.
+            comment(&r, "post-checkpoint");
+            backend.record(&r.drain_events()).unwrap();
+            assert_eq!(backend.pending_events().unwrap(), 1);
+            assert_eq!(backend.restore().unwrap(), r.snapshot());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        pub(super) fn group_commit_stages_until_one_flush<C: Codec>() {
+            let dir = dir::<C>("group-commit");
+            let r = busy_repository();
+            let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
+
+            // Per-batch, the default: every record fsyncs.
+            let events = r.drain_events();
+            let (a, b) = events.split_at(events.len() / 2);
+            backend.record(a).unwrap();
+            assert_eq!(backend.fsyncs(), 1);
+
+            // Group commit: records only stage, yet are visible to
+            // readers before the fsync point; one flush covers them all.
+            backend.set_durability(DurabilityMode::GroupCommit);
+            let (b1, b2) = b.split_at(b.len() / 2);
+            backend.record(b1).unwrap();
+            backend.record(b2).unwrap();
+            assert_eq!(backend.fsyncs(), 1, "record only stages");
+            assert_eq!(backend.pending_events().unwrap(), events.len());
+            backend.flush_durable().unwrap();
+            assert_eq!(backend.fsyncs(), 2);
+            // Idempotent: nothing staged, nothing to sync.
+            backend.flush_durable().unwrap();
+            assert_eq!(backend.fsyncs(), 2, "clean flush is a no-op");
+            assert_eq!(backend.restore().unwrap(), r.snapshot());
+
+            // A fresh process over the directory sees the flushed state.
+            let reopened = SegmentedLog::<C>::open(&dir).unwrap();
+            assert_eq!(reopened.restore().unwrap(), r.snapshot());
+
+            // Across a checkpoint the next staged batch fsyncs once more.
+            backend.checkpoint(&r.snapshot()).unwrap();
+            comment(&r, "post-roll");
+            backend.record(&r.drain_events()).unwrap();
+            backend.flush_durable().unwrap();
+            assert_eq!(backend.fsyncs(), 3);
+            assert_eq!(backend.restore().unwrap(), r.snapshot());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        pub(super) fn a_clone_owes_no_fsync_for_the_originals_staged_bytes<C: Codec>() {
+            let dir = dir::<C>("clone-dirty");
+            let r = busy_repository();
+            let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
+            backend.set_durability(DurabilityMode::GroupCommit);
+            backend.record(&r.drain_events()).unwrap();
+            let mut clone = backend.clone();
+            // The clone starts clean (its flush is a no-op) but shares the
+            // directory, so reads agree; the original still flushes its
+            // own staged bytes.
+            clone.flush_durable().unwrap();
+            assert_eq!(clone.fsyncs(), 0, "clone owes no fsync");
+            backend.flush_durable().unwrap();
+            assert_eq!(backend.fsyncs(), 1);
+            assert_eq!(clone.restore().unwrap(), r.snapshot());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        pub(super) fn torn_tail_is_dropped_by_reads_and_repaired_at_open<C: Codec>() {
+            let dir = dir::<C>("torn");
+            let r = busy_repository();
+            let events = r.drain_events();
+            let (before, after) = events.split_at(events.len() - 2);
+            let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
             backend.record(before).unwrap();
+            let expected = backend.restore().unwrap();
+
+            // Crash mid-append.
+            let live = live_file(&dir, &backend);
+            let path = dir.join(&live);
+            let clean_len = std::fs::metadata(&path).unwrap().len();
+            let torn = torn_record::<C>(&after[0]);
+            append(&path, &torn);
+
+            // Reads drop the fragment without repairing it.
+            assert_eq!(
+                backend.restore().unwrap(),
+                expected,
+                "the torn tail is dropped, the intact prefix recovered"
+            );
+            assert_eq!(SegmentedLog::<C>::restore_dir(&dir).unwrap(), expected);
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                clean_len + torn.len() as u64
+            );
+            drop(backend);
+
+            // A fresh writer truncates it, so its first record does not
+            // fuse with the fragment, and the repair is on the record.
+            let mut reopened = SegmentedLog::<C>::open(&dir).unwrap();
+            let repair = reopened
+                .tail_repaired()
+                .expect("the open-time repair is observable, never silent");
+            assert_eq!(repair.file, live);
+            assert_eq!(repair.bytes_dropped, torn.len() as u64);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
+            reopened.record(after).unwrap();
+            assert_eq!(reopened.restore().unwrap(), r.snapshot());
+            assert_eq!(reopened.pending_events().unwrap(), events.len());
+            std::fs::remove_dir_all(&dir).ok();
         }
-        // Crash mid-append: a partial final line with no newline.
-        let log = dir.join("events-0.jsonl");
-        let mut text = std::fs::read_to_string(&log).unwrap();
-        text.push_str("{\"Commented\":{\"id\":\"co");
-        std::fs::write(&log, text).unwrap();
-        // A fresh writer process appends the remaining events. Without the
-        // open-time repair, its first line would fuse with the fragment
-        // into a corrupt line.
-        let mut backend = EventLogBackend::open(&dir).unwrap();
-        let repair = backend
-            .tail_repaired()
-            .expect("the open-time repair is observable, never silent");
-        assert_eq!(repair.file, "events-0.jsonl");
-        assert_eq!(
-            repair.bytes_dropped,
-            "{\"Commented\":{\"id\":\"co".len() as u64
-        );
-        backend.record(after).unwrap();
-        assert_eq!(backend.restore().unwrap(), r.snapshot());
-        assert_eq!(backend.pending_events().unwrap(), events.len());
-        std::fs::remove_dir_all(&dir).ok();
+
+        pub(super) fn prune_removes_only_superseded_generations<C: Codec>() {
+            let dir = dir::<C>("prune");
+            let r = busy_repository();
+            let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
+            backend.record(&r.drain_events()).unwrap();
+            let superseded: Vec<(String, Vec<u8>)> =
+                segment_files(&dir, backend.current_generation())
+                    .unwrap()
+                    .into_iter()
+                    .map(|name| {
+                        let bytes = std::fs::read(dir.join(&name)).unwrap();
+                        (name, bytes)
+                    })
+                    .collect();
+            backend.checkpoint(&r.snapshot()).unwrap();
+            // Resurrect the superseded generation, as dying in the
+            // checkpoint window after the manifest rename but before the
+            // unlink would: the manifest names the new generation, so the
+            // stale events must not be double-applied.
+            for (name, bytes) in &superseded {
+                std::fs::write(dir.join(name), bytes).unwrap();
+            }
+            assert_eq!(backend.pending_events().unwrap(), 0);
+            assert_eq!(backend.restore().unwrap(), r.snapshot());
+            // Strays of either format, as crashes or a conversion leave.
+            std::fs::write(dir.join("events-7.jsonl"), "junk\n").unwrap();
+            std::fs::write(dir.join("events-7.bin.000000"), "junk").unwrap();
+            // The current generation has live post-checkpoint deltas.
+            comment(&r, "live");
+            backend.record(&r.drain_events()).unwrap();
+            assert_eq!(
+                backend.prune_stale_generations().unwrap(),
+                superseded.len() + 2
+            );
+            assert_eq!(
+                backend.generation_files().unwrap(),
+                vec![live_file(&dir, &backend)]
+            );
+            assert_eq!(backend.restore().unwrap(), r.snapshot());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        pub(super) fn pending_events_counts_records_without_decoding<C: Codec>() {
+            let dir = dir::<C>("pending-count");
+            let r = busy_repository();
+            let events = r.drain_events();
+            let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
+            backend.record(&events).unwrap();
+            let path = dir.join(live_file(&dir, &backend));
+            // JSONL also has filler: a blank line, which the parser has
+            // always skipped.
+            if !C::SEGMENTED {
+                append(&path, b"   \n");
+            }
+            // Tear the tail as a mid-write kill would.
+            append(&path, &torn_record::<C>(&events[0]));
+            // The count is pinned to what the decoding reader yields.
+            let decoded =
+                SegmentedLog::<C>::read_generation_events(&dir, backend.current_generation())
+                    .unwrap()
+                    .len();
+            assert_eq!(backend.pending_events().unwrap(), decoded);
+            assert_eq!(decoded, events.len());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        pub(super) fn checkpoint_rolls_the_persistent_appender<C: Codec>() {
+            let dir = dir::<C>("appender-roll");
+            let r = busy_repository();
+            let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
+            backend.set_durability(DurabilityMode::GroupCommit);
+            backend.record(&r.drain_events()).unwrap();
+            // Checkpoint mid-stage: the manifest supersedes the staged
+            // bytes, and the appender must re-open on the fresh generation.
+            backend.checkpoint(&r.snapshot()).unwrap();
+            comment(&r, "post-roll");
+            backend.record(&r.drain_events()).unwrap();
+            backend.flush_durable().unwrap();
+            assert_eq!(backend.pending_events().unwrap(), 1);
+            assert_eq!(
+                backend.current_generation(),
+                format!("events-1{}", C::SUFFIX)
+            );
+            assert_eq!(backend.restore().unwrap(), r.snapshot());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        pub(super) fn tail_reads_resume_at_record_boundaries_and_detect_rolls<C: Codec>() {
+            let dir = dir::<C>("tail");
+            let r = busy_repository();
+            let mut backend = SegmentedLog::<C>::open_with_segment_bytes(&dir, 300).unwrap();
+            let events = r.drain_events();
+            let (a, b) = events.split_at(events.len() / 2);
+            backend.record(a).unwrap();
+            let generation = backend.current_generation().to_string();
+            let read = |offset| read_generation(&dir, &generation, offset, None).unwrap();
+            let (first, offset) = read(0).unwrap();
+            assert_eq!(first.len(), a.len());
+            assert_eq!(offset, generation_len(&dir, &generation).unwrap());
+            // Unchanged log: metadata-only poll, no events.
+            let (none, same) = read(offset).unwrap();
+            assert!(none.is_empty());
+            assert_eq!(same, offset);
+            // New events resume exactly after the consumed prefix.
+            backend.record(b).unwrap();
+            let (rest, end) = read(offset).unwrap();
+            assert_eq!(rest.len(), b.len());
+            assert_eq!(end, generation_len(&dir, &generation).unwrap());
+            // A checkpoint rolls the generation; the old offset over-shoots
+            // the (now empty) new generation: the re-base signal.
+            backend.checkpoint(&r.snapshot()).unwrap();
+            let rolled = backend.current_generation();
+            assert_eq!(read_generation(&dir, rolled, end, None).unwrap(), None);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
-    fn prune_removes_only_superseded_generations() {
-        let dir = unique_dir("prune");
+    fn open_refuses_the_other_formats_directory() {
         let r = busy_repository();
-        let mut backend = EventLogBackend::open(&dir).unwrap();
-        backend.record(&r.drain_events()).unwrap();
-        backend.checkpoint(&r.snapshot()).unwrap();
-        // Strand two stale generations, as a crash inside the checkpoint
-        // window would.
-        std::fs::write(dir.join("events-0.jsonl"), "junk\n").unwrap();
-        std::fs::write(dir.join("events-7.jsonl"), "junk\n").unwrap();
-        // The current generation has live post-checkpoint deltas.
-        r.comment(
-            "alice",
-            &crate::repo::EntryId::from_title("DATES"),
-            "2014-05-01",
-            "live",
-        )
-        .unwrap();
-        backend.record(&r.drain_events()).unwrap();
-        assert_eq!(backend.prune_stale_generations().unwrap(), 2);
-        assert_eq!(
-            backend.generation_files().unwrap(),
-            vec![backend.current_generation().to_string()]
-        );
-        assert_eq!(backend.restore().unwrap(), r.snapshot());
-        std::fs::remove_dir_all(&dir).ok();
+        let events = r.drain_events();
+        // Checkpointed or not, a JSONL directory refuses the binary
+        // backend and a binary one the JSONL backend.
+        for checkpointed in [false, true] {
+            let jsonl_dir = unique_dir("refuse-jsonl");
+            let mut jsonl = EventLogBackend::open(&jsonl_dir).unwrap();
+            let bin_dir = unique_dir("refuse-bin");
+            let mut binary = BinaryLogBackend::open(&bin_dir).unwrap();
+            for log in [&mut jsonl as &mut dyn StorageBackend, &mut binary] {
+                log.record(&events).unwrap();
+                if checkpointed {
+                    log.checkpoint(&r.snapshot()).unwrap();
+                }
+            }
+            let err = BinaryLogBackend::open(&jsonl_dir).unwrap_err();
+            assert!(matches!(err, RepoError::Persist(_)));
+            let err = EventLogBackend::open(&bin_dir).unwrap_err();
+            assert!(matches!(err, RepoError::Persist(_)));
+            std::fs::remove_dir_all(&jsonl_dir).ok();
+            std::fs::remove_dir_all(&bin_dir).ok();
+        }
     }
 
     #[test]
@@ -1505,131 +1857,6 @@ mod tests {
         std::fs::write(&blocking, "x").unwrap();
         let mut broken = JsonFileBackend::new(blocking.join("nested.json"));
         assert!(matches!(broken.flush_durable(), Err(RepoError::Persist(_))));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn group_commit_stages_then_one_flush_makes_everything_durable() {
-        let dir = unique_dir("group-commit");
-        let r = busy_repository();
-        let mut backend = EventLogBackend::open(&dir).unwrap();
-        assert_eq!(backend.durability(), DurabilityMode::PerBatch);
-        backend.set_durability(DurabilityMode::GroupCommit);
-
-        let events = r.drain_events();
-        let (a, b) = events.split_at(events.len() / 2);
-        backend.record(a).unwrap();
-        backend.record(b).unwrap();
-        // Both batches are staged and visible to readers before the fsync
-        // point; one flush covers them all.
-        assert_eq!(backend.pending_events().unwrap(), events.len());
-        backend.flush_durable().unwrap();
-        assert_eq!(backend.restore().unwrap(), r.snapshot());
-        // Idempotent: nothing staged, nothing to sync.
-        backend.flush_durable().unwrap();
-
-        // A fresh process over the directory sees the flushed state.
-        let reopened = EventLogBackend::open(&dir).unwrap();
-        assert_eq!(reopened.restore().unwrap(), r.snapshot());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpoint_rolls_the_persistent_appender_to_the_new_generation() {
-        let dir = unique_dir("appender-roll");
-        let r = busy_repository();
-        let mut backend = EventLogBackend::open(&dir).unwrap();
-        backend.set_durability(DurabilityMode::GroupCommit);
-        backend.record(&r.drain_events()).unwrap();
-        // Checkpoint mid-stage: the manifest supersedes the staged bytes,
-        // the appender must re-open on the fresh generation.
-        backend.checkpoint(&r.snapshot()).unwrap();
-        r.comment(
-            "alice",
-            &crate::repo::EntryId::from_title("DATES"),
-            "2014-05-01",
-            "post-roll",
-        )
-        .unwrap();
-        backend.record(&r.drain_events()).unwrap();
-        backend.flush_durable().unwrap();
-        assert_eq!(backend.pending_events().unwrap(), 1);
-        assert_eq!(backend.current_generation(), "events-1.jsonl");
-        assert_eq!(backend.restore().unwrap(), r.snapshot());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn pending_events_counts_lines_without_parsing() {
-        let dir = unique_dir("pending-count");
-        let r = busy_repository();
-        let mut backend = EventLogBackend::open(&dir).unwrap();
-        backend.record(&r.drain_events()).unwrap();
-        // Tear the tail as a mid-write kill would, and pad with a blank
-        // line the parser has always skipped.
-        let log = dir.join("events-0.jsonl");
-        let mut text = std::fs::read_to_string(&log).unwrap();
-        text.push_str("   \n{\"Commented\":{\"id\":\"co");
-        std::fs::write(&log, text).unwrap();
-        // The intact-line count is pinned to what full parsing yields.
-        let parsed = EventLogBackend::read_log_file(&log).unwrap().len();
-        assert_eq!(backend.pending_events().unwrap(), parsed);
-        assert!(parsed > 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fsyncs_count_per_batch_records_and_dirty_flushes_only() {
-        let dir = unique_dir("fsync-count");
-        let r = busy_repository();
-        let mut backend = EventLogBackend::open(&dir).unwrap();
-
-        // Per-batch: every record fsyncs.
-        let events = r.drain_events();
-        let (a, b) = events.split_at(events.len() / 2);
-        backend.record(a).unwrap();
-        assert_eq!(backend.fsyncs(), 1);
-
-        // Group commit: record only stages, the flush is the fsync.
-        backend.set_durability(DurabilityMode::GroupCommit);
-        backend.record(b).unwrap();
-        assert_eq!(backend.fsyncs(), 1, "record only stages");
-        backend.flush_durable().unwrap();
-        assert_eq!(backend.fsyncs(), 2);
-        // Clean flush: no fsync.
-        backend.flush_durable().unwrap();
-        assert_eq!(backend.fsyncs(), 2, "clean flush is a no-op");
-        assert_eq!(backend.restore().unwrap(), r.snapshot());
-
-        // Across a checkpoint the next staged batch fsyncs once more.
-        backend.checkpoint(&r.snapshot()).unwrap();
-        r.comment(
-            "alice",
-            &crate::repo::EntryId::from_title("DATES"),
-            "2014-05-01",
-            "post-roll",
-        )
-        .unwrap();
-        backend.record(&r.drain_events()).unwrap();
-        backend.flush_durable().unwrap();
-        assert_eq!(backend.fsyncs(), 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn a_cloned_backend_owes_no_fsync_for_the_originals_staged_bytes() {
-        let dir = unique_dir("clone-dirty");
-        let r = busy_repository();
-        let mut backend = EventLogBackend::open(&dir).unwrap();
-        backend.set_durability(DurabilityMode::GroupCommit);
-        backend.record(&r.drain_events()).unwrap();
-        let mut clone = backend.clone();
-        // The clone starts clean (its flush is a no-op) but shares the
-        // directory, so reads agree; the original still flushes its own
-        // staged bytes.
-        clone.flush_durable().unwrap();
-        backend.flush_durable().unwrap();
-        assert_eq!(clone.restore().unwrap(), r.snapshot());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -359,21 +359,18 @@ pub(crate) fn salvage_prefix(dir: &Path, err: &RepoError) -> Result<SalvageRepor
                 .map_err(io)?;
             file.set_len(cut).map_err(io)?;
             file.sync_all().map_err(io)?;
-            // A binary generation spans segment files; everything after
-            // the corrupt segment goes too.
+            // Records after a corrupt one cannot be trusted to start on a
+            // real boundary: later files of the generation go too.
             let mut files_removed = Vec::new();
-            if let Some(generation) = segment.rsplit_once('.').map(|(g, _)| g) {
-                if crate::binlog::is_binary_generation(generation) {
-                    for later in crate::binlog::segment_files(dir, generation)?
-                        .into_iter()
-                        .filter(|name| name.as_str() > segment.as_str())
-                    {
-                        let path = dir.join(&later);
-                        bytes_dropped += std::fs::metadata(&path).map_err(io)?.len();
-                        std::fs::remove_file(&path).map_err(io)?;
-                        files_removed.push(later);
-                    }
-                }
+            let generation = crate::binlog::generation_of(segment);
+            for later in crate::binlog::segment_files(dir, generation)?
+                .into_iter()
+                .filter(|name| name.as_str() > segment.as_str())
+            {
+                let path = dir.join(&later);
+                bytes_dropped += std::fs::metadata(&path).map_err(io)?.len();
+                std::fs::remove_file(&path).map_err(io)?;
+                files_removed.push(later);
             }
             Ok(SalvageReport {
                 dir: dir.display().to_string(),
