@@ -7,8 +7,8 @@
 //! same 1,000,000-event history restored from a JSONL directory and from
 //! a binary segmented directory ([`bx_core::BinaryLogBackend`]), both
 //! through the format-aware [`EventLogBackend::restore_dir`] a restart
-//! actually runs. The binary format's acceptance bar is ≥ 3× the JSONL
-//! events/s; current numbers live in the README's backend table.
+//! actually runs. Current numbers, and the binary : JSONL ratio, live in
+//! the README's binary log format section.
 //!
 //! The `-t<n>` rows restore the same directories through the parallel
 //! pipeline ([`EventLogBackend::restore_dir_on`]) on a 1/2/4/8-worker

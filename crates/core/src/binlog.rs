@@ -110,8 +110,14 @@ static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32 (IEEE) of `bytes` — the per-frame payload checksum.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Continue `crc`, the CRC-32 of some prefix, over `bytes`, so
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)` without joining them.
+pub(crate) fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = !0u32;
+    let mut c = !crc;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
@@ -799,6 +805,7 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_update(crc32(b"1234"), b"56789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub enum RepoError {
         dir: String,
         /// The checksum stored in the manifest.
         stored: u32,
-        /// The checksum computed over the manifest body as parsed.
+        /// The checksum computed over the manifest body bytes as read.
         computed: u32,
     },
     /// A replicated source that had been tailed is gone — the whole

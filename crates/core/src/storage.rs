@@ -276,7 +276,7 @@ struct Manifest {
 }
 
 /// The on-disk shape of `checkpoint.json`: the [`Manifest`] body plus a
-/// trailing `crc32` of the body's canonical serialisation. The checksum
+/// trailing `crc32` of the body's bytes (see [`manifest_json`]). The checksum
 /// field is optional on read — manifests written before it existed are
 /// accepted as-is (legacy tolerance); a *present but wrong* checksum is
 /// real corruption and surfaces as [`RepoError::CorruptManifest`].
@@ -304,10 +304,10 @@ pub fn manifests_parsed() -> u64 {
 
 /// The exact `checkpoint.json` bytes for `manifest`: the canonical body
 /// JSON with a `crc32` field over the body bytes spliced in as the
-/// trailing key. Readers recompute the body from the parsed manifest
-/// (the serialiser is deterministic — fixed field order, sorted maps, no
-/// floats), so any flipped byte that survives JSON parsing fails the
-/// checksum comparison.
+/// trailing key, so the file is `body[..len - 1]` followed by
+/// `,"crc32":<crc>}`. Readers check the CRC over the bytes they read
+/// (everything before that tail, plus the body's closing `}`), so any
+/// flipped byte that survives JSON parsing fails the comparison.
 fn manifest_json(manifest: &Manifest) -> Result<String, RepoError> {
     let body = serde_json::to_string(manifest)
         .map_err(|e| RepoError::Persist(format!("cannot serialise manifest: {e}")))?;
@@ -673,7 +673,8 @@ impl<C: Codec> SegmentedLog<C> {
 
     /// Parse (and integrity-check) `dir/checkpoint.json`. `Ok(None)` when
     /// no checkpoint exists yet; [`RepoError::CorruptManifest`] when the
-    /// manifest carries a `crc32` that does not match its body (a
+    /// manifest carries a `crc32` that does not match the body bytes read,
+    /// or does not end in exactly the tail [`manifest_json`] writes (a
     /// checksum-less manifest from an older writer is accepted as-is).
     fn read_manifest_in(dir: &Path) -> Result<Option<Manifest>, RepoError> {
         let path = dir.join("checkpoint.json");
@@ -684,15 +685,12 @@ impl<C: Codec> SegmentedLog<C> {
         let disk: ManifestDisk = serde_json::from_str(&json)
             .map_err(|e| RepoError::Persist(format!("corrupt checkpoint manifest: {e}")))?;
         MANIFESTS_PARSED.with(|c| c.set(c.get() + 1));
-        let manifest = Manifest {
-            log: disk.log,
-            state: disk.state,
-        };
         if let Some(stored) = disk.crc32 {
-            let body = serde_json::to_string(&manifest)
-                .map_err(|e| RepoError::Persist(format!("cannot serialise manifest: {e}")))?;
-            let computed = crate::binlog::crc32(body.as_bytes());
-            if computed != stored {
+            // The writer's body is the text before its trailing
+            // `,"crc32":` key, closed by the `}` that key displaced.
+            let (body, tail) = json.rsplit_once(",\"crc32\":").unwrap_or((&json, ""));
+            let computed = crate::binlog::crc32_update(crate::binlog::crc32(body.as_bytes()), b"}");
+            if computed != stored || tail != format!("{stored}}}") {
                 return Err(RepoError::CorruptManifest {
                     dir: dir.display().to_string(),
                     stored,
@@ -700,7 +698,10 @@ impl<C: Codec> SegmentedLog<C> {
                 });
             }
         }
-        Ok(Some(manifest))
+        Ok(Some(Manifest {
+            log: disk.log,
+            state: disk.state,
+        }))
     }
 
     /// Truncate a torn final record off `last`, the generation's last
@@ -1405,6 +1406,43 @@ mod tests {
                 assert_eq!(offset, 0);
             }
             other => panic!("expected CorruptFrame, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_crc_covers_the_bytes_read_up_to_the_writers_exact_tail() {
+        let dir = unique_dir("manifest-tail");
+        let r = busy_repository();
+        let mut backend = EventLogBackend::open(&dir).unwrap();
+        backend.record(&r.drain_events()).unwrap();
+        backend.checkpoint(&r.snapshot()).unwrap();
+        let path = dir.join("checkpoint.json");
+        let written = std::fs::read_to_string(&path).unwrap();
+        let manifest = EventLogBackend::read_manifest_in(&dir).unwrap().unwrap();
+        assert_eq!(manifest.state, r.snapshot());
+        assert_eq!(manifest_json(&manifest).unwrap(), written);
+
+        // A manifest from before the checksum existed is accepted as-is.
+        std::fs::write(&path, serde_json::to_string(&manifest).unwrap()).unwrap();
+        assert_eq!(
+            EventLogBackend::read_manifest_in(&dir).unwrap(),
+            Some(manifest.clone())
+        );
+
+        // Each of these parses to the same manifest, but its tail is not
+        // the one the writer produced.
+        let (body, crc) = written.rsplit_once(",\"crc32\":").unwrap();
+        for tampered in [
+            format!("{written}\n"),
+            format!("{body}, \"crc32\":{crc}"),
+            format!("{body},\"crc32\":0{crc}"),
+        ] {
+            std::fs::write(&path, &tampered).unwrap();
+            match EventLogBackend::read_manifest_in(&dir) {
+                Err(RepoError::CorruptManifest { .. }) => {}
+                other => panic!("{tampered:?} gave {other:?}, not CorruptManifest"),
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -110,6 +110,59 @@ fn flips_across_a_multi_segment_log_are_detected_in_every_segment() {
 }
 
 #[test]
+fn every_flipped_bit_of_a_checkpoint_manifest_is_an_error_or_the_same_state() {
+    let dir = unique_temp_dir("manifest-flip-all");
+    let repo = scripted_repository();
+    apply_ops(&repo, &script(&["Composers"]));
+    let mut backend = EventLogBackend::open(&dir).unwrap();
+    backend.record(&repo.drain_events()).unwrap();
+    backend.checkpoint(&repo.snapshot()).unwrap();
+    let path = dir.join("checkpoint.json");
+    let pristine = std::fs::read(&path).unwrap();
+    assert!(
+        (1_000..16_000).contains(&pristine.len()),
+        "a small manifest ({} bytes)",
+        pristine.len()
+    );
+    let healthy = EventLogBackend::read_state_in(&dir).unwrap();
+    assert_eq!(healthy.0, repo.snapshot());
+
+    // Every offset, each with one of the eight bits: the reader may
+    // refuse the manifest, or (a flip that leaves no trace, such as one
+    // renaming away the optional checksum key) return the same state,
+    // but never a different one.
+    for byte in 0..pristine.len() {
+        let mut bytes = pristine.clone();
+        bytes[byte] ^= 1 << (byte % 8);
+        std::fs::write(&path, &bytes).unwrap();
+        if let Ok(state) = EventLogBackend::read_state_in(&dir) {
+            assert!(
+                state == healthy,
+                "flipping bit {} of byte {byte} read back a different state",
+                byte % 8
+            );
+        }
+    }
+
+    // A flip inside an entry's title still parses, to a different
+    // title; only the checksum can catch it.
+    let text = String::from_utf8(pristine.clone()).unwrap();
+    let title_at = text.find("\"title\":\"Composers\"").unwrap() + "\"title\":\"".len();
+    for byte in title_at..title_at + "Composers".len() {
+        let mut bytes = pristine.clone();
+        bytes[byte] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        match EventLogBackend::read_state_in(&dir) {
+            Err(RepoError::CorruptManifest { .. }) => {}
+            other => panic!("flipping title byte {byte} gave {other:?}, not CorruptManifest"),
+        }
+    }
+    std::fs::write(&path, &pristine).unwrap();
+    assert_eq!(EventLogBackend::read_state_in(&dir).unwrap(), healthy);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn any_truncation_of_the_live_segment_restores_a_clean_prefix() {
     let (dir, segments) = recorded_dir("binlog-truncate", None);
     let generation = EventLogBackend::read_state_in(&dir).unwrap().1;
