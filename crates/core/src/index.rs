@@ -7,13 +7,31 @@
 //! repository's [`RepoEvent`] delta stream. The two are equivalent: for
 //! any mutation sequence, applying its events to the previous index gives
 //! exactly the index built from the resulting snapshot (property-tested in
-//! `tests/delta_equivalence.rs`). Incremental maintenance only re-tokenises
-//! the touched entry, so its cost scales with the change, not the
-//! repository.
+//! `tests/delta_equivalence.rs` and, against a naive model, in
+//! `tests/index_model.rs`). Incremental maintenance only re-tokenises the
+//! touched entry, so its cost scales with the change, not the repository.
+//!
+//! # Layout
+//!
+//! Terms and entries are interned to dense `u32` ids. A vocabulary maps
+//! each term's text to its term id; each term id owns its postings as a
+//! `(doc, tf)` list sorted by doc. Each indexed entry is a doc that holds
+//! its [`EntryId`] and its forward list of `(term, tf)` sorted by term id,
+//! which is exactly what a re-index or removal must retract. A build
+//! hands out docs in ascending order, so every posting is a push; later
+//! upserts insert at a binary-searched position. A term whose last posting goes
+//! leaves the vocabulary and its id is reused, as is a removed entry's
+//! doc, so memory tracks live content.
+//!
+//! Which ids an index happens to use depends on its history, so equality
+//! is *logical*: two indexes are equal when they map the same terms to
+//! the same entries with the same frequencies, and `Debug` prints that
+//! term → entry → frequency view.
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 
 use bx_theory::{Claim, Property};
 
@@ -34,23 +52,44 @@ pub fn entries_tokenized() -> u64 {
     ENTRIES_TOKENIZED.with(Cell::get)
 }
 
-/// An inverted index over the latest versions of all entries, plus the
-/// forward index (entry → term frequencies) that makes exact incremental
-/// removal possible.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SearchIndex {
-    /// term → (entry → term frequency)
-    postings: BTreeMap<String, BTreeMap<EntryId, u32>>,
-    /// entry → (term → term frequency): what `apply` must retract when an
-    /// entry's text changes.
-    terms_of: BTreeMap<EntryId, BTreeMap<String, u32>>,
+/// `(id, tf)` pairs sorted by id: a term's postings (ids are docs) or a
+/// doc's forward list (ids are terms).
+type Pairs = Vec<(u32, u32)>;
+
+/// One term id's slot. A free slot has empty text and no postings.
+#[derive(Clone, Default)]
+struct Term {
+    text: Box<str>,
+    postings: Pairs,
 }
 
-/// Lowercase alphanumeric tokens of length ≥ 2.
-fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
-    text.split(|c: char| !c.is_ascii_alphanumeric())
-        .filter(|t| t.len() >= 2)
-        .map(str::to_ascii_lowercase)
+/// One doc id's slot. A free slot keeps its last entry's id but has an
+/// empty forward list, and no posting refers to it.
+#[derive(Clone)]
+struct Doc {
+    id: EntryId,
+    terms: Pairs,
+}
+
+/// An inverted index over the latest versions of all entries, plus the
+/// forward index (entry → term frequencies) that makes exact incremental
+/// removal possible. See the module docs for the layout.
+#[derive(Clone, Default)]
+pub struct SearchIndex {
+    /// Term text → term id, for live terms only. Terms come from entry
+    /// text, so the map keeps std's keyed hasher: no author can craft
+    /// terms that collide.
+    vocab: HashMap<Box<str>, u32>,
+    /// Term id → text and postings.
+    terms: Vec<Term>,
+    /// Term ids whose slot is free, for reuse.
+    free_terms: Vec<u32>,
+    /// Doc → entry and its forward list.
+    docs: Vec<Doc>,
+    /// Docs whose slot is free, for reuse.
+    free_docs: Vec<u32>,
+    /// Entry → doc, for indexed entries only.
+    doc_of: BTreeMap<EntryId, u32>,
 }
 
 /// The query-side case fold. Most query terms arrive already lowercase
@@ -87,19 +126,38 @@ fn entry_text(entry: &ExampleEntry) -> String {
     text
 }
 
-fn term_frequencies(entry: &ExampleEntry) -> BTreeMap<String, u32> {
-    ENTRIES_TOKENIZED.with(|c| c.set(c.get() + 1));
-    let mut terms = BTreeMap::new();
-    for token in tokenize(&entry_text(entry)) {
-        *terms.entry(token).or_insert(0) += 1;
+/// Insert `(id, tf)` into `pairs`, keeping it sorted by id; a push when
+/// `id` sorts last, as every insert of a build does.
+fn insert_sorted(pairs: &mut Pairs, id: u32, tf: u32) {
+    match pairs.last() {
+        Some(&(last, _)) if last > id => {
+            let at = pairs.partition_point(|&(other, _)| other < id);
+            pairs.insert(at, (id, tf));
+        }
+        _ => pairs.push((id, tf)),
     }
-    terms
+}
+
+/// Store `value` in a free slot of `slots` if there is one, else in a
+/// new slot; returns the slot's index.
+fn occupy<T>(slots: &mut Vec<T>, free: &mut Vec<u32>, value: T) -> u32 {
+    match free.pop() {
+        Some(at) => {
+            slots[at as usize] = value;
+            at
+        }
+        None => {
+            slots.push(value);
+            u32::try_from(slots.len() - 1).expect("fewer than 2^32 live slots")
+        }
+    }
 }
 
 impl SearchIndex {
     /// Build from a repository snapshot (latest versions only).
     pub fn build(snapshot: &RepositorySnapshot) -> SearchIndex {
         let mut idx = SearchIndex::default();
+        idx.docs.reserve(snapshot.records.len());
         for (id, record) in &snapshot.records {
             idx.upsert(id, record.latest());
         }
@@ -142,62 +200,100 @@ impl SearchIndex {
         self.remove(id);
     }
 
-    /// Merge a partial index covering a *disjoint* set of entries into
-    /// this one — the gather step of the parallel derived-state rebuild
-    /// ([`crate::replica::Replica::open_on`]), where each worker
-    /// indexes its own shard of entries. With disjoint entry sets the
-    /// result is exactly the index of the union (both maps key on terms
-    /// and entry ids, so disjoint inserts cannot collide).
-    pub(crate) fn absorb(&mut self, other: SearchIndex) {
-        for (term, posting) in other.postings {
-            self.postings.entry(term).or_default().extend(posting);
-        }
-        self.terms_of.extend(other.terms_of);
-    }
-
     /// Replace (or first-index) one entry's postings.
     fn upsert(&mut self, id: &EntryId, entry: &ExampleEntry) {
+        // Retract first: a term only this entry used leaves the
+        // vocabulary here and is re-interned below, never held stale.
         self.remove(id);
-        let terms = term_frequencies(entry);
-        for (term, tf) in &terms {
-            self.postings
-                .entry(term.clone())
-                .or_default()
-                .insert(id.clone(), *tf);
+        let terms = self.term_frequencies(entry);
+        let doc = occupy(
+            &mut self.docs,
+            &mut self.free_docs,
+            Doc {
+                id: id.clone(),
+                terms,
+            },
+        );
+        for &(term, tf) in &self.docs[doc as usize].terms {
+            insert_sorted(&mut self.terms[term as usize].postings, doc, tf);
         }
-        self.terms_of.insert(id.clone(), terms);
+        self.doc_of.insert(id.clone(), doc);
     }
 
     /// Retract one entry's postings (no-op if it was never indexed).
     fn remove(&mut self, id: &EntryId) {
-        let Some(terms) = self.terms_of.remove(id) else {
+        let Some(doc) = self.doc_of.remove(id) else {
             return;
         };
-        for term in terms.keys() {
-            if let Some(posting) = self.postings.get_mut(term) {
-                posting.remove(id);
-                if posting.is_empty() {
-                    self.postings.remove(term);
-                }
+        for (term, _) in std::mem::take(&mut self.docs[doc as usize].terms) {
+            let slot = &mut self.terms[term as usize];
+            let at = slot.postings.partition_point(|&(other, _)| other < doc);
+            slot.postings.remove(at);
+            if slot.postings.is_empty() {
+                self.vocab.remove(&slot.text);
+                slot.text = Box::default();
+                self.free_terms.push(term);
             }
         }
+        self.free_docs.push(doc);
+    }
+
+    /// The term id of `token`, interning it if it is new.
+    fn intern(&mut self, token: &str) -> u32 {
+        if let Some(&term) = self.vocab.get(token) {
+            return term;
+        }
+        let slot = Term {
+            text: token.into(),
+            postings: Vec::new(),
+        };
+        let term = occupy(&mut self.terms, &mut self.free_terms, slot);
+        self.vocab.insert(token.into(), term);
+        term
+    }
+
+    /// `entry`'s terms with their frequencies, sorted by term id. Tokens
+    /// are the lowercase alphanumeric runs of length ≥ 2; lowercasing the
+    /// whole text first gives the same tokens as lowercasing each one,
+    /// since the split is on ASCII.
+    fn term_frequencies(&mut self, entry: &ExampleEntry) -> Pairs {
+        ENTRIES_TOKENIZED.with(|c| c.set(c.get() + 1));
+        let mut text = entry_text(entry);
+        text.make_ascii_lowercase();
+        // Each token is at least 2 bytes and `entry_text` ends every part
+        // with a separator, so there are at most `len / 3` tokens.
+        let mut ids: Vec<u32> = Vec::with_capacity(text.len() / 3);
+        ids.extend(
+            text.split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|t| t.len() >= 2)
+                .map(|token| self.intern(token)),
+        );
+        ids.sort_unstable();
+        let mut terms: Pairs = Vec::new();
+        for term in ids {
+            match terms.last_mut() {
+                Some((last, tf)) if *last == term => *tf += 1,
+                _ => terms.push((term, 1)),
+            }
+        }
+        terms
     }
 
     /// Number of distinct indexed terms.
     pub fn term_count(&self) -> usize {
-        self.postings.len()
+        self.vocab.len()
     }
 
     /// Number of indexed entries.
     pub fn entry_count(&self) -> usize {
-        self.terms_of.len()
+        self.doc_of.len()
     }
 
     /// Conjunctive keyword query: entries containing *all* terms, scored
     /// by summed term frequency, sorted by descending score then id.
     ///
-    /// Intersects borrowed posting lists (driven from the smallest one)
-    /// without cloning any posting map; only the result ids are cloned.
+    /// Intersects the borrowed posting lists (driven from the smallest
+    /// one); only the result ids are cloned.
     pub fn query(&self, terms: &[&str]) -> Vec<(EntryId, u32)> {
         self.query_filtered(terms, |_| true)
     }
@@ -205,8 +301,9 @@ impl SearchIndex {
     /// [`SearchIndex::query`] restricted to entries `keep` accepts — the
     /// serving path for scoped search (e.g. a [`crate::replica::Federation`]
     /// restricting hits to one source's namespace) without materializing
-    /// a per-scope index. The filter runs on candidate ids *before* the
-    /// full conjunction is scored, so rejected entries cost one check.
+    /// a per-scope index. The filter runs once on each candidate id
+    /// *before* the full conjunction is scored, so rejected entries cost
+    /// one check.
     pub fn query_filtered(
         &self,
         terms: &[&str],
@@ -215,32 +312,88 @@ impl SearchIndex {
         if terms.is_empty() {
             return Vec::new();
         }
-        let mut postings: Vec<&BTreeMap<EntryId, u32>> = Vec::with_capacity(terms.len());
+        let mut lists: Vec<&[(u32, u32)]> = Vec::with_capacity(terms.len());
         for term in terms {
-            match self.postings.get(fold_term(term).as_ref()) {
-                Some(posting) => postings.push(posting),
+            match self.vocab.get(fold_term(term).as_ref()) {
+                Some(&term) => lists.push(&self.terms[term as usize].postings),
                 // One absent term empties the conjunction.
                 None => return Vec::new(),
             }
         }
-        postings.sort_by_key(|p| p.len());
-        let (smallest, rest) = postings.split_first().expect("terms is non-empty");
+        lists.sort_by_key(|p| p.len());
+        let (smallest, rest) = lists.split_first_mut().expect("terms is non-empty");
         let mut out: Vec<(EntryId, u32)> = Vec::new();
-        'candidates: for (id, tf) in *smallest {
+        // Candidates come in doc order, so each other list is a cursor
+        // that only moves forward.
+        'candidates: for &(doc, tf) in *smallest {
+            let id = &self.docs[doc as usize].id;
             if !keep(id) {
                 continue;
             }
-            let mut score = *tf;
-            for posting in rest {
-                match posting.get(id) {
-                    Some(tf) => score += tf,
-                    None => continue 'candidates,
+            let mut score = tf;
+            for list in rest.iter_mut() {
+                *list = &list[list.partition_point(|&(other, _)| other < doc)..];
+                match list.first() {
+                    Some(&(other, tf)) if other == doc => score += tf,
+                    _ => continue 'candidates,
                 }
             }
             out.push((id.clone(), score));
         }
         out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
+    }
+
+    /// One doc's forward list by term text, sorted: the id-free form
+    /// equality compares.
+    fn terms_by_text(&self, doc: u32) -> Vec<(&str, u32)> {
+        let mut terms: Vec<(&str, u32)> = self.docs[doc as usize]
+            .terms
+            .iter()
+            .map(|&(term, tf)| (&*self.terms[term as usize].text, tf))
+            .collect();
+        terms.sort_unstable();
+        terms
+    }
+}
+
+/// Logical equality: the same entries with the same term frequencies,
+/// whatever term and doc ids each index assigned. Every posting mirrors
+/// a forward-list pair, so equal forward lists mean equal postings.
+impl PartialEq for SearchIndex {
+    fn eq(&self, other: &SearchIndex) -> bool {
+        self.doc_of.len() == other.doc_of.len()
+            && self.vocab.len() == other.vocab.len()
+            && self
+                .doc_of
+                .iter()
+                .zip(&other.doc_of)
+                .all(|((a, &da), (b, &db))| {
+                    a == b && self.terms_by_text(da) == other.terms_by_text(db)
+                })
+    }
+}
+
+impl Eq for SearchIndex {}
+
+/// The logical view equality compares: term → (entry → term frequency).
+impl fmt::Debug for SearchIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let postings: BTreeMap<&str, BTreeMap<&EntryId, u32>> = self
+            .vocab
+            .iter()
+            .map(|(text, &term)| {
+                let posting = self.terms[term as usize]
+                    .postings
+                    .iter()
+                    .map(|&(doc, tf)| (&self.docs[doc as usize].id, tf))
+                    .collect();
+                (&**text, posting)
+            })
+            .collect();
+        f.debug_struct("SearchIndex")
+            .field("postings", &postings)
+            .finish()
     }
 }
 
@@ -448,6 +601,32 @@ mod tests {
             "one revise = one entry re-tokenised; the comment is free"
         );
         assert_eq!(idx, SearchIndex::build(&r.snapshot()));
+    }
+
+    #[test]
+    fn rewrites_reuse_term_and_doc_ids() {
+        let r = repository();
+        let mut idx = SearchIndex::build(&r.snapshot());
+        let id = EntryId::from_title("COMPOSERS");
+        let mut entry = r.latest(&id).unwrap();
+        let slots = idx.terms.len();
+        for round in 0..50 {
+            // Each round's word is new and replaces the last one, which
+            // then has no posting left and frees its id for the next.
+            entry.discussion = format!("word{round}");
+            idx.upsert_entry(&id, &entry);
+            assert_eq!(idx.terms.len(), slots, "round {round} grew the term slots");
+        }
+        assert_eq!(idx.query(&["word49"]).len(), 1);
+        assert!(idx.query(&["word48"]).is_empty());
+        assert_eq!(idx.docs.len(), 2, "re-indexing an entry reuses its doc");
+        r.revise("a", &id, entry).unwrap();
+        assert_eq!(idx, SearchIndex::build(&r.snapshot()));
+        idx.remove_entry(&id);
+        idx.remove_entry(&EntryId::from_title("UML2RDBMS"));
+        assert_eq!((idx.term_count(), idx.entry_count()), (0, 0));
+        assert!(idx.vocab.is_empty() && idx.doc_of.is_empty());
+        assert_eq!(idx, SearchIndex::default());
     }
 
     #[test]

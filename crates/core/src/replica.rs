@@ -289,8 +289,8 @@ impl LogTail {
 // `set_page` dedups unchanged content. Both strokes are per-entry and
 // entries' pages are distinct, so the parallel open reproduces them
 // per-entry on the pool and the result is byte-for-byte identical:
-// render every base record (revision one), replay, then per final
-// record index its latest version and render it again iff dirty.
+// render every base record (revision one), replay, then render each
+// dirty record's page again and build the index from the final snapshot.
 // `tests/restore_parallel.rs` pins this equivalence over random
 // histories.
 
@@ -331,10 +331,10 @@ fn render_pages_parallel(
     pool.scatter(jobs).into_iter().flatten().collect()
 }
 
-/// Rebuild the search index and wiki site of a cold open on the pool:
+/// Rebuild the search index and wiki site of a cold open:
 /// `base_pages` are the pre-replay renders (each page's first revision),
-/// every record of `final_snapshot` is indexed from its latest version,
-/// and `dirty` pages are re-rendered from the final state (their second
+/// the index is built once from `final_snapshot`, and the `dirty` pages
+/// are re-rendered from the final state on the pool (their second
 /// revision, deduped away when the content did not change). Equals the
 /// sequential open's `SearchIndex::build` + incremental applies and
 /// `fwd` + `sync_changed` exactly; see the section comment above.
@@ -344,42 +344,17 @@ fn derived_parallel(
     dirty: BTreeSet<EntryId>,
     pool: &WorkerPool,
 ) -> (SearchIndex, WikiSite) {
-    let ids: Vec<EntryId> = final_snapshot.records.keys().cloned().collect();
-    let dirty = Arc::new(dirty);
-    type Partial = (SearchIndex, Vec<(String, String)>);
-    let jobs: Vec<Box<dyn FnOnce() -> Partial + Send>> = shard_ids(ids, pool.threads())
+    let dirty: Vec<EntryId> = dirty
         .into_iter()
-        .map(|shard| {
-            let snapshot = Arc::clone(final_snapshot);
-            let dirty = Arc::clone(&dirty);
-            Box::new(move || {
-                let mut index = SearchIndex::default();
-                let mut pages = Vec::new();
-                for id in &shard {
-                    let record = &snapshot.records[id];
-                    index.upsert_entry(id, record.latest());
-                    if dirty.contains(id) {
-                        pages.push((id.page_name(), render_entry(record.latest())));
-                    }
-                }
-                (index, pages)
-            }) as Box<dyn FnOnce() -> Partial + Send>
-        })
+        .filter(|id| final_snapshot.records.contains_key(id))
         .collect();
-    let partials = pool.scatter(jobs);
-    let mut index = SearchIndex::default();
+    let dirty_pages = render_pages_parallel(final_snapshot, dirty, pool);
     let mut site = WikiSite::new();
     // Base renders first: they are each page's first revision.
-    for (page, content) in base_pages {
+    for (page, content) in base_pages.into_iter().chain(dirty_pages) {
         site.set_page(&page, content);
     }
-    for (partial, pages) in partials {
-        index.absorb(partial);
-        for (page, content) in pages {
-            site.set_page(&page, content);
-        }
-    }
-    (index, site)
+    (SearchIndex::build(final_snapshot), site)
 }
 
 /// Reclaim a snapshot shared with pool jobs. [`WorkerPool::scatter`]

@@ -999,6 +999,9 @@ fn read_generation_as<C: Codec>(
     pool: Option<&crate::runtime::WorkerPool>,
 ) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
     use std::io::{Read, Seek, SeekFrom};
+    // A one-worker pool has nothing to fan out to: read as without one,
+    // so no file is walked twice to cut ranges for a single worker.
+    let pool = pool.filter(|pool| pool.threads() > 1);
     let files = segment_files(dir, generation)?;
     let mut sizes = Vec::with_capacity(files.len());
     for name in &files {
@@ -1433,10 +1436,11 @@ mod tests {
         // Each of these parses to the same manifest, but its tail is not
         // the one the writer produced.
         let (body, crc) = written.rsplit_once(",\"crc32\":").unwrap();
+        let stored = crc.strip_suffix('}').unwrap();
         for tampered in [
             format!("{written}\n"),
             format!("{body}, \"crc32\":{crc}"),
-            format!("{body},\"crc32\":0{crc}"),
+            format!("{body},\"crc32\":{stored} }}"),
         ] {
             std::fs::write(&path, &tampered).unwrap();
             match EventLogBackend::read_manifest_in(&dir) {
@@ -1444,6 +1448,12 @@ mod tests {
                 other => panic!("{tampered:?} gave {other:?}, not CorruptManifest"),
             }
         }
+        // A leading zero is outside the JSON grammar: a parse error.
+        std::fs::write(&path, format!("{body},\"crc32\":0{crc}")).unwrap();
+        assert!(matches!(
+            EventLogBackend::read_manifest_in(&dir),
+            Err(RepoError::Persist(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
