@@ -38,7 +38,7 @@
 //! rolls, repair, pruning, readers — is the engine's, shared with the
 //! JSONL format, so one directory layout serves both and
 //! [`crate::storage::EventLogBackend::restore_dir`], the `bx_lint` CLI,
-//! [`crate::replica::Replica`] and federations read either.
+//! and [`crate::replica::Federation`] read either.
 
 use std::ops::Range;
 use std::path::Path;

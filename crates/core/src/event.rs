@@ -392,11 +392,12 @@ pub(crate) fn replay_parallel(
 }
 
 /// [`replay_parallel`] with the barrier application swapped out — a
-/// [`crate::replica::Federation`] folds *namespaced* events whose
-/// `Founded` barrier must not adopt the source repository's name, so it
-/// passes its own barrier function. Per-entry runs shard identically
-/// either way (the two barrier functions only differ on account events,
-/// which are always barriers).
+/// [`crate::replica::Federation`] folds its sources' events (namespaced,
+/// or as-is for the identity source) under its own name, so their
+/// `Founded` barrier names the merged snapshot only while it is unnamed,
+/// and it passes its own barrier function. Per-entry runs shard
+/// identically either way (the two barrier functions only differ on
+/// account events, which are always barriers).
 pub(crate) fn replay_parallel_with(
     base: RepositorySnapshot,
     events: Vec<RepoEvent>,

@@ -185,10 +185,10 @@ impl SearchIndex {
     }
 
     /// Re-index one entry from its latest version directly, bypassing the
-    /// event stream — the re-base path of [`crate::replica::Replica`],
-    /// which after a primary checkpoint has a target *snapshot* but no
-    /// events for the gap. Equivalent to applying a revise event carrying
-    /// `entry`.
+    /// event stream — the per-source re-base path of
+    /// [`crate::replica::Federation`], which after a primary checkpoint
+    /// has a target *snapshot* but no events for the gap. Equivalent to
+    /// applying a revise event carrying `entry`.
     pub fn upsert_entry(&mut self, id: &EntryId, entry: &ExampleEntry) {
         self.upsert(id, entry);
     }

@@ -22,11 +22,13 @@
 //! * [`pipeline`] — the background durability pipeline: a writer task
 //!   behind a bounded channel drains events into any storage backend,
 //!   with explicit flush and drop-shutdown semantics;
-//! * [`replica`] — read replicas that tail a shipped event-log directory
-//!   and incrementally maintain their own snapshot, search index and
-//!   wiki site; [`replica::Federation`] fans N independent primaries into
-//!   one namespaced merged node, and [`replica::ReplicaDaemon`] polls it
-//!   as a runtime tenant with clean start/stop and lag stats;
+//! * [`replica`] — the read node: [`replica::Federation`] tails the
+//!   shipped event-log directories of N independent primaries and
+//!   incrementally maintains one namespaced merged snapshot, search index
+//!   and wiki site (a plain read replica is a federation of one
+//!   [`replica::SourceId::identity`] source), and
+//!   [`replica::ReplicaDaemon`] polls it as a runtime tenant with clean
+//!   start/stop and lag stats;
 //! * [`runtime`] — the one source of worker threads and the one health
 //!   channel: every background tenant and every parallel restore
 //!   (chunked decode, sharded replay, parallel derived-state rebuild)
@@ -43,7 +45,7 @@
 //!   §5.2;
 //! * [`persist`] — the wiki-markup-independent persistent form (JSON);
 //! * [`storage`] — pluggable persistence behind [`storage::StorageBackend`]:
-//!   in-memory, legacy JSON file, and an append-only event log with
+//!   in-memory, and an append-only event log (JSONL or binary) with
 //!   snapshot+replay recovery;
 //! * [`supervise`] — per-source fault supervision for the federation:
 //!   circuit-breaker health states, deterministic retry/backoff, and
@@ -77,7 +79,7 @@ pub use manuscript::{export_manuscript, ManuscriptOptions};
 pub use pipeline::{BackgroundWriter, PipelineConfig, PipelineStats};
 pub use principal::{Principal, Role};
 pub use replica::{
-    federate_snapshots, DaemonConfig, DaemonStats, Federation, Replica, ReplicaDaemon, SourceId,
+    federate_snapshots, DaemonConfig, DaemonStats, Federation, ReplicaDaemon, SourceId,
 };
 pub use repo::{EntryId, Repository};
 pub use runtime::{
@@ -86,7 +88,7 @@ pub use runtime::{
 };
 pub use storage::{
     AutoCompactingBinaryLog, AutoCompactingEventLog, CompactionPolicy, DurabilityMode,
-    EventLogBackend, GenerationLog, JsonFileBackend, MemoryBackend, StorageBackend, TailRepaired,
+    EventLogBackend, GenerationLog, MemoryBackend, StorageBackend, TailRepaired,
 };
 pub use supervise::{RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus};
 pub use template::{

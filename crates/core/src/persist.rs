@@ -6,9 +6,8 @@
 //! the wiki markup of [`crate::wiki`] is the presentation format; the bx
 //! of [`crate::wiki_bx`] keeps the two consistent.
 //!
-//! These free functions are the whole-snapshot convenience layer; the
-//! pluggable, delta-aware persistence story lives in [`crate::storage`]
-//! (whose [`crate::storage::JsonFileBackend`] writes exactly this format).
+//! These free functions are the whole-snapshot archival layer; the
+//! pluggable, delta-aware persistence story lives in [`crate::storage`].
 
 use std::path::Path;
 
@@ -95,6 +94,22 @@ mod tests {
         save_file(&r, &path).unwrap();
         let r2 = load_file(&path).unwrap();
         assert_eq!(r2.snapshot(), r.snapshot());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn saved_files_are_to_json_byte_for_byte() {
+        // The archival format is pinned: a saved file is exactly the
+        // pretty-printed `to_json` text, so existing archives load
+        // unchanged.
+        let dir =
+            std::env::temp_dir().join(format!("bx-core-persist-bytes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("repo.json");
+        let r = repo();
+        save_file(&r, &path).unwrap();
+        let on_disk = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(on_disk, to_json(&r.snapshot()).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,41 +1,42 @@
 //! Read replicas and federation: replication by shipping the event log.
 //!
-//! ## Single-primary replicas
-//!
-//! A [`Replica`] tails the directory an [`EventLogBackend`] writes —
-//! locally, over a network file system, or rsynced from the primary —
-//! and incrementally maintains three read-side materializations:
-//!
-//! * a [`RepositorySnapshot`] (the folded state, via
-//!   [`crate::event::apply_event`]),
-//! * a [`SearchIndex`] (via [`SearchIndex::apply`]), and
-//! * the entry pages of a [`WikiSite`] (via [`WikiBx::sync_changed`]
-//!   over the tailed events' dirty set),
-//!
-//! so a fleet of replicas can serve search, wiki, citation and manuscript
-//! reads while the primary alone takes writes. [`Replica::catch_up`] is
-//! cheap to call in a loop: within a log generation it applies only the
-//! events appended since the last call; when the primary has checkpointed
-//! (the manifest names a new generation), it *re-bases* — adopts the
-//! checkpoint state and patches the index and site for exactly the
-//! records that differ. The tailing state machine itself is [`LogTail`],
-//! shared with the federation below.
-//!
-//! ## Multi-primary federation
+//! ## One read node for one or N primaries
 //!
 //! A [`Federation`] is one read node tailing **N independent primaries**
-//! (each its own event-log directory and [`LogTail`]) and folding them
-//! into a single merged snapshot, search index and wiki site. Every
-//! record and account is namespaced by its [`SourceId`]
-//! (`"<source>/<id>"`), so colliding entry ids from different primaries
-//! coexist instead of clobbering each other. Per source, the federation
-//! re-bases across checkpoint generations exactly as a single replica
-//! does. The merged state it converges to is specified by the pure
-//! [`federate_snapshots`] fold, which the convergence property tests
-//! (`tests/federation_convergence.rs`) pin it against under interleaved
-//! writes, compaction, killed writers and torn appends.
+//! (each its own event-log directory — local, over a network file
+//! system, or rsynced from the primary — and its own [`LogTail`]) and
+//! folding them into a single merged snapshot, search index and wiki
+//! site, so a fleet of read nodes can serve search, wiki, citation and
+//! manuscript reads while the primaries alone take writes. Every record
+//! and account is namespaced by its [`SourceId`] (`"<source>/<id>"`), so
+//! colliding entry ids from different primaries coexist instead of
+//! clobbering each other.
 //!
-//! [`ReplicaDaemon`] wraps a federation in a background polling thread
+//! [`Federation::catch_up`] is cheap to call in a loop: within a log
+//! generation it applies only the events appended since the last call;
+//! when a primary has checkpointed (its manifest names a new
+//! generation), that source *re-bases* — the federation adopts the
+//! checkpoint state and patches the index and site for exactly the
+//! records that differ. The merged state it converges to is specified
+//! by the pure [`federate_snapshots`] fold, which the convergence
+//! property tests (`tests/federation_convergence.rs`) pin it against
+//! under interleaved writes, compaction, killed writers and torn
+//! appends.
+//!
+//! A single read replica of one primary is a federation of one
+//! [`SourceId::identity`] source, whose namespace is the identity: ids
+//! and account names pass through unchanged. Left unnamed, it takes the
+//! primary's name from the log, so once caught up it holds exactly the
+//! primary's snapshot and cites under the primary's name
+//! (`tests/replica_convergence.rs`):
+//!
+//! ```no_run
+//! # use bx_core::replica::{Federation, SourceId};
+//! let replica = Federation::open("", vec![(SourceId::identity(), "log-dir".into())])?;
+//! # Ok::<(), bx_core::RepoError>(())
+//! ```
+//!
+//! [`ReplicaDaemon`] wraps a federation in a background polling tenant
 //! ([`DaemonConfig`] sets the cadence) with clean start/stop,
 //! [`ReplicaDaemon::force_catch_up`], sticky error surfacing and
 //! [`DaemonStats`] (polls, events applied, rebases, per-source lag).
@@ -69,8 +70,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
-use bx_theory::Bx;
-
 use crate::cite;
 use crate::error::RepoError;
 use crate::event::{apply_event, dirty_set, replay, replay_parallel_with, EventSink, RepoEvent};
@@ -88,12 +87,12 @@ use crate::version::Version;
 use crate::wiki::{render_entry, WikiSite};
 use crate::wiki_bx::WikiBx;
 
-/// What one [`Replica::catch_up`] call did.
+/// What one [`Federation::catch_up`] pass did for one source.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CatchUp {
     /// Events applied from the tailed generation.
     pub events_applied: usize,
-    /// Whether the replica re-based onto a new checkpoint generation.
+    /// Whether the source re-based onto a new checkpoint generation.
     pub rebased: bool,
 }
 
@@ -115,8 +114,8 @@ pub struct TailProgress {
 /// The tailing state machine over one event-log directory: byte-offset
 /// incremental reads within a generation, manifest-stamp change detection,
 /// re-base across checkpoint generations, torn-tail tolerance, and a typed
-/// error when a directory that was being tailed disappears. [`Replica`]
-/// runs one of these; [`Federation`] runs one per source.
+/// error when a directory that was being tailed disappears. A
+/// [`Federation`] runs one per source.
 #[derive(Debug)]
 pub struct LogTail {
     dir: PathBuf,
@@ -202,11 +201,8 @@ impl LogTail {
         self.poll_with(None)
     }
 
-    /// [`LogTail::poll`] with large reads decoded on `pool` — the
-    /// cold-open path of [`Replica::open_on`]. Incremental polls of a
-    /// live tail are small and stay on the calling thread. Observed
-    /// behaviour is identical to [`LogTail::poll`] in every case,
-    /// including which error a corrupt log surfaces.
+    /// [`LogTail::poll`], decoding the read in record-aligned ranges
+    /// across `pool`'s workers when given one (the cold open's path).
     pub(crate) fn poll_with(
         &mut self,
         pool: Option<&WorkerPool>,
@@ -365,303 +361,109 @@ fn unshare(snapshot: Arc<RepositorySnapshot>) -> RepositorySnapshot {
     Arc::try_unwrap(snapshot).unwrap_or_else(|shared| (*shared).clone())
 }
 
-/// A read replica of one event-log directory; see the module docs.
-pub struct Replica {
-    tail: LogTail,
-    bx: WikiBx,
-    snapshot: RepositorySnapshot,
-    index: SearchIndex,
-    site: WikiSite,
-    /// Sinks observing the replicated stream (e.g. a lint engine): each
-    /// gets [`EventSink::rebased`] when the replica adopts a new base and
-    /// [`EventSink::accept`] for every event applied on top.
-    observers: Vec<Arc<dyn EventSink>>,
-}
-
-impl std::fmt::Debug for Replica {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Replica")
-            .field("dir", &self.tail.dir)
-            .field("generation", &self.tail.generation)
-            .field("applied", &self.tail.applied)
-            .field("entries", &self.snapshot.records.len())
-            .finish()
-    }
-}
-
-impl Replica {
-    /// Open a replica over `dir` and catch up to the log's current end.
-    /// The directory may be empty or absent (a primary that has not
-    /// written yet).
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Replica, RepoError> {
-        let (tail, base) = LogTail::open(dir)?;
-        let bx = WikiBx::new();
-        let index = SearchIndex::build(&base);
-        let site = bx.fwd(&base, &WikiSite::new());
-        let mut replica = Replica {
-            tail,
-            bx,
-            snapshot: base,
-            index,
-            site,
-            observers: Vec::new(),
-        };
-        replica.catch_up()?;
-        Ok(replica)
-    }
-
-    /// [`Replica::open`] with decode, replay and derived-state rebuild
-    /// fanned out over `runtime`'s workers — the cold-open path for
-    /// nodes that host many replicas on one bounded set of workers. The
-    /// snapshot, index and site of a quiescent directory are
-    /// byte-for-byte what the sequential open produces, including which
-    /// error a corrupt log surfaces (`tests/restore_parallel.rs`).
-    pub fn open_on(dir: impl Into<PathBuf>, runtime: &Arc<Runtime>) -> Result<Replica, RepoError> {
-        Self::open_pooled(dir.into(), runtime.pool())
-    }
-
-    fn open_pooled(dir: PathBuf, pool: &WorkerPool) -> Result<Replica, RepoError> {
-        let (mut tail, base) = LogTail::open(dir)?;
-        let mut progress = tail.poll_with(Some(pool))?;
-        // A checkpoint racing the open lands as a new base on the first
-        // poll, exactly as in the sequential open's first catch-up.
-        let base = Arc::new(progress.new_base.take().unwrap_or(base));
-        let events = std::mem::take(&mut progress.events);
-        let dirty = dirty_set(&events);
-        let base_ids: Vec<EntryId> = base.records.keys().cloned().collect();
-        let base_pages = render_pages_parallel(&base, base_ids, pool);
-        let snapshot = Arc::new(crate::event::replay_parallel(unshare(base), events, pool));
-        let (index, site) = derived_parallel(base_pages, &snapshot, dirty, pool);
-        Ok(Replica {
-            tail,
-            bx: WikiBx::new(),
-            snapshot: unshare(snapshot),
-            index,
-            site,
-            observers: Vec::new(),
-        })
-    }
-
-    /// Subscribe a sink to the replicated stream. The sink is backfilled
-    /// immediately with [`EventSink::rebased`] over the current snapshot
-    /// (so a derived view starts from the state already tailed), then
-    /// receives [`EventSink::accept`] for every event each later
-    /// [`Replica::catch_up`] applies, and [`EventSink::rebased`] again
-    /// whenever the replica adopts a new base (checkpoint crossed or
-    /// truncation recovered). Sinks run on the catch-up caller's thread.
-    pub fn subscribe(&mut self, sink: Arc<dyn EventSink>) {
-        sink.rebased(&self.snapshot);
-        self.observers.push(sink);
-    }
-
-    /// Pull the replica up to the log's current durable end. Within a
-    /// generation this applies only the events appended since the last
-    /// call; across a checkpoint it re-bases first. Safe to call at any
-    /// cadence.
-    pub fn catch_up(&mut self) -> Result<CatchUp, RepoError> {
-        let progress = self.tail.poll()?;
-        if let Some(base) = progress.new_base {
-            self.rebase(base);
-            for observer in &self.observers {
-                observer.rebased(&self.snapshot);
-            }
-        }
-        let mut dirty: BTreeSet<EntryId> = BTreeSet::new();
-        for event in &progress.events {
-            apply_event(&mut self.snapshot, event);
-            self.index.apply(event);
-            for observer in &self.observers {
-                observer.accept(event);
-            }
-            if event.changes_rendered_page() {
-                if let Some(id) = event.touched() {
-                    dirty.insert(id.clone());
-                }
-            }
-        }
-        if !dirty.is_empty() {
-            self.bx.sync_changed(&self.snapshot, &mut self.site, &dirty);
-        }
-        Ok(CatchUp {
-            events_applied: progress.events.len(),
-            rebased: progress.rebased,
-        })
-    }
-
-    /// Adopt `target` as the replica state, updating the index and site
-    /// for exactly the records that differ from the current snapshot.
-    fn rebase(&mut self, target: RepositorySnapshot) {
-        let mut dirty: BTreeSet<EntryId> = BTreeSet::new();
-        for (id, record) in &target.records {
-            if self.snapshot.records.get(id) != Some(record) {
-                self.index.upsert_entry(id, record.latest());
-                dirty.insert(id.clone());
-            }
-        }
-        // Records the target no longer has (impossible through the
-        // curation API, which never deletes, but a foreign log might).
-        for id in self.snapshot.records.keys() {
-            if !target.records.contains_key(id) {
-                self.index.remove_entry(id);
-                dirty.insert(id.clone());
-            }
-        }
-        self.snapshot = target;
-        if !dirty.is_empty() {
-            self.bx.sync_changed(&self.snapshot, &mut self.site, &dirty);
-        }
-    }
-
-    /// The replicated state (equals the primary's snapshot after the
-    /// primary flushed and this replica caught up).
-    pub fn snapshot(&self) -> &RepositorySnapshot {
-        &self.snapshot
-    }
-
-    /// The incrementally maintained search index.
-    pub fn index(&self) -> &SearchIndex {
-        &self.index
-    }
-
-    /// Conjunctive keyword search served from the replica.
-    pub fn query(&self, terms: &[&str]) -> Vec<(EntryId, u32)> {
-        self.index.query(terms)
-    }
-
-    /// The incrementally maintained wiki site (entry pages).
-    pub fn site(&self) -> &WikiSite {
-        &self.site
-    }
-
-    /// The recommended citation for one replicated entry (latest or
-    /// pinned version), served without touching the primary.
-    pub fn cite(&self, id: &EntryId, version: Option<Version>) -> Result<String, RepoError> {
-        cite::cite_in(&self.snapshot, id, version)
-    }
-
-    /// Citations for every replicated entry's latest version, in id
-    /// order.
-    pub fn citations(&self) -> Vec<String> {
-        cite::citations(&self.snapshot)
-    }
-
-    /// The archival manuscript export (§5.2) over the replicated state.
-    pub fn export_manuscript(&self, options: ManuscriptOptions) -> String {
-        export_manuscript(&self.snapshot, options)
-    }
-
-    /// The directory being tailed.
-    pub fn dir(&self) -> &Path {
-        self.tail.dir()
-    }
-
-    /// Tail position: (current generation file, events applied from it).
-    pub fn position(&self) -> (&str, usize) {
-        self.tail.position()
-    }
-}
-
 /// A short, slug-shaped identifier for one primary feeding a
 /// [`Federation`]. Source ids namespace everything a source contributes
 /// to the merged state: entry `composers` from source `eu` becomes
 /// `eu/composers`, account `alice` becomes `eu/alice`. The separator can
 /// never appear inside a source id (construction slugifies), so distinct
 /// sources can never produce colliding namespaced keys.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SourceId(String);
+///
+/// [`SourceId::identity`] is the one source whose namespace is the
+/// identity: a federation of it alone is a plain read replica.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct SourceId(
+    /// The namespaced-key prefix, `"<slug>/"`; empty for the identity.
+    String,
+);
 
 impl SourceId {
     /// Build a source id from any label; the label is slugified
     /// (lowercase alphanumerics and dashes), so `"EU mirror"` becomes
     /// `eu-mirror`. An empty slug is rejected at [`Federation::open`].
     pub fn new(label: &str) -> SourceId {
-        SourceId(slug_of(label))
+        SourceId(format!("{}/", slug_of(label)))
     }
 
-    /// The slug text.
+    /// The source whose namespace is the identity: entry ids and account
+    /// names pass through unchanged and it owns every id. It must be its
+    /// federation's only source ([`Federation::open`] rejects it beside
+    /// any other, whose ids it could collide with).
+    pub fn identity() -> SourceId {
+        SourceId(String::new())
+    }
+
+    /// The slug text (empty for the identity).
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0.strip_suffix('/').unwrap_or_default()
     }
 
     /// The namespaced form of one of this source's entry ids.
     pub fn entry_id(&self, id: &EntryId) -> EntryId {
-        EntryId(format!("{}/{}", self.0, id.as_str()))
+        EntryId(format!("{}{}", self.0, id.as_str()))
     }
 
     /// The namespaced form of one of this source's account names.
     pub fn account(&self, name: &str) -> String {
-        format!("{}/{name}", self.0)
+        format!("{}{name}", self.0)
     }
 
     /// Does a namespaced entry id belong to this source?
     pub fn owns(&self, id: &EntryId) -> bool {
-        id.as_str()
-            .strip_prefix(&self.0)
-            .is_some_and(|rest| rest.starts_with('/'))
+        id.as_str().starts_with(&self.0)
     }
+}
 
-    /// The namespaced-key prefix of this source (`"<source>/"`).
-    fn prefix(&self) -> String {
-        format!("{}/", self.0)
+/// Source ids order by slug, as labels read; the stored prefix breaks
+/// the one tie, the identity (`""`) against an empty slug (`"/"`).
+impl Ord for SourceId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.as_str(), &self.0).cmp(&(other.as_str(), &other.0))
+    }
+}
+
+impl PartialOrd for SourceId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl std::fmt::Debug for SourceId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("SourceId").field(&self.as_str()).finish()
     }
 }
 
 impl std::fmt::Display for SourceId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        f.write_str(self.as_str())
     }
 }
 
-/// Rewrite one source event into the federation's namespace: entry ids
-/// and account names gain the `<source>/` prefix; entry payloads (titles,
-/// authors, comments) pass through untouched — they are display data, not
-/// keys. The result is what the merged snapshot, index and site consume.
-fn namespace_event(source: &SourceId, event: &RepoEvent) -> RepoEvent {
-    use crate::event::{Commented, EntryDelta, EntryRef, Founded, Registered, RoleGranted};
-    let ns_principal = |p: &Principal| Principal {
-        name: source.account(&p.name),
-        ..p.clone()
-    };
+/// Rewrite one source event into the federation's namespace, in place:
+/// entry ids and account names gain the `<source>/` prefix; entry
+/// payloads (titles, authors, comments) pass through untouched — they are
+/// display data, not keys. The result is what the merged snapshot, index
+/// and site consume.
+fn namespace_event(source: &SourceId, event: &mut RepoEvent) {
+    // Prefixing in place allocates only when a key outgrows its buffer,
+    // and not at all for the identity's empty prefix.
+    let prefix = |key: &mut String| key.insert_str(0, &source.0);
     match event {
-        RepoEvent::Founded(f) => RepoEvent::Founded(Founded {
-            name: f.name.clone(),
-            curators: f.curators.iter().map(ns_principal).collect(),
-        }),
-        RepoEvent::Registered(r) => RepoEvent::Registered(Registered {
-            principal: ns_principal(&r.principal),
-        }),
-        RepoEvent::RoleGranted(g) => RepoEvent::RoleGranted(RoleGranted {
-            account: source.account(&g.account),
-            role: g.role,
-        }),
-        RepoEvent::Contributed(d) => RepoEvent::Contributed(EntryDelta {
-            id: source.entry_id(&d.id),
-            entry: d.entry.clone(),
-        }),
-        RepoEvent::Revised(d) => RepoEvent::Revised(EntryDelta {
-            id: source.entry_id(&d.id),
-            entry: d.entry.clone(),
-        }),
-        RepoEvent::Approved(d) => RepoEvent::Approved(EntryDelta {
-            id: source.entry_id(&d.id),
-            entry: d.entry.clone(),
-        }),
-        RepoEvent::Commented(c) => RepoEvent::Commented(Commented {
-            id: source.entry_id(&c.id),
-            comment: c.comment.clone(),
-        }),
-        RepoEvent::ReviewRequested(r) => RepoEvent::ReviewRequested(EntryRef {
-            id: source.entry_id(&r.id),
-        }),
-        RepoEvent::ChangesRequested(r) => RepoEvent::ChangesRequested(EntryRef {
-            id: source.entry_id(&r.id),
-        }),
+        RepoEvent::Founded(f) => f.curators.iter_mut().for_each(|c| prefix(&mut c.name)),
+        RepoEvent::Registered(r) => prefix(&mut r.principal.name),
+        RepoEvent::RoleGranted(g) => prefix(&mut g.account),
+        RepoEvent::Contributed(d) | RepoEvent::Revised(d) | RepoEvent::Approved(d) => {
+            prefix(&mut d.id.0);
+        }
+        RepoEvent::Commented(c) => prefix(&mut c.id.0),
+        RepoEvent::ReviewRequested(r) | RepoEvent::ChangesRequested(r) => prefix(&mut r.id.0),
     }
 }
 
 /// The pure specification of federated state: namespace every source's
 /// records and accounts under its [`SourceId`] and merge them into one
-/// snapshot named `name`. A [`Federation`] that has caught up with all
+/// snapshot named `name` (an empty `name` takes the source's own, see
+/// [`Federation::open`]). A [`Federation`] that has caught up with all
 /// its sources holds exactly `federate_snapshots(name, per_source_folds)`
 /// — the invariant the convergence property tests assert.
 pub fn federate_snapshots(
@@ -670,6 +472,7 @@ pub fn federate_snapshots(
 ) -> RepositorySnapshot {
     let mut merged = RepositorySnapshot::empty(name);
     for (source, snapshot) in sources {
+        adopt_name(&mut merged, &snapshot.name);
         for (id, record) in &snapshot.records {
             merged.records.insert(source.entry_id(id), record.clone());
         }
@@ -687,13 +490,22 @@ pub fn federate_snapshots(
     merged
 }
 
+/// An unnamed federation takes the first name its source's log gives it
+/// (a checkpoint's snapshot or the `Founded` event); a named one keeps
+/// its own.
+fn adopt_name(merged: &mut RepositorySnapshot, source_name: &str) {
+    if merged.name.is_empty() {
+        merged.name = source_name.to_string();
+    }
+}
+
 /// Apply one *namespaced* event to the merged snapshot. Identical to
-/// [`apply_event`] except for `Founded`, which must register the source's
-/// curators without adopting the source repository's name (the federation
-/// keeps its own).
+/// [`apply_event`] except for `Founded`, which registers the source's
+/// curators and leaves the naming to [`adopt_name`].
 fn apply_federated(merged: &mut RepositorySnapshot, event: &RepoEvent) {
     match event {
         RepoEvent::Founded(f) => {
+            adopt_name(merged, &f.name);
             for c in &f.curators {
                 merged.accounts.insert(c.name.clone(), c.clone());
             }
@@ -732,7 +544,6 @@ pub struct FederationCatchUp {
 /// One read node tailing N independent primaries into a single merged
 /// snapshot, search index and wiki site; see the module docs.
 pub struct Federation {
-    name: String,
     sources: Vec<(SourceId, LogTail)>,
     /// One supervision state machine per source, index-aligned with
     /// `sources`.
@@ -756,7 +567,7 @@ pub struct Federation {
 impl std::fmt::Debug for Federation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Federation")
-            .field("name", &self.name)
+            .field("name", &self.snapshot.name)
             .field(
                 "sources",
                 &self.sources.iter().map(|(s, _)| s).collect::<Vec<_>>(),
@@ -769,12 +580,17 @@ impl std::fmt::Debug for Federation {
 impl Federation {
     /// Open a federation named `name` over `(source, directory)` pairs
     /// and catch up to every source's current durable end. Source ids
-    /// must be non-empty and pairwise distinct; directories may be empty
-    /// or absent (primaries that have not written yet).
+    /// must be non-empty and pairwise distinct, and
+    /// [`SourceId::identity`] must be the only source if present;
+    /// directories may be empty or absent (primaries that have not
+    /// written yet). An empty `name` is allowed over one source only:
+    /// the federation then takes the name that source's log gives it,
+    /// so `Federation::open("", vec![(SourceId::identity(), dir)])` is
+    /// a replica that snapshots, cites and exports exactly as its
+    /// primary does.
     pub fn open(name: &str, sources: Vec<(SourceId, PathBuf)>) -> Result<Federation, RepoError> {
-        Self::validate_sources(&sources)?;
+        Self::validate_sources(name, &sources)?;
         let mut federation = Federation {
-            name: name.to_string(),
             sources: Vec::with_capacity(sources.len()),
             supervisors: Vec::with_capacity(sources.len()),
             retry: RetryPolicy::default(),
@@ -803,16 +619,31 @@ impl Federation {
         Ok(federation)
     }
 
-    /// Source ids must be non-empty and pairwise distinct.
-    fn validate_sources(sources: &[(SourceId, PathBuf)]) -> Result<(), RepoError> {
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
+    /// Source ids must be non-empty and pairwise distinct, the identity
+    /// must be the only source, and so must an unnamed federation's.
+    fn validate_sources(name: &str, sources: &[(SourceId, PathBuf)]) -> Result<(), RepoError> {
+        if name.is_empty() && sources.len() > 1 {
+            // With several logs, which one named the federation would
+            // depend on which primary founded first.
+            return Err(RepoError::Persist(
+                "a federation of several sources needs a name".to_string(),
+            ));
+        }
+        let mut seen: BTreeSet<&SourceId> = BTreeSet::new();
         for (source, _) in sources {
-            if source.as_str().is_empty() {
+            if source.0 == "/" {
                 return Err(RepoError::Persist(
                     "federation source ids must be non-empty".to_string(),
                 ));
             }
-            if !seen.insert(source.as_str()) {
+            if source.0.is_empty() && sources.len() > 1 {
+                return Err(RepoError::Persist(
+                    "the identity source must be a federation's only source: \
+                     its ids could collide with a namespaced peer's"
+                        .to_string(),
+                ));
+            }
+            if !seen.insert(source) {
                 return Err(RepoError::Persist(format!(
                     "duplicate federation source id `{source}`"
                 )));
@@ -821,18 +652,17 @@ impl Federation {
         Ok(())
     }
 
-    /// [`Federation::open`] with the N sources tailed **concurrently**
-    /// on `runtime`'s workers — the cold-open path for nodes that host
-    /// many federations (or federations of many sources) on one bounded
-    /// set of workers. Each source's open-and-decode runs as one pool job
-    /// (source-level parallelism — a nested scatter from inside a job
-    /// would run inline, so per-source decode stays a single sequential
-    /// job), then the merged replay and derived-state rebuild fan out
+    /// [`Federation::open`] with the cold open fanned out over
+    /// `runtime`'s workers — the path for nodes that host many
+    /// federations (or large sources) on one bounded set of workers.
+    /// Sources open one after another on the calling thread, each
+    /// decoding its log in record-aligned ranges across the pool, so a
+    /// single large source decodes as much in parallel as many small
+    /// ones; then the merged replay and derived-state rebuild fan out
     /// over the same pool. On quiescent directories the merged snapshot,
-    /// index and site are byte-for-byte the sequential open's; a failing
-    /// source surfaces the same error the sequential open would (the
-    /// first in source order), though sources listed after it will
-    /// already have been read.
+    /// index and site are byte-for-byte the sequential open's, and a
+    /// failing source surfaces the same error (the first in source
+    /// order).
     pub fn open_on(
         name: &str,
         sources: Vec<(SourceId, PathBuf)>,
@@ -846,39 +676,37 @@ impl Federation {
         sources: Vec<(SourceId, PathBuf)>,
         pool: &WorkerPool,
     ) -> Result<Federation, RepoError> {
-        Self::validate_sources(&sources)?;
-        type Opened = Result<(LogTail, RepositorySnapshot, Vec<RepoEvent>), RepoError>;
-        let jobs: Vec<Box<dyn FnOnce() -> Opened + Send>> = sources
-            .iter()
-            .map(|(_, dir)| {
-                let dir = dir.clone();
-                Box::new(move || -> Opened {
-                    let (mut tail, base) = LogTail::open(dir)?;
-                    let mut progress = tail.poll()?;
-                    let base = progress.new_base.take().unwrap_or(base);
-                    Ok((tail, base, progress.events))
-                }) as Box<dyn FnOnce() -> Opened + Send>
-            })
-            .collect();
+        Self::validate_sources(name, &sources)?;
         let mut tails = Vec::with_capacity(sources.len());
         let mut bases = Vec::with_capacity(sources.len());
         let mut events: Vec<RepoEvent> = Vec::new();
-        for ((source, _), opened) in sources.iter().zip(pool.scatter(jobs)) {
-            // Ordered gather: the first failing source in source order
-            // reports, as it would sequentially.
-            let (tail, base, tailed) = opened?;
-            events.extend(tailed.iter().map(|e| namespace_event(source, e)));
+        for (source, dir) in sources {
+            let (mut tail, base) = LogTail::open(dir)?;
+            let mut progress = tail.poll_with(Some(pool))?;
+            // A checkpoint racing the open lands as a new base on the
+            // first poll, exactly as in the sequential open's catch-up.
+            let base = progress.new_base.take().unwrap_or(base);
+            for event in &mut progress.events {
+                namespace_event(&source, event);
+            }
+            // Events are large: move the first source's batch, append
+            // the rest.
+            if events.is_empty() {
+                events = progress.events;
+            } else {
+                events.append(&mut progress.events);
+            }
             tails.push((source.clone(), tail));
-            bases.push((source.clone(), base));
+            bases.push((source, base));
         }
         let base = Arc::new(federate_snapshots(name, &bases));
         drop(bases);
         let dirty = dirty_set(&events);
         let base_ids: Vec<EntryId> = base.records.keys().cloned().collect();
         let base_pages = render_pages_parallel(&base, base_ids, pool);
-        // The federated replay keeps the federation's own name: `Founded`
-        // barriers register a source's curators without adopting its
-        // repository name.
+        // The federated replay keeps a named federation's name: `Founded`
+        // barriers register a source's curators and name only an
+        // unnamed snapshot.
         let snapshot = Arc::new(replay_parallel_with(
             unshare(base),
             events,
@@ -888,7 +716,6 @@ impl Federation {
         let (index, site) = derived_parallel(base_pages, &snapshot, dirty, pool);
         let supervisors = tails.iter().map(|_| SourceSupervisor::default()).collect();
         Ok(Federation {
-            name: name.to_string(),
             sources: tails,
             supervisors,
             retry: RetryPolicy::default(),
@@ -903,9 +730,9 @@ impl Federation {
     }
 
     /// The federation's own name (kept regardless of what the source
-    /// repositories are called).
+    /// repositories are called), or an unnamed one's source's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.snapshot.name
     }
 
     /// The source ids, in tail order.
@@ -1002,9 +829,10 @@ impl Federation {
                     observer.rebased(&self.snapshot);
                 }
             }
+            let events_applied = progress.events.len();
             let mut dirty: BTreeSet<EntryId> = BTreeSet::new();
-            for event in &progress.events {
-                let event = namespace_event(&source, event);
+            for mut event in progress.events {
+                namespace_event(&source, &mut event);
                 apply_federated(&mut self.snapshot, &event);
                 self.index.apply(&event);
                 for observer in &self.observers {
@@ -1020,7 +848,7 @@ impl Federation {
                 self.bx.sync_changed(&self.snapshot, &mut self.site, &dirty);
             }
             let step = CatchUp {
-                events_applied: progress.events.len(),
+                events_applied,
                 rebased: progress.rebased || salvage_rebased,
             };
             total.events_applied += step.events_applied;
@@ -1140,6 +968,7 @@ impl Federation {
     /// state, patching the index and site for exactly the namespaced
     /// records that differ — the per-source re-base path.
     fn rebase_source(&mut self, source: &SourceId, target: RepositorySnapshot) {
+        adopt_name(&mut self.snapshot, &target.name);
         let mut dirty: BTreeSet<EntryId> = BTreeSet::new();
         let target_records: BTreeMap<EntryId, EntryRecord> = target
             .records
@@ -1168,10 +997,9 @@ impl Federation {
         }
         // Accounts: replace this source's namespace wholesale (accounts
         // feed no index or page, so no diffing is needed).
-        let prefix = source.prefix();
         self.snapshot
             .accounts
-            .retain(|name, _| !name.starts_with(&prefix));
+            .retain(|name, _| !name.starts_with(&source.0));
         for (name, principal) in &target.accounts {
             let namespaced = source.account(name);
             self.snapshot.accounts.insert(
@@ -1187,13 +1015,13 @@ impl Federation {
         }
     }
 
-    /// The merged records belonging to `source` (keys carry the
-    /// `<source>/` prefix).
+    /// The merged records belonging to `source` (keys carry its
+    /// `<source>/` prefix; every record for the identity).
     fn records_of<'a>(
         &'a self,
         source: &'a SourceId,
     ) -> impl Iterator<Item = (&'a EntryId, &'a EntryRecord)> {
-        let start = EntryId(source.prefix());
+        let start = EntryId(source.0.clone());
         self.snapshot
             .records
             .range(start..)
@@ -1450,6 +1278,9 @@ impl ReplicaDaemon {
     /// ticks fire on the runtime's pool, and every pass publishes
     /// [`HealthReport::Daemon`] on the runtime's health channel under
     /// `component`, next to the federation's supervision transitions.
+    /// The first pass runs on the caller's thread before this returns,
+    /// so a fresh daemon is never blind for a full interval and no later
+    /// [`ReplicaDaemon::force_catch_up`] races it.
     pub fn spawn_on(
         mut federation: Federation,
         config: DaemonConfig,
@@ -1468,15 +1299,13 @@ impl ReplicaDaemon {
             poll_interval: config.poll_interval,
             retry_scheduled: AtomicBool::new(false),
         });
+        // Poll errors are recorded (sticky) and polling continues; a
+        // vanished source may come back.
+        let _ = shared.pass();
         let tick_shared = shared.clone();
         let tick = runtime.schedule_periodic(config.poll_interval, move || {
-            // Poll errors are recorded (sticky) and polling continues;
-            // a vanished source may come back.
             let _ = tick_shared.pass();
         });
-        // Poll once immediately, so a fresh daemon isn't blind for a
-        // full interval.
-        tick.fire_now();
         ReplicaDaemon {
             shared,
             tick: Some(tick),
@@ -1621,6 +1450,12 @@ mod tests {
             .unwrap()
     }
 
+    /// A plain read replica of one primary's log directory: an unnamed
+    /// federation of the identity source, named by the primary's log.
+    fn replica(dir: &Path) -> Federation {
+        Federation::open("", vec![(SourceId::identity(), dir.to_path_buf())]).unwrap()
+    }
+
     #[test]
     fn replica_tails_within_a_generation() {
         let dir = unique_dir("tail");
@@ -1629,7 +1464,7 @@ mod tests {
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         backend.record(&r.drain_events()).unwrap();
 
-        let mut replica = Replica::open(&dir).unwrap();
+        let mut replica = replica(&dir);
         assert_eq!(replica.snapshot(), &r.snapshot());
         assert!(replica.query(&["composers"]).is_empty());
 
@@ -1639,12 +1474,12 @@ mod tests {
 
         let progress = replica.catch_up().unwrap();
         assert_eq!(progress.events_applied, 2);
-        assert!(!progress.rebased);
+        assert_eq!(progress.rebases, 0);
         assert_eq!(replica.snapshot(), &r.snapshot());
         assert_eq!(replica.query(&["composers"]).len(), 1);
-        assert!(replica.bx.consistent(replica.snapshot(), replica.site()));
+        assert!(WikiBx::new().consistent(replica.snapshot(), replica.site()));
         // Idempotent when nothing new arrived.
-        assert_eq!(replica.catch_up().unwrap(), CatchUp::default());
+        assert_eq!(replica.catch_up().unwrap().per_source, [CatchUp::default()]);
     }
 
     #[test]
@@ -1660,7 +1495,7 @@ mod tests {
         )
         .unwrap();
         backend.record(&r.drain_events()).unwrap();
-        let mut replica = Replica::open(&dir).unwrap();
+        let mut replica = replica(&dir);
 
         // Mutations + a checkpoint the replica has not seen yet.
         let id = r.contribute("alice", entry("COMPOSERS")).unwrap();
@@ -1671,11 +1506,14 @@ mod tests {
         backend.record(&r.drain_events()).unwrap();
 
         let progress = replica.catch_up().unwrap();
-        assert!(progress.rebased, "the manifest moved to a new generation");
+        assert_eq!(
+            progress.rebases, 1,
+            "the manifest moved to a new generation"
+        );
         assert_eq!(progress.events_applied, 1, "only the post-checkpoint tail");
         assert_eq!(replica.snapshot(), &r.snapshot());
         assert_eq!(replica.index(), &SearchIndex::build(&r.snapshot()));
-        assert!(replica.bx.consistent(replica.snapshot(), replica.site()));
+        assert!(WikiBx::new().consistent(replica.snapshot(), replica.site()));
     }
 
     #[test]
@@ -1688,7 +1526,7 @@ mod tests {
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         let events = r.drain_events();
         backend.record(&events).unwrap();
-        let mut replica = Replica::open(&dir).unwrap();
+        let mut replica = replica(&dir);
         assert_eq!(replica.snapshot(), &r.snapshot());
 
         // A foreign hand truncates the log to its first three lines.
@@ -1698,11 +1536,11 @@ mod tests {
         std::fs::write(&log, &keep).unwrap();
 
         let progress = replica.catch_up().unwrap();
-        assert!(progress.rebased, "a shrunken log forces a re-base");
+        assert_eq!(progress.rebases, 1, "a shrunken log forces a re-base");
         let expected = crate::event::replay(RepositorySnapshot::empty(""), &events[..3]);
         assert_eq!(replica.snapshot(), &expected);
         assert_eq!(replica.index(), &SearchIndex::build(&expected));
-        assert!(replica.bx.consistent(replica.snapshot(), replica.site()));
+        assert!(WikiBx::new().consistent(replica.snapshot(), replica.site()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1721,9 +1559,9 @@ mod tests {
         text.push_str("{\"Commented\":{\"id\":\"co");
         std::fs::write(&log, text).unwrap();
 
-        let mut replica = Replica::open(&dir).unwrap();
+        let mut replica = replica(&dir);
         assert_eq!(replica.snapshot(), &r.snapshot());
-        let (_, applied) = replica.position();
+        let (_, _, applied) = replica.positions()[0];
         assert_eq!(applied, events.len(), "the torn fragment was not counted");
 
         // The writer reopens (repairing the tail) and appends for real.
@@ -1744,37 +1582,59 @@ mod tests {
     #[test]
     fn replica_serves_citations_and_manuscript() {
         let dir = unique_dir("serve");
-        let r = Repository::found("The Bx Examples Repository", vec![Principal::curator("c")]);
+        let name = "The Bx Examples Repository";
+        let r = Repository::found(name, vec![Principal::curator("c")]);
         r.register(Principal::member("alice")).unwrap();
         let id = r.contribute("alice", entry("COMPOSERS")).unwrap();
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         backend.record(&r.drain_events()).unwrap();
 
-        let replica = Replica::open(&dir).unwrap();
+        // Unnamed, the replica cites under the name the log gives it:
+        // the `Founded` event here, the checkpoint's snapshot below.
+        let mut replica = replica(&dir);
+        assert_eq!(replica.name(), name);
         let cites = replica.citations();
-        assert_eq!(cites.len(), 1);
+        assert_eq!(cites, crate::cite::citations(&r.snapshot()));
+        assert!(cites[0].contains(name));
         assert!(cites[0].contains("COMPOSERS, version 0.1"));
         assert_eq!(replica.cite(&id, None).unwrap(), cites[0]);
         assert!(replica.cite(&id, Some(Version::new(9, 9))).is_err());
         let manuscript = replica.export_manuscript(ManuscriptOptions::default());
         assert!(manuscript.contains("++ COMPOSERS"));
         assert!(manuscript.contains("@misc{bx-composers-0-1,"));
+
+        backend.checkpoint(&r.snapshot()).unwrap();
+        let outcome = replica.catch_up().unwrap();
+        assert_eq!((outcome.errors.len(), outcome.rebases), (0, 1));
+        assert_eq!(replica.citations(), cites);
+        let sources = vec![(SourceId::identity(), dir.clone())];
+        for reopened in [
+            Federation::open("", sources.clone()).unwrap(),
+            Federation::open_on("", sources.clone(), &Runtime::new(2)).unwrap(),
+        ] {
+            assert_eq!(reopened.snapshot(), &r.snapshot());
+            assert_eq!(reopened.citations(), cites);
+        }
+        // A named replica keeps its own name whatever the log says.
+        let named = Federation::open("mirror", sources).unwrap();
+        assert_eq!(named.name(), "mirror");
+        assert!(!named.citations()[0].contains(name));
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // == catch_up edge cases (satellite) ==
+    // == catch_up edge cases ==
 
     #[test]
     fn replica_opens_over_an_empty_or_absent_directory() {
         // Absent directory: the primary has not even created it yet.
         let dir = unique_dir("absent");
-        let mut replica = Replica::open(&dir).unwrap();
+        let mut replica = replica(&dir);
         assert!(replica.snapshot().records.is_empty());
-        assert_eq!(replica.catch_up().unwrap(), CatchUp::default());
+        assert_eq!(replica.catch_up().unwrap().per_source, [CatchUp::default()]);
 
         // Present-but-empty directory: same story.
         std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(replica.catch_up().unwrap(), CatchUp::default());
+        assert_eq!(replica.catch_up().unwrap().per_source, [CatchUp::default()]);
 
         // The first real write is then picked up normally.
         let r = Repository::found("bx", vec![Principal::curator("c")]);
@@ -1795,7 +1655,7 @@ mod tests {
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         backend.record(&r.drain_events()).unwrap();
         // The replica opens while no checkpoint manifest exists.
-        let mut replica = Replica::open(&dir).unwrap();
+        let mut replica = replica(&dir);
         assert_eq!(replica.snapshot(), &r.snapshot());
 
         // Between polls the primary writes its *first* checkpoint: the
@@ -1805,42 +1665,69 @@ mod tests {
         backend.checkpoint(&r.snapshot()).unwrap();
 
         let progress = replica.catch_up().unwrap();
-        assert!(progress.rebased, "the appearing manifest forces a re-base");
+        assert_eq!(
+            progress.rebases, 1,
+            "the appearing manifest forces a re-base"
+        );
         assert_eq!(replica.snapshot(), &r.snapshot());
         assert_eq!(replica.index(), &SearchIndex::build(&r.snapshot()));
-        assert!(replica.bx.consistent(replica.snapshot(), replica.site()));
+        assert!(WikiBx::new().consistent(replica.snapshot(), replica.site()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// One supervised pass over a single replica whose source just
+    /// failed: the typed error lands in `errors`, the state is untouched,
+    /// and the very next pass is skipped under the default backoff.
+    fn assert_supervised_failure(replica: &mut Federation, expected: &RepositorySnapshot) {
+        let outcome = replica.catch_up().unwrap();
+        assert_eq!(outcome.errors.len(), 1);
+        let (source, err) = &outcome.errors[0];
+        assert_eq!(source, &SourceId::identity());
+        assert!(
+            matches!(err, RepoError::SourceUnavailable { dir } if dir.contains("vanish")),
+            "expected SourceUnavailable naming the vanished directory, got {err:?}"
+        );
+        assert_eq!(
+            replica.snapshot(),
+            expected,
+            "the last good state keeps serving"
+        );
+        let outcome = replica.catch_up().unwrap();
+        assert_eq!(
+            (outcome.skipped, outcome.errors.len()),
+            (1, 0),
+            "backed off"
+        );
+        // An operator who repaired the source asks for it back now.
+        assert!(replica.retry_source_now(&SourceId::identity()));
+    }
+
     #[test]
-    fn replica_surfaces_a_typed_error_when_the_source_dir_vanishes() {
+    fn replica_supervises_a_vanished_source_dir() {
         let dir = unique_dir("vanish");
         let r = Repository::found("bx", vec![Principal::curator("c")]);
         r.register(Principal::member("alice")).unwrap();
         r.contribute("alice", entry("COMPOSERS")).unwrap();
+        let events = r.drain_events();
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
-        backend.record(&r.drain_events()).unwrap();
-        let mut replica = Replica::open(&dir).unwrap();
+        backend.record(&events).unwrap();
+        let mut replica = replica(&dir);
         assert_eq!(replica.snapshot(), &r.snapshot());
 
         std::fs::remove_dir_all(&dir).unwrap();
-        let err = replica.catch_up().unwrap_err();
-        assert!(
-            matches!(err, RepoError::SourceUnavailable { ref dir } if dir.contains("vanish")),
-            "expected SourceUnavailable, got {err:?}"
-        );
-        // State is untouched — the replica keeps serving its last good
-        // view, and a restored directory resumes tailing.
-        assert_eq!(replica.snapshot(), &r.snapshot());
-        std::fs::create_dir_all(&dir).unwrap();
+        assert_supervised_failure(&mut replica, &r.snapshot());
+        // A restored directory resumes tailing.
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
-        backend.record(&r.drain_events()).unwrap();
-        assert!(replica.catch_up().is_ok());
+        backend.record(&events).unwrap();
+        let outcome = replica.catch_up().unwrap();
+        assert!(outcome.errors.is_empty());
+        assert_eq!(replica.snapshot(), &r.snapshot());
+        assert_eq!(replica.source_status()[0].1.health, SourceHealth::Healthy);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn replica_surfaces_a_typed_error_when_the_manifest_vanishes() {
+    fn replica_supervises_a_vanished_manifest() {
         let dir = unique_dir("manifest-vanish");
         let r = Repository::found("bx", vec![Principal::curator("c")]);
         r.register(Principal::member("alice")).unwrap();
@@ -1848,7 +1735,7 @@ mod tests {
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         backend.record(&r.drain_events()).unwrap();
         backend.checkpoint(&r.snapshot()).unwrap();
-        let mut replica = Replica::open(&dir).unwrap();
+        let mut replica = replica(&dir);
         assert_eq!(replica.snapshot(), &r.snapshot());
 
         // The manifest alone disappears (mid-rsync, stray delete) while
@@ -1857,13 +1744,7 @@ mod tests {
         let manifest = dir.join("checkpoint.json");
         let saved = std::fs::read(&manifest).unwrap();
         std::fs::remove_file(&manifest).unwrap();
-        let err = replica.catch_up().unwrap_err();
-        assert!(matches!(err, RepoError::SourceUnavailable { .. }));
-        assert_eq!(
-            replica.snapshot(),
-            &r.snapshot(),
-            "the last good state keeps serving"
-        );
+        assert_supervised_failure(&mut replica, &r.snapshot());
 
         // A restored manifest resumes tailing where it left off.
         std::fs::write(&manifest, saved).unwrap();
@@ -1876,7 +1757,8 @@ mod tests {
         .unwrap();
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         backend.record(&r.drain_events()).unwrap();
-        replica.catch_up().unwrap();
+        let outcome = replica.catch_up().unwrap();
+        assert_eq!((outcome.errors.len(), outcome.rebases), (0, 0));
         assert_eq!(replica.snapshot(), &r.snapshot());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1902,6 +1784,88 @@ mod tests {
         let e = SourceId::new("eu");
         assert!(!e.owns(&ns));
         assert_eq!(eu.account("alice"), "eu-mirror/alice");
+        // Ids order by slug (`eu` before `eu-mirror`), not by the stored
+        // `"<slug>/"` prefix, where '-' sorts before '/'.
+        assert!(e < eu);
+        assert!(SourceId::identity() < SourceId::new("!!"));
+        assert!(SourceId::new("!!") < e);
+    }
+
+    #[test]
+    fn the_identity_source_passes_ids_and_accounts_through_and_owns_everything() {
+        let identity = SourceId::identity();
+        let id = EntryId::from_title("COMPOSERS");
+        assert_eq!(identity.entry_id(&id), id);
+        assert_eq!(identity.account("alice"), "alice");
+        assert!(identity.owns(&id));
+        assert!(identity.owns(&SourceId::new("eu").entry_id(&id)));
+        assert_eq!(identity.as_str(), "");
+        assert_ne!(
+            identity,
+            SourceId::new("!!"),
+            "an empty slug is not the identity"
+        );
+    }
+
+    #[test]
+    fn federation_rejects_an_identity_source_beside_another() {
+        let dir = unique_dir("fed-identity-peer");
+        for sources in [
+            vec![SourceId::identity(), SourceId::new("a")],
+            vec![SourceId::new("a"), SourceId::identity()],
+            vec![SourceId::identity(), SourceId::identity()],
+        ] {
+            let sources: Vec<(SourceId, PathBuf)> =
+                sources.into_iter().map(|s| (s, dir.clone())).collect();
+            let err = Federation::open("fed", sources.clone()).unwrap_err();
+            assert!(matches!(err, RepoError::Persist(ref m) if m.contains("identity")));
+            let err = Federation::open_on("fed", sources, &Runtime::new(1)).unwrap_err();
+            assert!(matches!(err, RepoError::Persist(ref m) if m.contains("identity")));
+        }
+    }
+
+    #[test]
+    fn federation_of_several_sources_needs_a_name() {
+        let dir = unique_dir("fed-unnamed");
+        let sources = vec![
+            (SourceId::new("a"), dir.join("a")),
+            (SourceId::new("b"), dir.join("b")),
+        ];
+        let err = Federation::open("", sources.clone()).unwrap_err();
+        assert!(matches!(err, RepoError::Persist(ref m) if m.contains("needs a name")));
+        let err = Federation::open_on("", sources, &Runtime::new(1)).unwrap_err();
+        assert!(matches!(err, RepoError::Persist(ref m) if m.contains("needs a name")));
+        // One namespaced source may go unnamed: it takes its log's name.
+        let r = primary("alpha");
+        r.contribute("alice", entry("COMPOSERS")).unwrap();
+        let mut backend = crate::storage::EventLogBackend::open(dir.join("a")).unwrap();
+        backend.record(&r.drain_events()).unwrap();
+        let one = Federation::open("", vec![(SourceId::new("a"), dir.join("a"))]).unwrap();
+        assert_eq!(
+            one.snapshot(),
+            &federate_snapshots("alpha", &[(SourceId::new("a"), r.snapshot())])
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn federating_one_identity_source_only_renames_the_snapshot() {
+        let r = primary("alpha");
+        r.contribute("alice", entry("COMPOSERS")).unwrap();
+        let snapshot = r.snapshot();
+        let federated = federate_snapshots("fed", &[(SourceId::identity(), snapshot.clone())]);
+        assert_eq!(
+            federated,
+            RepositorySnapshot {
+                name: "fed".to_string(),
+                ..snapshot.clone()
+            }
+        );
+        // Unnamed, it is the input exactly.
+        assert_eq!(
+            federate_snapshots("", &[(SourceId::identity(), snapshot.clone())]),
+            snapshot
+        );
     }
 
     #[test]
@@ -2072,53 +2036,42 @@ mod tests {
     }
 
     #[test]
-    fn parallel_replica_open_matches_sequential_exactly() {
-        let (dir, r) = textured_dir("par-open");
-        let sequential = Replica::open(&dir).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let parallel = Replica::open_on(&dir, &Runtime::new(threads)).unwrap();
-            assert_eq!(
-                parallel.snapshot(),
-                sequential.snapshot(),
-                "{threads} threads"
-            );
-            assert_eq!(parallel.index(), sequential.index(), "{threads} threads");
-            assert_eq!(parallel.site(), sequential.site(), "{threads} threads");
-            assert_eq!(
-                parallel.position(),
-                sequential.position(),
-                "{threads} threads"
-            );
-            assert_eq!(parallel.snapshot(), &r.snapshot());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn parallel_federation_open_matches_sequential_exactly() {
-        let (dir_a, _) = textured_dir("par-fed-a");
+        let (dir_a, r) = textured_dir("par-fed-a");
         let (dir_b, _) = textured_dir("par-fed-b");
-        let sources = vec![
-            (SourceId::new("a"), dir_a.clone()),
-            (SourceId::new("b"), dir_b.clone()),
-        ];
-        let sequential = Federation::open("fed", sources.clone()).unwrap();
-        for threads in [1, 4] {
-            let parallel =
-                Federation::open_on("fed", sources.clone(), &Runtime::new(threads)).unwrap();
-            assert_eq!(parallel.name(), sequential.name());
-            assert_eq!(
-                parallel.snapshot(),
-                sequential.snapshot(),
-                "{threads} threads"
-            );
-            assert_eq!(parallel.index(), sequential.index(), "{threads} threads");
-            assert_eq!(parallel.site(), sequential.site(), "{threads} threads");
-            assert_eq!(
-                parallel.positions(),
-                sequential.positions(),
-                "{threads} threads"
-            );
+        for (name, sources) in [
+            // A plain replica: one unnamed identity source, which takes
+            // its primary's name from the log.
+            ("", vec![(SourceId::identity(), dir_a.clone())]),
+            (
+                "fed",
+                vec![
+                    (SourceId::new("a"), dir_a.clone()),
+                    (SourceId::new("b"), dir_b.clone()),
+                ],
+            ),
+        ] {
+            let sequential = Federation::open(name, sources.clone()).unwrap();
+            for threads in [1, 2, 4, 8] {
+                let parallel =
+                    Federation::open_on(name, sources.clone(), &Runtime::new(threads)).unwrap();
+                assert_eq!(parallel.name(), sequential.name());
+                assert_eq!(
+                    parallel.snapshot(),
+                    sequential.snapshot(),
+                    "{threads} threads"
+                );
+                assert_eq!(parallel.index(), sequential.index(), "{threads} threads");
+                assert_eq!(parallel.site(), sequential.site(), "{threads} threads");
+                assert_eq!(
+                    parallel.positions(),
+                    sequential.positions(),
+                    "{threads} threads"
+                );
+            }
+            if sources.len() == 1 {
+                assert_eq!(sequential.snapshot(), &r.snapshot());
+            }
         }
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
@@ -2458,80 +2411,54 @@ mod tests {
     }
 
     #[test]
-    fn replica_observers_see_backfill_events_and_rebases() {
-        let dir = unique_dir("observe");
-        let r = Repository::found("bx", vec![Principal::curator("c")]);
-        r.register(Principal::member("alice")).unwrap();
-        let mut backend = AutoCompactingEventLog::open(
-            &dir,
-            CompactionPolicy {
-                checkpoint_every: 1_000_000,
-            },
-        )
-        .unwrap();
-        backend.record(&r.drain_events()).unwrap();
-
-        let mut replica = Replica::open(&dir).unwrap();
-        let sink = Arc::new(RecordingSink::default());
-        replica.subscribe(sink.clone());
-        assert_eq!(
-            sink.rebases.lock().unwrap().as_slice(),
-            &[0],
-            "subscription backfills with the current (empty-records) base"
-        );
-
-        // Tailed events reach the observer verbatim.
-        let id = r.contribute("alice", entry("COMPOSERS")).unwrap();
-        backend.record(&r.drain_events()).unwrap();
-        replica.catch_up().unwrap();
-        assert_eq!(sink.accepted.lock().unwrap().len(), 1);
-
-        // A checkpoint crossing notifies rebased, then the tail events.
-        backend.checkpoint(&r.snapshot()).unwrap();
-        r.comment("alice", &id, "2014-03-28", "observed").unwrap();
-        backend.record(&r.drain_events()).unwrap();
-        let progress = replica.catch_up().unwrap();
-        assert!(progress.rebased);
-        assert_eq!(sink.rebases.lock().unwrap().as_slice(), &[0, 1]);
-        assert_eq!(sink.accepted.lock().unwrap().len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn federation_observers_see_namespaced_events() {
-        let dir = unique_dir("fed-observe");
-        let a = primary("alpha");
-        a.contribute("alice", entry("COMPOSERS")).unwrap();
-        let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
-        backend.record(&a.drain_events()).unwrap();
+        // The identity source's observers see the primary's own ids.
+        for (source, composers) in [
+            (SourceId::new("a"), "a/composers"),
+            (SourceId::identity(), "composers"),
+        ] {
+            let dir = unique_dir("fed-observe");
+            let a = primary("alpha");
+            let mut backend = AutoCompactingEventLog::open(
+                &dir,
+                CompactionPolicy {
+                    checkpoint_every: 1_000_000,
+                },
+            )
+            .unwrap();
+            a.contribute("alice", entry("COMPOSERS")).unwrap();
+            backend.record(&a.drain_events()).unwrap();
 
-        let mut federation =
-            Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap();
-        let sink = Arc::new(RecordingSink::default());
-        federation.subscribe(sink.clone());
-        assert_eq!(
-            sink.rebases.lock().unwrap().as_slice(),
-            &[1],
-            "backfill delivers the already-merged base"
-        );
+            let mut federation = Federation::open("fed", vec![(source, dir.clone())]).unwrap();
+            let sink = Arc::new(RecordingSink::default());
+            federation.subscribe(sink.clone());
+            assert_eq!(
+                sink.rebases.lock().unwrap().as_slice(),
+                &[1],
+                "backfill delivers the already-merged base"
+            );
 
-        a.comment(
-            "alice",
-            &EntryId::from_title("COMPOSERS"),
-            "2014-03-28",
-            "federated",
-        )
-        .unwrap();
-        backend.record(&a.drain_events()).unwrap();
-        federation.catch_up().unwrap();
-        let accepted = sink.accepted.lock().unwrap();
-        assert_eq!(accepted.len(), 1);
-        assert_eq!(
-            accepted[0].touched().map(|id| id.as_str().to_string()),
-            Some("a/composers".to_string()),
-            "observers see the namespaced form"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+            let id = EntryId::from_title("COMPOSERS");
+            a.comment("alice", &id, "2014-03-28", "federated").unwrap();
+            backend.record(&a.drain_events()).unwrap();
+            federation.catch_up().unwrap();
+            assert_eq!(
+                sink.accepted.lock().unwrap()[0]
+                    .touched()
+                    .map(|id| id.as_str().to_string()),
+                Some(composers.to_string()),
+                "observers see the namespaced form"
+            );
+
+            // A checkpoint crossing notifies rebased, then the tail events.
+            backend.checkpoint(&a.snapshot()).unwrap();
+            a.comment("alice", &id, "2014-03-29", "observed").unwrap();
+            backend.record(&a.drain_events()).unwrap();
+            assert_eq!(federation.catch_up().unwrap().rebases, 1);
+            assert_eq!(sink.rebases.lock().unwrap().as_slice(), &[1, 1]);
+            assert_eq!(sink.accepted.lock().unwrap().len(), 2);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -2567,12 +2494,7 @@ mod tests {
             &Runtime::new(1),
             "daemon",
         );
-        // Let the immediate first pass land so stop() isn't racing it.
-        let settle = std::time::Instant::now();
-        while daemon.stats().polls == 0 && settle.elapsed() < Duration::from_secs(5) {
-            std::thread::yield_now();
-        }
-        assert!(daemon.stats().polls >= 1, "the spawn-time pass ran");
+        assert_eq!(daemon.stats().polls, 1, "the spawn-time pass ran");
         // The next tick is ~5 s out; stop must not wait for it.
         let begin = std::time::Instant::now();
         daemon.stop();
@@ -2582,6 +2504,67 @@ mod tests {
             begin.elapsed()
         );
         assert!(!daemon.is_running());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn daemon_runs_its_first_pass_before_spawn_returns() {
+        let dir = unique_dir("daemon-first-pass");
+        let a = primary("alpha");
+        let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
+        backend.record(&a.drain_events()).unwrap();
+        let federation = Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap();
+        // Park the runtime's only worker: a pass handed to the pool could
+        // not run until it is released.
+        let runtime = Runtime::new(1);
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        runtime.execute(move || {
+            let _ = parked.recv();
+        });
+        let mut daemon =
+            ReplicaDaemon::spawn_on(federation, DaemonConfig::default(), &runtime, "daemon");
+        assert_eq!(
+            daemon.stats().polls,
+            1,
+            "the first pass ran on the caller's thread"
+        );
+        release.send(()).unwrap();
+        daemon.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn daemon_over_an_identity_federation_serves_unnamespaced_ids() {
+        let dir = unique_dir("daemon-identity");
+        let a = primary("alpha");
+        a.contribute("alice", entry("COMPOSERS")).unwrap();
+        let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
+        backend.record(&a.drain_events()).unwrap();
+        let federation =
+            Federation::open("alpha", vec![(SourceId::identity(), dir.clone())]).unwrap();
+        let daemon = ReplicaDaemon::spawn_on(
+            federation,
+            DaemonConfig::default(),
+            &Runtime::new(1),
+            "daemon",
+        );
+        a.contribute("alice", entry("DATES")).unwrap();
+        backend.record(&a.drain_events()).unwrap();
+        daemon.force_catch_up().unwrap();
+        let hits: Vec<EntryId> = daemon
+            .query(&["composers"])
+            .into_iter()
+            .chain(daemon.query(&["dates"]))
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(
+            hits,
+            [
+                EntryId::from_title("COMPOSERS"),
+                EntryId::from_title("DATES")
+            ]
+        );
+        assert_eq!(daemon.into_federation().snapshot(), &a.snapshot());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -727,9 +727,7 @@ impl Drop for TimerWheel {
 pub struct TimerTask {
     id: u64,
     wheel: Arc<TimerShared>,
-    pool: Weak<WorkerPool>,
     ctl: Arc<TimerCtl>,
-    job: TimerJob,
 }
 
 impl std::fmt::Debug for TimerTask {
@@ -751,15 +749,6 @@ impl TimerTask {
         let mut state = self.ctl.state.lock().unwrap_or_else(|e| e.into_inner());
         while state.0 || state.1 > 0 {
             state = self.ctl.done.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Fire the job now (onto the pool), without waiting for the next
-    /// deadline. Coalesced like a timer firing: a still-running
-    /// previous firing absorbs it.
-    pub fn fire_now(&self) {
-        if let Some(pool) = self.pool.upgrade() {
-            TimerWheel::fire(&pool, &self.job, &Some(Arc::clone(&self.ctl)));
         }
     }
 }
@@ -1027,15 +1016,13 @@ impl Runtime {
         let id = self.timers.insert(TimerEntry {
             deadline: Instant::now() + period,
             period: Some(period),
-            job: Arc::clone(&job),
+            job,
             ctl: Some(Arc::clone(&ctl)),
         });
         TimerTask {
             id,
             wheel: Arc::clone(&self.timers.shared),
-            pool: Arc::downgrade(&self.pool),
             ctl,
-            job,
         }
     }
 

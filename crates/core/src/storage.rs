@@ -3,10 +3,6 @@
 //!
 //! * [`MemoryBackend`] — snapshot + event log held in memory; the unit-test
 //!   and caching substrate.
-//! * [`JsonFileBackend`] — one pretty-printed JSON snapshot file, the
-//!   format [`crate::persist`] has always written (archives stay
-//!   readable). Recording deltas rewrites the whole file, so its cost
-//!   scales with repository size — it is the compatibility backend.
 //! * [`SegmentedLog`] — the append-only log engine: a generation of
 //!   [`RepoEvent`] records next to an optional checkpoint manifest;
 //!   recording a delta batch is O(batch), and recovery is checkpoint +
@@ -50,7 +46,6 @@ use serde::{Deserialize, Serialize};
 use crate::binlog::{generation_of, segment_files, FrameCodec};
 use crate::error::RepoError;
 use crate::event::{apply_event, replay, RepoEvent};
-use crate::persist;
 use crate::repo::RepositorySnapshot;
 use crate::runtime::{HealthReport, RuntimeHealth};
 
@@ -71,7 +66,7 @@ pub enum DurabilityMode {
 /// drops). Deltas arrive in batches via `record`; `checkpoint` compacts;
 /// `restore` recovers the latest state.
 pub trait StorageBackend {
-    /// A short human-readable backend name ("memory", "json-file", …).
+    /// A short human-readable backend name ("memory", "event-log", …).
     fn kind(&self) -> &'static str;
 
     /// Append a batch of deltas (typically
@@ -199,67 +194,6 @@ impl StorageBackend for MemoryBackend {
 
     fn restore(&self) -> Result<RepositorySnapshot, RepoError> {
         Ok(replay(self.base.clone(), &self.log))
-    }
-}
-
-/// The legacy single-file JSON backend: exactly the format
-/// [`persist::save_file`] writes, so existing archives load unchanged.
-#[derive(Debug, Clone)]
-pub struct JsonFileBackend {
-    path: PathBuf,
-}
-
-impl JsonFileBackend {
-    /// Persist to (and restore from) `path`.
-    pub fn new(path: impl Into<PathBuf>) -> JsonFileBackend {
-        JsonFileBackend { path: path.into() }
-    }
-
-    /// The snapshot file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl StorageBackend for JsonFileBackend {
-    fn kind(&self) -> &'static str {
-        "json-file"
-    }
-
-    /// A snapshot file has no incremental representation: fold the deltas
-    /// into the current state and rewrite the whole file.
-    fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
-        let base = if self.path.exists() {
-            self.restore()?
-        } else {
-            RepositorySnapshot::empty("")
-        };
-        self.checkpoint(&replay(base, events))
-    }
-
-    fn checkpoint(&mut self, snapshot: &RepositorySnapshot) -> Result<(), RepoError> {
-        std::fs::write(&self.path, persist::to_json(snapshot)?).map_err(io_err)
-    }
-
-    fn restore(&self) -> Result<RepositorySnapshot, RepoError> {
-        let json = std::fs::read_to_string(&self.path).map_err(io_err)?;
-        persist::from_json(&json)
-    }
-
-    /// The snapshot file is rewritten whole on every `record`, so there
-    /// is nothing staged to batch — but it is file-backed, so the fsync
-    /// point still pushes the latest rewrite past the page cache.
-    fn flush_durable(&mut self) -> Result<(), RepoError> {
-        match std::fs::File::open(&self.path) {
-            Ok(file) => file
-                .sync_all()
-                .map_err(|e| RepoError::persist_io("fsync json snapshot", e)),
-            // Nothing recorded yet: nothing to make durable. Any other
-            // open failure must surface — reporting Ok would acknowledge
-            // events as durable with no fsync having happened.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(RepoError::persist_io("open json snapshot for fsync", e)),
-        }
     }
 }
 
@@ -1377,23 +1311,6 @@ mod tests {
     }
 
     #[test]
-    fn json_file_backend_keeps_the_legacy_format() {
-        let dir = unique_dir("json");
-        std::fs::create_dir_all(&dir).unwrap();
-        let r = busy_repository();
-        let mut backend = JsonFileBackend::new(dir.join("repo.json"));
-        backend.record(&r.drain_events()).unwrap();
-        assert_eq!(backend.restore().unwrap(), r.snapshot());
-        // The file is byte-identical to what persist has always written —
-        // and loads through the legacy loader.
-        let on_disk = std::fs::read_to_string(backend.path()).unwrap();
-        assert_eq!(on_disk, persist::to_json(&r.snapshot()).unwrap());
-        let legacy = persist::load_file(backend.path()).unwrap();
-        assert_eq!(legacy.snapshot(), r.snapshot());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn corrupt_log_lines_report_typed_corrupt_frames() {
         let dir = unique_dir("corrupt");
         let backend = EventLogBackend::open(&dir).unwrap();
@@ -1884,27 +1801,5 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&bin_dir).ok();
-    }
-
-    #[test]
-    fn missing_json_file_reports_persist_error() {
-        let backend = JsonFileBackend::new("/nonexistent/definitely/missing.json");
-        assert!(matches!(backend.restore(), Err(RepoError::Persist(_))));
-    }
-
-    #[test]
-    fn json_flush_durable_skips_only_a_missing_file() {
-        let dir = unique_dir("json-fsync");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Absent snapshot: nothing recorded yet, nothing to sync.
-        let mut absent = JsonFileBackend::new(dir.join("missing.json"));
-        absent.flush_durable().unwrap();
-        // Any other open failure must surface, not masquerade as durable:
-        // a path routed *through* a regular file fails with NotADirectory.
-        let blocking = dir.join("plain-file");
-        std::fs::write(&blocking, "x").unwrap();
-        let mut broken = JsonFileBackend::new(blocking.join("nested.json"));
-        assert!(matches!(broken.flush_durable(), Err(RepoError::Persist(_))));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

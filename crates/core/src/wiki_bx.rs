@@ -106,8 +106,8 @@ impl WikiBx {
     /// [`crate::event::dirty_set`] extracts from the event stream
     /// ([`crate::repo::Repository::drain_events`], or the per-event
     /// pushes a [`crate::event::EventSink`] receives — this is how a
-    /// [`crate::replica::Replica`] keeps its wiki converging with the
-    /// primary's). The total `fwd`/`bwd` remain the law-checked
+    /// [`crate::replica::Federation`] keeps its wiki converging with its
+    /// primaries'). The total `fwd`/`bwd` remain the law-checked
     /// semantics; this is the scaling fast path.
     pub fn sync_changed(
         &self,

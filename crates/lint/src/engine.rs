@@ -13,8 +13,9 @@
 //! caller's [`bx_core::Runtime`] ([`LawChecker::on_runtime`]) runs the
 //! actual checks off-thread and folds results into a shared index with
 //! last-write-wins version stamps. Subscribe it to a
-//! [`bx_core::Repository`], a [`bx_core::Replica`] or a
-//! [`bx_core::Federation`] and query diagnostics next to search.
+//! [`bx_core::Repository`] or a [`bx_core::Federation`] (a read
+//! replica is a federation of one identity source) and query
+//! diagnostics next to search.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -200,9 +201,9 @@ impl Inner {
 
 /// The live law-checking service; see the module docs. Implements
 /// [`EventSink`], so it plugs into `Repository::subscribe(_with_backfill)`,
-/// `Replica::subscribe` and `Federation::subscribe` unchanged; the
-/// `rebased` notification (replica checkpoint crossings, initial
-/// backfill) triggers a full re-check.
+/// and `Federation::subscribe` unchanged; the `rebased` notification
+/// (a source's checkpoint crossing, initial backfill) triggers a full
+/// re-check.
 pub struct LawChecker {
     inner: Arc<Inner>,
     runtime: Arc<Runtime>,

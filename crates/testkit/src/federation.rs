@@ -16,18 +16,22 @@
 //! returned per-source folds are the **durable** states — what any
 //! correct reader of those directories, and therefore the federation's
 //! merged materializations, must converge to.
+//!
+//! [`open_replica`] and [`catch_up_clean`] drive the one-source case: a
+//! plain read replica is a federation of the identity source.
 
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
 use bx_core::binlog::is_binary_generation;
+use bx_core::replica::{Federation, FederationCatchUp, SourceId};
 use bx_core::repo::RepositorySnapshot;
 use bx_core::storage::{
     AutoCompactingBinaryLog, AutoCompactingEventLog, CompactionPolicy, EventLogBackend,
     StorageBackend,
 };
-use bx_core::{BinaryLogBackend, Repository};
+use bx_core::{BinaryLogBackend, RepoError, Repository};
 
 use crate::faults::{torn_append, torn_append_binary, CrashingBackend};
 use crate::ops::{apply_op, arb_ops, scripted_repository, RepoOp};
@@ -250,6 +254,27 @@ pub fn drive_federation(dirs: &[PathBuf], script: &FederationScript) -> Vec<Repo
             EventLogBackend::restore_dir(dir).expect("durable fold reads")
         })
         .collect()
+}
+
+/// A plain read replica of the primary logging into `dir`: an unnamed
+/// [`Federation`] of the one [`SourceId::identity`] source, which takes
+/// the primary's name from its log, so once caught up its snapshot
+/// equals the primary's.
+pub fn open_replica(dir: &Path) -> Result<Federation, RepoError> {
+    Federation::open("", vec![(SourceId::identity(), dir.to_path_buf())])
+}
+
+/// One catch-up pass that must not fail: panics with the typed errors
+/// of any source the pass could not poll (a supervised pass reports
+/// them in [`FederationCatchUp::errors`] instead of returning `Err`).
+pub fn catch_up_clean(federation: &mut Federation) -> FederationCatchUp {
+    let outcome = federation.catch_up().expect("a catch-up pass never aborts");
+    assert!(
+        outcome.errors.is_empty(),
+        "sources failed: {:?}",
+        outcome.errors
+    );
+    outcome
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@ pub use faults::{
     torn_append, BreakCorrectFwd, BreakHippocraticBwd, BreakHippocraticFwd, CrashingBackend,
 };
 pub use federation::{
-    arb_federation_script, arb_source_plan, drive_federation, FederationScript, SourcePlan,
+    arb_federation_script, arb_source_plan, catch_up_clean, drive_federation, open_replica,
+    FederationScript, SourcePlan,
 };
 pub use harness::{assert_well_behaved, samples_from_models};

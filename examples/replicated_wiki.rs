@@ -1,6 +1,7 @@
 //! Replication by shipping the event log: a primary repository with a
 //! background durability writer, and a read replica that tails the log
-//! directory and serves a converging wiki + search index.
+//! directory and serves a converging wiki + search index. The replica is
+//! a federation of one identity source: ids pass through unchanged.
 //!
 //! Run with: `cargo run --example replicated_wiki`
 
@@ -8,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
-use bx::core::replica::Replica;
+use bx::core::replica::{Federation, SourceId};
 use bx::core::storage::{AutoCompactingEventLog, CompactionPolicy};
 use bx::core::{EntryId, ExampleEntry, ExampleType, Principal, Repository, Runtime};
 
@@ -82,12 +83,16 @@ fn main() {
     // == the replica ==
     // In production this directory would be rsynced / NFS-shared; here the
     // replica tails it in place. It serves wiki pages and search without
-    // ever touching the primary.
-    let mut replica = Replica::open(&dir).expect("replica opens");
+    // ever touching the primary. A one-source federation of the identity
+    // source passes ids through; left unnamed, it takes the primary's
+    // name from the log.
+    let mut replica =
+        Federation::open("", vec![(SourceId::identity(), dir.clone())]).expect("replica opens");
+    let (_, generation, applied) = replica.positions()[0];
     println!(
         "replica: {} entries at position {:?}",
         replica.snapshot().records.len(),
-        replica.position()
+        (generation, applied)
     );
     let page = replica
         .site()
@@ -120,9 +125,13 @@ fn main() {
 
     writer.flush().expect("background writer healthy");
     let progress = replica.catch_up().expect("replica tails");
+    if let Some((_, error)) = progress.errors.first() {
+        panic!("replica tails: {error}");
+    }
     println!(
         "replica caught up: {} tailed event(s), rebased across a checkpoint: {}",
-        progress.events_applied, progress.rebased
+        progress.events_applied,
+        progress.rebases == 1
     );
     println!(
         "replica page tracks the revision: {}",

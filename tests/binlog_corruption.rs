@@ -9,12 +9,13 @@
 //! `CrashingBackend` fuse leaves a recoverable directory behind.
 
 use bx::core::binlog::BinaryLogBackend;
-use bx::core::replica::{LogTail, Replica};
+use bx::core::replica::LogTail;
 use bx::core::storage::{
     AutoCompactingBinaryLog, CompactionPolicy, EventLogBackend, StorageBackend,
 };
 use bx::core::{Principal, RepoError};
 use bx_testkit::faults::CrashingBackend;
+use bx_testkit::federation::{catch_up_clean, open_replica};
 use bx_testkit::ops::{apply_ops, scripted_repository, unique_temp_dir, valid_entry, RepoOp};
 
 /// A short deterministic script producing a healthy spread of event
@@ -212,18 +213,18 @@ fn replicas_tail_binary_logs_incrementally_and_across_checkpoints() {
     let mut backend = BinaryLogBackend::open(&dir).unwrap();
     backend.record(&repo.drain_events()).unwrap();
 
-    let mut replica = Replica::open(&dir).unwrap();
+    let mut replica = open_replica(&dir).unwrap();
     assert_eq!(replica.snapshot(), &repo.snapshot());
 
     // Unchanged log: polling applies nothing and does not rebase.
-    let idle = replica.catch_up().unwrap();
-    assert_eq!((idle.events_applied, idle.rebased), (0, false));
+    let idle = catch_up_clean(&mut replica);
+    assert_eq!((idle.events_applied, idle.rebases), (0, 0));
 
     // Incremental: only the appended tail is applied.
     apply_ops(&repo, &script(&["Tailed"]));
     backend.record(&repo.drain_events()).unwrap();
-    let caught = replica.catch_up().unwrap();
-    assert!(caught.events_applied > 0 && !caught.rebased);
+    let caught = catch_up_clean(&mut replica);
+    assert!(caught.events_applied > 0 && caught.rebases == 0);
     assert_eq!(replica.snapshot(), &repo.snapshot());
 
     // Checkpoint crossing: the tail adopts the new base (rebases) and
@@ -231,8 +232,8 @@ fn replicas_tail_binary_logs_incrementally_and_across_checkpoints() {
     backend.checkpoint(&repo.snapshot()).unwrap();
     apply_ops(&repo, &script(&["Post Checkpoint"]));
     backend.record(&repo.drain_events()).unwrap();
-    let crossed = replica.catch_up().unwrap();
-    assert!(crossed.rebased);
+    let crossed = catch_up_clean(&mut replica);
+    assert_eq!(crossed.rebases, 1);
     assert_eq!(replica.snapshot(), &repo.snapshot());
 }
 
@@ -284,14 +285,14 @@ fn auto_compaction_checkpoints_binary_logs_and_replicas_follow() {
     )
     .unwrap();
     backend.record(&repo.drain_events()).unwrap();
-    let mut replica = Replica::open(&dir).unwrap();
+    let mut replica = open_replica(&dir).unwrap();
 
     let mut rebases = 0;
     for round in 0..4 {
         apply_ops(&repo, &script(&[&format!("Compacted {round}")]));
         backend.record(&repo.drain_events()).unwrap();
-        let caught = replica.catch_up().unwrap();
-        rebases += usize::from(caught.rebased);
+        let caught = catch_up_clean(&mut replica);
+        rebases += caught.rebases;
         assert_eq!(replica.snapshot(), &repo.snapshot());
     }
     assert!(

@@ -7,11 +7,11 @@
 //! * `WikiBx::sync_changed` over the event dirty set ≡ the total
 //!   `WikiBx::fwd`;
 //! * event-log replay (and the other `StorageBackend`s) ≡ the JSON
-//!   snapshot restore.
+//!   snapshot file restore.
 
 use bx::core::event::{dirty_set, replay};
 use bx::core::index::SearchIndex;
-use bx::core::storage::{EventLogBackend, JsonFileBackend, MemoryBackend, StorageBackend};
+use bx::core::storage::{EventLogBackend, MemoryBackend, StorageBackend};
 use bx::core::wiki_bx::WikiBx;
 use bx::core::{persist, Repository, WikiSite};
 use bx::theory::Bx;
@@ -63,14 +63,15 @@ proptest! {
         }
     }
 
-    /// All three storage backends, fed the same event stream, restore the
-    /// same state — and that state round-trips the JSON snapshot path.
+    /// Both storage backends, fed the same event stream, restore the same
+    /// state as the archival snapshot file saved at the same points — and
+    /// that state round-trips the JSON snapshot path.
     #[test]
     fn backends_agree_with_snapshot_restore(ops in arb_ops(16)) {
         let repo = scripted_repository();
         let mut memory = MemoryBackend::new();
         let json_dir = unique_temp_dir("delta-eq-json");
-        let mut json = JsonFileBackend::new(json_dir.join("repo.json"));
+        let json = json_dir.join("repo.json");
         let log_dir = unique_temp_dir("delta-eq-log");
         let mut log = EventLogBackend::open(&log_dir).unwrap();
 
@@ -79,13 +80,13 @@ proptest! {
         let checkpoint_at = ops.len() / 2;
         let events = repo.drain_events();
         memory.record(&events).unwrap();
-        json.record(&events).unwrap();
+        persist::save_file(&repo, &json).unwrap();
         log.record(&events).unwrap();
         for (i, op) in ops.iter().enumerate() {
             apply_op(&repo, op);
             let events = repo.drain_events();
             memory.record(&events).unwrap();
-            json.record(&events).unwrap();
+            persist::save_file(&repo, &json).unwrap();
             log.record(&events).unwrap();
             if i == checkpoint_at {
                 log.checkpoint(&repo.snapshot()).unwrap();
@@ -95,9 +96,9 @@ proptest! {
         let expected = repo.snapshot();
         // Replay of the full journal (drained incrementally above) is what
         // the memory backend holds; the log backend mixes checkpoint and
-        // replay; the json backend folds eagerly.
+        // replay; the snapshot file holds the last saved state whole.
         prop_assert_eq!(memory.restore().unwrap(), expected.clone());
-        prop_assert_eq!(json.restore().unwrap(), expected.clone());
+        prop_assert_eq!(persist::load_file(&json).unwrap().snapshot(), expected.clone());
         prop_assert_eq!(log.restore().unwrap(), expected.clone());
         // …and they agree with the plain JSON snapshot round trip.
         let json_restore = persist::from_json(&persist::to_json(&expected).unwrap()).unwrap();

@@ -478,17 +478,9 @@ fn quarantined_corrupt_sources_salvage_and_report_on_the_runtime_channel() {
         "fed",
     );
 
-    // The spawn-time pass runs on the runtime. Let it finish before the
-    // forced passes: left to race them, it can take the salvage step
-    // after a forced pass quarantined, and no forced pass reports it.
-    let started = std::time::Instant::now();
-    while daemon.stats().polls == 0 {
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "the spawn-time pass finishes"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // The spawn-time pass ran on this thread before `spawn_on` returned,
+    // so no background pass races the forced ones below.
+    assert_eq!(daemon.stats().polls, 1);
 
     // Quarantine, then salvage. The spawn-time pass may have consumed
     // either step already, so drive passes until both sources report a

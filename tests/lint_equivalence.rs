@@ -11,10 +11,11 @@
 use std::sync::Arc;
 
 use bx::core::event::{EntryDelta, RepoEvent};
-use bx::core::replica::{Federation, Replica, SourceId};
+use bx::core::replica::{Federation, SourceId};
 use bx::core::storage::{EventLogBackend, StorageBackend};
 use bx::core::{EntryId, ExampleEntry, ExampleType, Principal, Repository, Runtime};
 use bx::lint::{full_check, CheckCatalog, LawChecker, LintLaw, Linter, Severity};
+use bx_testkit::federation::{catch_up_clean, open_replica};
 use bx_testkit::ops::{apply_op, arb_ops, scripted_repository, unique_temp_dir, valid_entry};
 use proptest::prelude::*;
 
@@ -73,7 +74,7 @@ proptest! {
         let mut backend = EventLogBackend::open(&dir).unwrap();
         backend.record(&repo.drain_events()).unwrap();
 
-        let mut replica = Replica::open(&dir).unwrap();
+        let mut replica = open_replica(&dir).unwrap();
         let checker = Arc::new(LawChecker::on_runtime(empty_catalog(), &Runtime::new(2), "lint"));
         replica.subscribe(checker.clone());
 
@@ -81,7 +82,7 @@ proptest! {
         for op in &ops[..mid] {
             apply_op(&repo, op);
             backend.record(&repo.drain_events()).unwrap();
-            replica.catch_up().unwrap();
+            catch_up_clean(&mut replica);
         }
 
         // A torn append lands (a crashed writer): the replica must not
@@ -91,7 +92,7 @@ proptest! {
         let mut text = std::fs::read_to_string(&log).unwrap();
         text.push_str("{\"Commented\":{\"id\":\"co");
         std::fs::write(&log, text).unwrap();
-        replica.catch_up().unwrap();
+        catch_up_clean(&mut replica);
         checker.wait_idle();
         prop_assert_eq!(
             checker.diagnostics(),
@@ -106,8 +107,8 @@ proptest! {
             backend.record(&repo.drain_events()).unwrap();
         }
         backend.checkpoint(&repo.snapshot()).unwrap();
-        let progress = replica.catch_up().unwrap();
-        prop_assert!(progress.rebased, "the checkpoint forces a re-base");
+        let progress = catch_up_clean(&mut replica);
+        prop_assert_eq!(progress.rebases, 1, "the checkpoint forces a re-base");
         checker.wait_idle();
         prop_assert_eq!(replica.snapshot(), &repo.snapshot());
         prop_assert_eq!(

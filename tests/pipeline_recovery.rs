@@ -1,8 +1,9 @@
 //! Fault injection over the background durability pipeline: the writer
 //! thread is killed mid-stream (a `CrashingBackend` fuse burns out inside
 //! a batch), the final append is torn as if the process died mid-`write`,
-//! and recovery — `EventLogBackend` reopen plus a `Replica` tailing the
-//! directory — must converge with the primary.
+//! and recovery — `EventLogBackend` reopen plus a read replica (a
+//! one-source identity `Federation`) tailing the directory — must
+//! converge with the primary.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,13 +11,13 @@ use std::time::Duration;
 use bx::core::event::replay;
 use bx::core::index::SearchIndex;
 use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
-use bx::core::replica::Replica;
 use bx::core::repo::RepositorySnapshot;
 use bx::core::storage::{EventLogBackend, StorageBackend};
 use bx::core::wiki_bx::WikiBx;
 use bx::core::{RepoError, Runtime};
 use bx::theory::Bx;
 use bx_testkit::faults::{torn_append, CrashingBackend};
+use bx_testkit::federation::{catch_up_clean, open_replica};
 use bx_testkit::ops::{apply_ops, scripted_repository, unique_temp_dir, RepoOp};
 
 /// A deterministic script big enough to outlive the fuse.
@@ -107,7 +108,7 @@ fn killed_writer_and_torn_append_recover_to_the_primary() {
 
     // A replica tailing the healed directory converges on all three
     // materializations.
-    let replica = Replica::open(&dir).unwrap();
+    let replica = open_replica(&dir).unwrap();
     let snap = repo.snapshot();
     assert_eq!(replica.snapshot(), &snap);
     assert_eq!(replica.index(), &SearchIndex::build(&snap));
@@ -231,7 +232,7 @@ fn replica_converges_while_the_writer_crashes_and_is_replaced() {
 
     // A replica opened against the crashed directory sees the durable
     // prefix — a consistent (if stale) state, never a torn one.
-    let mut replica = Replica::open(&dir).unwrap();
+    let mut replica = open_replica(&dir).unwrap();
     assert_eq!(
         replica.snapshot(),
         &replay(RepositorySnapshot::empty(""), &all_events[..fuse])
@@ -260,7 +261,7 @@ fn replica_converges_while_the_writer_crashes_and_is_replaced() {
     // removed); its accepts drop events into its sticky-error counter and
     // must not disturb the live pipeline.
 
-    replica.catch_up().unwrap();
+    catch_up_clean(&mut replica);
     let snap = repo.snapshot();
     assert_eq!(replica.snapshot(), &snap);
     assert_eq!(replica.index(), &SearchIndex::build(&snap));

@@ -1,5 +1,6 @@
-//! Replica convergence, property-tested: for any random mutation script,
-//! a `Replica` tailing the primary's event-log directory — written by the
+//! Read-replica convergence, property-tested: for any random mutation script,
+//! a read replica (a `Federation` of the one identity `SourceId`, named
+//! after the primary) tailing the primary's event-log directory — written by the
 //! background durability pipeline under an auto-compaction policy —
 //! converges with the primary after `flush()`: snapshot, search results
 //! and rendered wiki pages all agree, at every intermediate sync point
@@ -9,17 +10,18 @@ use std::sync::Arc;
 
 use bx::core::index::SearchIndex;
 use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
-use bx::core::replica::Replica;
+use bx::core::replica::Federation;
 use bx::core::storage::{AutoCompactingEventLog, CompactionPolicy};
 use bx::core::wiki_bx::WikiBx;
 use bx::core::Runtime;
 use bx::theory::Bx;
+use bx_testkit::federation::{catch_up_clean, open_replica};
 use bx_testkit::ops::{apply_op, arb_ops, scripted_repository, unique_temp_dir, TITLES};
 use proptest::prelude::*;
 
 /// Search-result parity on a spread of queries (empty, single-term,
 /// conjunctive, absent).
-fn assert_query_parity(replica: &Replica, primary_index: &SearchIndex) {
+fn assert_query_parity(replica: &Federation, primary_index: &SearchIndex) {
     for terms in [
         &["generated"][..],
         &["generated", "text"][..],
@@ -60,7 +62,7 @@ proptest! {
         repo.subscribe(writer.clone());
 
         writer.flush().unwrap();
-        let mut replica = Replica::open(&dir).unwrap();
+        let mut replica = open_replica(&dir).unwrap();
 
         for (i, op) in ops.iter().enumerate() {
             apply_op(&repo, op);
@@ -68,12 +70,12 @@ proptest! {
                 // Flush-then-catch-up is the documented sync point: after
                 // it, the replica must hold exactly the primary's state.
                 writer.flush().unwrap();
-                replica.catch_up().unwrap();
+                catch_up_clean(&mut replica);
                 prop_assert_eq!(replica.snapshot(), &repo.snapshot());
             }
         }
         writer.flush().unwrap();
-        replica.catch_up().unwrap();
+        catch_up_clean(&mut replica);
 
         let snap = repo.snapshot();
         let primary_index = SearchIndex::build(&snap);
@@ -85,7 +87,7 @@ proptest! {
 
         // A replica opened cold over the same directory agrees with the
         // incrementally maintained one.
-        let cold = Replica::open(&dir).unwrap();
+        let cold = open_replica(&dir).unwrap();
         prop_assert_eq!(cold.snapshot(), replica.snapshot());
         prop_assert_eq!(cold.index(), replica.index());
         prop_assert!(bx.consistent(&snap, cold.site()));
@@ -118,7 +120,7 @@ proptest! {
         }
         writer.shutdown().unwrap();
 
-        let mut replica = Replica::open(&dir).unwrap();
+        let mut replica = open_replica(&dir).unwrap();
         prop_assert_eq!(replica.snapshot(), &repo.snapshot());
 
         // Second writer process over the same directory. The old writer
@@ -132,7 +134,7 @@ proptest! {
             apply_op(&repo, op);
         }
         writer2.flush().unwrap();
-        replica.catch_up().unwrap();
+        catch_up_clean(&mut replica);
 
         let snap = repo.snapshot();
         prop_assert_eq!(replica.snapshot(), &snap);

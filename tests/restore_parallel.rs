@@ -3,14 +3,14 @@
 //! both on-disk formats, a restore on an N-worker runtime equals
 //! the sequential, runtime-less restore byte-for-byte: same snapshot
 //! from `restore_dir_on`, same snapshot **and** search index **and**
-//! wiki site (full revision histories included) from `Replica::open_on`
-//! and `Federation::open_on`. Corruption reporting is deterministic
+//! wiki site (full revision histories included) from `Federation::open_on`
+//! over one identity source (a plain read replica) and over several. Corruption reporting is deterministic
 //! too: a corrupt log surfaces the same typed error — same segment,
 //! same offset — at every thread count, across repeated runs, even
 //! though the parallel decode *discovers* errors in scrambled order.
 
 use bx::core::binlog::BinaryLogBackend;
-use bx::core::replica::{Federation, Replica, SourceId};
+use bx::core::replica::{Federation, SourceId};
 use bx::core::storage::{EventLogBackend, StorageBackend};
 use bx::core::{RepoError, Runtime};
 use bx_testkit::ops::{apply_ops, arb_ops, scripted_repository, unique_temp_dir};
@@ -32,6 +32,11 @@ fn checkpointed_jsonl(
     apply_ops(&repo, after);
     backend.record(&repo.drain_events()).unwrap();
     repo.snapshot()
+}
+
+/// The source list of a plain read replica of `dir`.
+fn replica_of(dir: &std::path::Path) -> Vec<(SourceId, std::path::PathBuf)> {
+    vec![(SourceId::identity(), dir.to_path_buf())]
 }
 
 proptest! {
@@ -57,19 +62,21 @@ proptest! {
         }
     }
 
-    /// `Replica::open_on` at N workers rebuilds the *same bytes* as
-    /// the sequential open: snapshot, index, and wiki site with its full
+    /// A replica's `Federation::open_on` at N workers rebuilds the *same
+    /// bytes* as the sequential open: snapshot, index, and wiki site with its full
     /// per-page revision history.
     #[test]
     fn parallel_replica_open_matches_sequential(before in arb_ops(12), after in arb_ops(12)) {
         let jsonl = unique_temp_dir("par-replica-jsonl");
-        checkpointed_jsonl(&jsonl, &before, &after);
+        let expected = checkpointed_jsonl(&jsonl, &before, &after);
         let binary = unique_temp_dir("par-replica-bin");
         bx::core::binlog::convert_log_dir(&jsonl, &binary, true).unwrap();
         for dir in [&jsonl, &binary] {
-            let sequential = Replica::open(dir).unwrap();
+            let sequential = Federation::open("", replica_of(dir)).unwrap();
+            prop_assert_eq!(sequential.snapshot(), &expected);
             for threads in [2usize, 8] {
-                let parallel = Replica::open_on(dir, &Runtime::new(threads)).unwrap();
+                let parallel =
+                    Federation::open_on("", replica_of(dir), &Runtime::new(threads)).unwrap();
                 prop_assert_eq!(parallel.snapshot(), sequential.snapshot());
                 prop_assert_eq!(parallel.index(), sequential.index());
                 prop_assert_eq!(parallel.site(), sequential.site());
@@ -193,10 +200,11 @@ fn corrupt_jsonl_line_reports_identically_at_every_thread_count() {
     for threads in [2usize, 8] {
         let err = EventLogBackend::restore_dir_on(&dir, &Runtime::new(threads)).unwrap_err();
         assert_eq!(err, baseline, "threads={threads}");
-        let open_err = Replica::open_on(&dir, &Runtime::new(threads)).unwrap_err();
+        let open_err =
+            Federation::open_on("", replica_of(&dir), &Runtime::new(threads)).unwrap_err();
         assert_eq!(
             open_err,
-            Replica::open(&dir).unwrap_err(),
+            Federation::open("", replica_of(&dir)).unwrap_err(),
             "threads={threads}"
         );
     }

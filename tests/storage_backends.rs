@@ -1,6 +1,7 @@
-//! All three `StorageBackend` implementations round-trip the standard
-//! repository — via checkpoint, via pure delta recording, and mixed —
-//! and the auto-compaction policy keeps the event log O(1) generations
+//! Every `StorageBackend` implementation round-trips the standard
+//! repository — via checkpoint, via pure delta recording, and mixed — as
+//! does the archival JSON snapshot file (`persist`), and the
+//! auto-compaction policy keeps the event log O(1) generations
 //! deep without changing the restored state. Both log formats are
 //! pinned byte for byte, and every reader of a log agrees on its fold.
 
@@ -8,13 +9,13 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use bx::core::binlog::{encode_frame, BinaryLogBackend};
-use bx::core::replica::Replica;
 use bx::core::storage::{
-    AutoCompactingEventLog, CompactionPolicy, DurabilityMode, EventLogBackend, JsonFileBackend,
-    MemoryBackend, StorageBackend,
+    AutoCompactingEventLog, CompactionPolicy, DurabilityMode, EventLogBackend, MemoryBackend,
+    StorageBackend,
 };
-use bx::core::{EntryId, Principal, RepoEvent, Repository};
+use bx::core::{persist, EntryId, Principal, RepoEvent, Repository};
 use bx::examples::standard_repository;
+use bx_testkit::federation::open_replica;
 use bx_testkit::ops::unique_temp_dir;
 
 #[test]
@@ -31,7 +32,6 @@ fn all_backends_roundtrip_the_standard_repository() {
     let log_dir = unique_temp_dir("backends-log");
     let mut backends: Vec<Box<dyn StorageBackend>> = vec![
         Box::new(MemoryBackend::new()),
-        Box::new(JsonFileBackend::new(json_dir.join("repo.json"))),
         Box::new(EventLogBackend::open(&log_dir).unwrap()),
     ];
 
@@ -64,6 +64,21 @@ fn all_backends_roundtrip_the_standard_repository() {
             )
             .unwrap();
     }
+    // The archival snapshot file pins the same state: saved, it loads
+    // back as a live repository again.
+    let path = json_dir.join("repo.json");
+    persist::save_file(&repo, &path).unwrap();
+    let revived = persist::load_file(&path).unwrap();
+    assert_eq!(revived.snapshot(), snapshot, "the snapshot file restores");
+    assert_eq!(revived.len(), 13);
+    revived
+        .comment(
+            "James Cheney",
+            &EntryId::from_title("COMPOSERS"),
+            "2014-05-01",
+            "post-restore",
+        )
+        .unwrap();
 
     std::fs::remove_dir_all(&json_dir).ok();
     std::fs::remove_dir_all(&log_dir).ok();
@@ -136,10 +151,8 @@ fn two_phase_durability_roundtrips_through_trait_objects() {
     let json_dir = unique_temp_dir("two-phase-json");
     let log_dir = unique_temp_dir("two-phase-log");
     let auto_dir = unique_temp_dir("two-phase-auto");
-    std::fs::create_dir_all(&json_dir).unwrap();
     let mut backends: Vec<Box<dyn StorageBackend>> = vec![
         Box::new(MemoryBackend::new()),
-        Box::new(JsonFileBackend::new(json_dir.join("repo.json"))),
         Box::new(EventLogBackend::open(&log_dir).unwrap()),
         Box::new(
             AutoCompactingEventLog::open(
@@ -167,6 +180,10 @@ fn two_phase_durability_roundtrips_through_trait_objects() {
         backend.flush_durable().unwrap();
     }
     drop(backends);
+    // The archival snapshot file, saved at the same point, loads back.
+    let path = json_dir.join("repo.json");
+    persist::save_file(&repo, &path).unwrap();
+    assert_eq!(persist::load_file(&path).unwrap().snapshot(), snapshot);
     // The file-backed states survive a fresh process.
     assert_eq!(
         EventLogBackend::open(&log_dir).unwrap().restore().unwrap(),
@@ -350,10 +367,10 @@ fn every_reader_drops_an_unterminated_final_line() {
 
     // Read-only readers first: opening a writer repairs the tail.
     let restored = EventLogBackend::restore_dir(&dir).unwrap();
-    let replica = Replica::open(&dir).unwrap();
+    let replica = open_replica(&dir).unwrap();
     let reopened = EventLogBackend::open(&dir).unwrap().restore().unwrap();
     assert_eq!(restored.accounts.len(), 1, "restore_dir");
-    assert_eq!(replica.snapshot().accounts.len(), 1, "Replica::open");
+    assert_eq!(replica.snapshot().accounts.len(), 1, "replica open");
     assert_eq!(reopened.accounts.len(), 1, "EventLogBackend::open");
     assert_eq!(restored, *replica.snapshot());
     assert_eq!(restored, reopened);
