@@ -620,6 +620,7 @@ pub type BinaryLogBackend = SegmentedLog<FrameCodec>;
 /// is numeric order). Empty when the generation has never been written —
 /// or the directory does not exist.
 pub fn segment_files(dir: &Path, generation: &str) -> Result<Vec<String>, RepoError> {
+    crate::storage::note_dir_listed();
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -747,7 +748,7 @@ fn convert_log_dir_pooled(
     let (base, generation) = EventLogBackend::read_state_in(src)?;
     let events = crate::storage::read_generation(src, &generation, 0, pool)?
         .unwrap_or_default()
-        .0;
+        .events;
     let mut target: Box<dyn StorageBackend> = if to_binary {
         Box::new(BinaryLogBackend::open(dst)?)
     } else {

@@ -116,6 +116,12 @@ pub struct TailProgress {
 /// re-base across checkpoint generations, torn-tail tolerance, and a typed
 /// error when a directory that was being tailed disappears. A
 /// [`Federation`] runs one per source.
+///
+/// A tail remembers the file list its last read was planned from, so a
+/// poll of a log where nothing moved is a fixed handful of `stat`s: the
+/// manifest, each of the generation's files (one, for a log below its
+/// segment cap) and the name the writer's next segment would take. Only
+/// a poll that sees one of them move lists the directory and reads.
 #[derive(Debug)]
 pub struct LogTail {
     dir: PathBuf,
@@ -124,13 +130,31 @@ pub struct LogTail {
     /// Intact events of that generation already applied.
     applied: usize,
     /// Byte offset just past the last applied intact line — where the
-    /// next poll starts reading, so polling an unchanged log costs a
-    /// metadata check + empty read, not a re-parse of the whole file.
+    /// next poll starts reading, so a poll that finds new bytes decodes
+    /// only those, not the whole file.
     offset: u64,
     /// (mtime, len) of `checkpoint.json` when it was last parsed — the
     /// manifest embeds a whole snapshot, so polls skip re-parsing it
     /// until this stamp moves.
     manifest_stamp: Option<(std::time::SystemTime, u64)>,
+    /// The generation's files and their sizes as the last read listed
+    /// them; `None` until a poll has read. [`LogTail::probe`] stats these
+    /// instead of listing the directory.
+    files: Option<Vec<(String, u64)>>,
+    /// Bytes of the generation beyond `offset` when the last successful
+    /// poll looked: 0, or a torn tail still waiting for its writer.
+    polled_lag: u64,
+}
+
+/// What [`LogTail::probe`] found.
+enum Probe {
+    /// Nothing moved since the last read: the manifest stamp and every
+    /// listed size are unchanged and the writer has not rolled, so the
+    /// generation is still `len` bytes long.
+    Still { len: u64 },
+    /// Something may have moved, so the poll reads. `file_seen`: one of
+    /// the probed log files exists, so the directory does.
+    Moved { file_seen: bool },
 }
 
 impl LogTail {
@@ -150,6 +174,8 @@ impl LogTail {
                 applied: 0,
                 offset: 0,
                 manifest_stamp,
+                files: None,
+                polled_lag: 0,
             },
             base,
         ))
@@ -167,12 +193,19 @@ impl LogTail {
 
     /// Bytes sitting in the current generation log beyond what has been
     /// applied — the replication lag in bytes (0 when fully caught up or
-    /// the log is absent). A torn trailing fragment counts as lag until
-    /// the writer's next durable append resolves it. The length is the
-    /// sum of the generation's file sizes — metadata only.
+    /// the log is absent), measured now. A torn trailing fragment counts
+    /// as lag until the writer's next durable append resolves it. It
+    /// costs what an idle poll costs, a few stats, while nothing has
+    /// moved since the last poll; once the log has moved it lists the
+    /// directory and stats every file of the generation.
     pub fn lag_bytes(&self) -> u64 {
-        crate::binlog::generation_len(&self.dir, &self.generation)
-            .map_or(0, |len| len.saturating_sub(self.offset))
+        let len = match self.probe(Self::stat_manifest(&self.dir)) {
+            Probe::Still { len } => len,
+            Probe::Moved { .. } => {
+                crate::binlog::generation_len(&self.dir, &self.generation).unwrap_or(0)
+            }
+        };
+        len.saturating_sub(self.offset)
     }
 
     /// Has this tail ever observed primary state? (Distinguishes "the
@@ -193,10 +226,46 @@ impl LogTail {
         Some((meta.modified().ok()?, meta.len()))
     }
 
+    /// Has anything moved since the last read, judged by stats alone?
+    /// `stamp` is the manifest's stamp now. The generation is still when
+    /// the stamp is the one last parsed, every listed file has the size
+    /// it was read at, and the name the writer would create next (see
+    /// [`crate::storage::successor_file`]) is absent. Every listed file
+    /// is statted, not just the last, so a lost or truncated sealed
+    /// segment still reads as a move.
+    fn probe(&self, stamp: Option<(std::time::SystemTime, u64)>) -> Probe {
+        let mut file_seen = false;
+        let Some(files) = &self.files else {
+            return Probe::Moved { file_seen };
+        };
+        if stamp != self.manifest_stamp {
+            return Probe::Moved { file_seen };
+        }
+        let mut len = 0;
+        for (name, size) in files {
+            match std::fs::metadata(self.dir.join(name)) {
+                Ok(meta) if meta.len() == *size => len += size,
+                Ok(_) => return Probe::Moved { file_seen: true },
+                Err(_) => return Probe::Moved { file_seen },
+            }
+            file_seen = true;
+        }
+        let last = files.last().map(|(name, _)| name.as_str());
+        if let Some(next) = crate::storage::successor_file(&self.generation, last) {
+            match std::fs::metadata(self.dir.join(next)) {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(_) => return Probe::Moved { file_seen },
+                Ok(_) => return Probe::Moved { file_seen: true },
+            }
+        }
+        Probe::Still { len }
+    }
+
     /// Observe the log's current durable end. Within a generation this
-    /// reads only the bytes appended since the last poll (polling an
-    /// unchanged log is a metadata check); across a checkpoint it reports
-    /// the new base to re-base onto. Safe to call at any cadence.
+    /// reads only the bytes appended since the last poll; across a
+    /// checkpoint it reports the new base to re-base onto. When nothing
+    /// moved since the last poll it is a few stats and no directory
+    /// listing (see [`LogTail`]). Safe to call at any cadence.
     pub fn poll(&mut self) -> Result<TailProgress, RepoError> {
         self.poll_with(None)
     }
@@ -208,7 +277,20 @@ impl LogTail {
         pool: Option<&WorkerPool>,
     ) -> Result<TailProgress, RepoError> {
         let mut progress = TailProgress::default();
-        if !self.dir.exists() {
+        let stamp = Self::stat_manifest(&self.dir);
+        let file_seen = match self.probe(stamp) {
+            // Caught up and still: nothing to read. A pending torn tail
+            // (a length beyond `offset`) is re-read until it heals.
+            Probe::Still { len } if len == self.offset => {
+                self.polled_lag = 0;
+                return Ok(progress);
+            }
+            Probe::Still { .. } => true,
+            Probe::Moved { file_seen } => file_seen,
+        };
+        // A present manifest or log file proves the directory exists;
+        // only when both missed is it worth asking.
+        if stamp.is_none() && !file_seen && !self.dir.exists() {
             if self.observed() {
                 // We were tailing real state and the whole directory is
                 // gone — not a torn tail, not a slow primary. Surface it
@@ -225,7 +307,6 @@ impl LogTail {
         // its stamp moved; the stamp is taken before the parse so a
         // racing checkpoint costs one conservative re-parse, never a
         // stale skip.
-        let stamp = Self::stat_manifest(&self.dir);
         if stamp.is_none() && self.manifest_stamp.is_some() {
             // A manifest we had parsed is gone while the directory
             // remains (mid-rsync, a crashed compaction, a stray delete).
@@ -251,27 +332,30 @@ impl LogTail {
                 progress.rebased = true;
             }
         }
-        match read_generation(&self.dir, &self.generation, self.offset, pool)? {
-            Some((events, new_offset)) => {
-                self.applied += events.len();
-                self.offset = new_offset;
-                progress.events = events;
+        let read = match read_generation(&self.dir, &self.generation, self.offset, pool)? {
+            Some(read) => {
+                self.applied += read.events.len();
+                read
             }
             None => {
                 // The tailed log shrank under us (a foreign truncation
                 // beyond torn-tail repair). Rolling individual events
                 // back is not possible; re-base onto what the directory
                 // actually holds.
-                let (all, end) =
+                let mut all =
                     read_generation(&self.dir, &self.generation, 0, pool)?.unwrap_or_default();
                 let (base, _) = EventLogBackend::read_state_in(&self.dir)?;
-                self.applied = all.len();
-                self.offset = end;
-                progress.new_base = Some(replay(base, &all));
-                progress.events = Vec::new();
+                self.applied = all.events.len();
+                progress.new_base = Some(replay(base, &std::mem::take(&mut all.events)));
                 progress.rebased = true;
+                all
             }
-        }
+        };
+        self.offset = read.end;
+        let len: u64 = read.files.iter().map(|(_, size)| size).sum();
+        self.polled_lag = len.saturating_sub(self.offset);
+        self.files = Some(read.files);
+        progress.events = read.events;
         Ok(progress)
     }
 }
@@ -1075,11 +1159,24 @@ impl Federation {
         export_manuscript(&self.snapshot, options)
     }
 
-    /// Per-source replication lag, in bytes of unapplied log.
+    /// Per-source replication lag, in bytes of unapplied log, measured
+    /// now by each tail's [`LogTail::lag_bytes`]: a few stats per source
+    /// whose log has not moved since its last poll, a directory listing
+    /// per source whose log has.
     pub fn lag(&self) -> Vec<(SourceId, u64)> {
         self.sources
             .iter()
             .map(|(source, tail)| (source.clone(), tail.lag_bytes()))
+            .collect()
+    }
+
+    /// Per-source lag as each source's last successful poll saw it:
+    /// free, because the poll already knew its generation's length. A
+    /// source that failed or was skipped since keeps its older figure.
+    fn polled_lag(&self) -> Vec<(SourceId, u64)> {
+        self.sources
+            .iter()
+            .map(|(source, tail)| (source.clone(), tail.polled_lag))
             .collect()
     }
 
@@ -1124,7 +1221,11 @@ pub struct DaemonStats {
     /// Source re-bases observed (checkpoints crossed, truncations
     /// recovered).
     pub rebases: u64,
-    /// Per-source lag in bytes, as of the last pass.
+    /// Per-source lag in bytes, as of the last pass: what each source's
+    /// last successful poll left unapplied (a torn tail awaiting its
+    /// writer), read off that poll at no cost of its own. A source that
+    /// failed or sat out its backoff keeps the figure of its last good
+    /// poll; [`Federation::lag`] measures afresh.
     pub source_lag: Vec<(SourceId, u64)>,
     /// Per-source supervision status as of the last pass — health state,
     /// retry deadline, and staleness, the metadata degraded serving
@@ -1175,7 +1276,7 @@ impl DaemonShared {
                     stats.polls += 1;
                     stats.events_applied += progress.events_applied as u64;
                     stats.rebases += progress.rebases as u64;
-                    stats.source_lag = federation.lag();
+                    stats.source_lag = federation.polled_lag();
                     stats.source_health = federation.source_status();
                     if !progress.errors.is_empty() {
                         let mut errors = daemon_lock(&self.errors);
@@ -2123,6 +2224,130 @@ mod tests {
         assert_eq!(crate::storage::manifests_parsed() - before, 2);
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
+    }
+
+    /// A checkpointed binary source with a tail past its checkpoint, and
+    /// a manifest-less JSONL one (returned with its primary): the two
+    /// shapes an idle poll probes.
+    fn probe_sources(tag: &str) -> (Vec<(SourceId, PathBuf)>, Repository) {
+        let bin = unique_dir(&format!("{tag}-bin"));
+        let a = primary("alpha");
+        let mut backend = crate::binlog::BinaryLogBackend::open(&bin).unwrap();
+        backend.record(&a.drain_events()).unwrap();
+        backend.checkpoint(&a.snapshot()).unwrap();
+        a.contribute("alice", entry("AFTER")).unwrap();
+        backend.record(&a.drain_events()).unwrap();
+        let jsonl = unique_dir(&format!("{tag}-jsonl"));
+        let b = primary("beta");
+        let mut backend = crate::storage::EventLogBackend::open(&jsonl).unwrap();
+        backend.record(&b.drain_events()).unwrap();
+        let sources = vec![(SourceId::new("bin"), bin), (SourceId::new("jsonl"), jsonl)];
+        (sources, b)
+    }
+
+    #[test]
+    fn an_idle_catch_up_lists_no_directory() {
+        let (sources, b) = probe_sources("idle-listing");
+        let mut federation = Federation::open("fed", sources.clone()).unwrap();
+        let before = crate::storage::dirs_listed();
+        for _ in 0..3 {
+            let idle = federation.catch_up().unwrap();
+            assert_eq!((idle.events_applied, idle.rebases), (0, 0));
+        }
+        assert!(federation.lag().iter().all(|(_, lag)| *lag == 0));
+        assert_eq!(
+            crate::storage::dirs_listed() - before,
+            0,
+            "an idle pass, and lag over an idle log, stat known paths only"
+        );
+
+        // A write moves the probe: the next pass lists and applies it,
+        // and the pass after is idle again.
+        let mut backend = crate::storage::EventLogBackend::open(&sources[1].1).unwrap();
+        b.contribute("alice", entry("LATER")).unwrap();
+        backend.record(&b.drain_events()).unwrap();
+        let before = crate::storage::dirs_listed();
+        assert_eq!(federation.catch_up().unwrap().events_applied, 1);
+        assert!(crate::storage::dirs_listed() > before);
+        let before = crate::storage::dirs_listed();
+        federation.catch_up().unwrap();
+        assert_eq!(crate::storage::dirs_listed() - before, 0);
+        for (_, dir) in sources {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn an_idle_daemon_pass_lists_no_directory() {
+        let (sources, _) = probe_sources("idle-daemon-listing");
+        let federation = Federation::open("fed", sources.clone()).unwrap();
+        let runtime = Runtime::new(1);
+        let config = DaemonConfig {
+            poll_interval: Duration::from_secs(60),
+        };
+        let mut daemon = ReplicaDaemon::spawn_on(federation, config, &runtime, "daemon");
+        let before = crate::storage::dirs_listed();
+        for _ in 0..3 {
+            assert_eq!(daemon.force_catch_up().unwrap().events_applied, 0);
+        }
+        assert_eq!(crate::storage::dirs_listed() - before, 0);
+        let stats = daemon.stats();
+        assert_eq!(stats.source_lag.len(), 2);
+        assert!(stats.source_lag.iter().all(|(_, lag)| *lag == 0));
+        daemon.stop();
+        for (_, dir) in sources {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_pending_torn_tail_is_re_read_on_every_poll_until_it_heals() {
+        let dir = unique_dir("torn-reread");
+        let a = primary("alpha");
+        let mut backend = crate::binlog::BinaryLogBackend::open(&dir).unwrap();
+        backend.record(&a.drain_events()).unwrap();
+        let segment = dir.join(&backend.generation_files().unwrap()[0]);
+        let torn = crate::binlog::torn_frame_bytes();
+        let mut bytes = std::fs::read(&segment).unwrap();
+        bytes.extend_from_slice(&torn);
+        std::fs::write(&segment, bytes).unwrap();
+
+        let mut federation =
+            Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap();
+        let runtime = Runtime::new(1);
+        let config = DaemonConfig {
+            poll_interval: Duration::from_secs(60),
+        };
+        let daemon = ReplicaDaemon::spawn_on(
+            Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap(),
+            config,
+            &runtime,
+            "daemon",
+        );
+        for _ in 0..3 {
+            let before = crate::storage::dirs_listed();
+            assert_eq!(federation.catch_up().unwrap().events_applied, 0);
+            assert_eq!(
+                crate::storage::dirs_listed() - before,
+                1,
+                "a pending torn tail is read again, never skipped as idle"
+            );
+            daemon.force_catch_up().unwrap();
+            assert_eq!(daemon.stats().source_lag[0].1, torn.len() as u64);
+        }
+
+        // The writer reopens (truncating the fragment) and appends.
+        let mut backend = crate::binlog::BinaryLogBackend::open(&dir).unwrap();
+        a.contribute("alice", entry("HEALED")).unwrap();
+        backend.record(&a.drain_events()).unwrap();
+        assert_eq!(federation.catch_up().unwrap().events_applied, 1);
+        let before = crate::storage::dirs_listed();
+        federation.catch_up().unwrap();
+        assert_eq!(crate::storage::dirs_listed() - before, 0, "healed: idle");
+        daemon.force_catch_up().unwrap();
+        assert_eq!(daemon.stats().source_lag[0].1, 0);
+        drop(daemon);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -236,6 +236,25 @@ pub fn manifests_parsed() -> u64 {
     MANIFESTS_PARSED.with(Cell::get)
 }
 
+thread_local! {
+    /// Test instrumentation: how many directories this thread has listed
+    /// to find a generation's files ([`segment_files`]). An idle poll is
+    /// a few stats of paths its tail already knows, so tests assert
+    /// that it lists nothing.
+    static DIRS_LISTED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one directory listing on this thread (see [`dirs_listed`]).
+pub(crate) fn note_dir_listed() {
+    DIRS_LISTED.with(|c| c.set(c.get() + 1));
+}
+
+/// Number of generation directory listings this thread has made so far.
+#[cfg(test)]
+pub(crate) fn dirs_listed() -> u64 {
+    DIRS_LISTED.with(Cell::get)
+}
+
 /// The exact `checkpoint.json` bytes for `manifest`: the canonical body
 /// JSON with a `crc32` field over the body bytes spliced in as the
 /// trailing key, so the file is `body[..len - 1]` followed by
@@ -456,7 +475,7 @@ impl<C: Codec> SegmentedLog<C> {
         let files = segment_files(&dir, &generation)?;
         let segment = files
             .last()
-            .and_then(|name| name.rsplit('.').next()?.parse().ok())
+            .and_then(|name| segment_index(name))
             .unwrap_or(0);
         let mut log = SegmentedLog {
             dir,
@@ -566,7 +585,7 @@ impl<C: Codec> SegmentedLog<C> {
     ) -> Result<Vec<RepoEvent>, RepoError> {
         Ok(read_generation(dir, generation, 0, None)?
             .unwrap_or_default()
-            .0)
+            .events)
     }
 
     /// Recover the durable state of a log directory purely by reading:
@@ -601,7 +620,7 @@ impl<C: Codec> SegmentedLog<C> {
         let (base, generation) = Self::read_state_in(dir)?;
         let events = read_generation(dir, &generation, 0, Some(pool))?
             .unwrap_or_default()
-            .0;
+            .events;
         Ok(crate::event::replay_parallel(base, events, pool))
     }
 
@@ -663,11 +682,7 @@ impl<C: Codec> SegmentedLog<C> {
     /// to a sealed segment or a superseded generation.
     fn appender(&mut self) -> Result<&mut File, RepoError> {
         if self.appender.is_none() {
-            let live = if C::SEGMENTED {
-                format!("{}.{:06}", self.generation, self.segment)
-            } else {
-                self.generation.clone()
-            };
+            let live = segment_file(&self.generation, C::SEGMENTED, self.segment);
             let file = OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -817,6 +832,38 @@ impl<C: Codec> StorageBackend for SegmentedLog<C> {
     }
 }
 
+/// The file holding segment `segment` of `generation`: a segmented
+/// format's `<generation>.NNNNNN` (zero-padded, so lexical order is
+/// numeric order), or the generation's own name for a format that never
+/// rolls. The one rule writers and readers both name segments by.
+pub(crate) fn segment_file(generation: &str, segmented: bool, segment: u32) -> String {
+    if segmented {
+        format!("{generation}.{segment:06}")
+    } else {
+        generation.to_string()
+    }
+}
+
+/// The segment index of a log file name, `None` for an unsegmented one.
+fn segment_index(file: &str) -> Option<u32> {
+    file.rsplit_once('.')?.1.parse().ok()
+}
+
+/// The file a writer of `generation` creates next, after `last` (the
+/// generation's current last file, `None` when it has none yet): the
+/// following segment, the first file when there is none, and `None` for
+/// an unsegmented generation that already has its one file. A reader
+/// that knows a generation's files stats this name to learn, without
+/// listing the directory, that the writer has not rolled.
+pub(crate) fn successor_file(generation: &str, last: Option<&str>) -> Option<String> {
+    let segmented = crate::binlog::is_binary_generation(generation);
+    match last {
+        None => Some(segment_file(generation, segmented, 0)),
+        Some(_) if !segmented => None,
+        Some(last) => Some(segment_file(generation, true, segment_index(last)? + 1)),
+    }
+}
+
 /// Walk the records of `buf` from its start without decoding them,
 /// handing each record's range (empty for filler) to `each`. Returns
 /// where the walk stopped: `Ok(buf.len())` at the end, `Ok(pos)` at a
@@ -899,6 +946,19 @@ impl ScanJob {
     }
 }
 
+/// What one [`read_generation`] saw.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct GenerationRead {
+    /// The intact events at or after the offset read from, in log order.
+    pub(crate) events: Vec<RepoEvent>,
+    /// The offset consumed: just past the last intact record read.
+    pub(crate) end: u64,
+    /// The generation's files in log order, each with the size it was
+    /// read at, so a tail can later tell by stats alone that nothing
+    /// moved. Their sum exceeds `end` by a torn tail's bytes.
+    pub(crate) files: Vec<(String, u64)>,
+}
+
 /// Read generation `generation` of `dir` from global byte `offset`, a
 /// record boundary an earlier read returned: the one reader behind
 /// restore, cold open and the incremental tail, and the one place a
@@ -906,9 +966,11 @@ impl ScanJob {
 ///
 /// `Ok(None)` means the log is now shorter than `offset` (checkpoint
 /// rolled or truncated by a foreign hand) and the caller must re-base.
-/// Otherwise the result holds the intact events at or after `offset` and
-/// the offset consumed; a torn tail stays unconsumed for a later read.
-/// An unchanged log costs a directory listing and a stat per file.
+/// Otherwise the result holds the intact events at or after `offset`,
+/// the offset consumed, and the file list the read was planned from; a
+/// torn tail stays unconsumed for a later read. Every read lists the
+/// directory and stats each file, so a caller that polls keeps the list
+/// and probes it instead (see [`crate::replica::LogTail`]).
 ///
 /// With a `pool`, files split into record-aligned ranges decoded on its
 /// workers and spliced back in log order, so which corrupt offset
@@ -918,7 +980,7 @@ pub(crate) fn read_generation(
     generation: &str,
     offset: u64,
     pool: Option<&crate::runtime::WorkerPool>,
-) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
+) -> Result<Option<GenerationRead>, RepoError> {
     if crate::binlog::is_binary_generation(generation) {
         read_generation_as::<FrameCodec>(dir, generation, offset, pool)
     } else {
@@ -931,19 +993,23 @@ fn read_generation_as<C: Codec>(
     generation: &str,
     offset: u64,
     pool: Option<&crate::runtime::WorkerPool>,
-) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
+) -> Result<Option<GenerationRead>, RepoError> {
     use std::io::{Read, Seek, SeekFrom};
     // A one-worker pool has nothing to fan out to: read as without one,
     // so no file is walked twice to cut ranges for a single worker.
     let pool = pool.filter(|pool| pool.threads() > 1);
-    let files = segment_files(dir, generation)?;
-    let mut sizes = Vec::with_capacity(files.len());
-    for name in &files {
-        sizes.push(len_or_absent(&dir.join(name))?);
+    let mut files = Vec::new();
+    for name in segment_files(dir, generation)? {
+        let size = len_or_absent(&dir.join(&name))?;
+        files.push((name, size));
     }
-    let total: u64 = sizes.iter().sum();
+    let total: u64 = files.iter().map(|(_, size)| size).sum();
     if total <= offset {
-        return Ok((total == offset).then(|| (Vec::new(), offset)));
+        return Ok((total == offset).then(|| GenerationRead {
+            events: Vec::new(),
+            end: offset,
+            files,
+        }));
     }
     // A few ranges per worker, so one dense range cannot serialise the
     // decode, with a floor that keeps small reads from paying scatter
@@ -953,7 +1019,8 @@ fn read_generation_as<C: Codec>(
     });
     let mut jobs = Vec::new();
     let mut base = 0;
-    for (i, (name, size)) in files.iter().zip(sizes).enumerate() {
+    for (i, (name, size)) in files.iter().enumerate() {
+        let size = *size;
         let file_at = offset.saturating_sub(base);
         let log_at = base + file_at;
         base += size;
@@ -1025,7 +1092,11 @@ fn read_generation_as<C: Codec>(
             break;
         }
     }
-    Ok(Some((events, consumed)))
+    Ok(Some(GenerationRead {
+        events,
+        end: consumed,
+        files,
+    }))
 }
 
 /// A generation-rolling log backend [`AutoCompactingEventLog`] can
@@ -1665,11 +1736,15 @@ mod tests {
             let (a, b) = events.split_at(events.len() / 2);
             backend.record(a).unwrap();
             let generation = backend.current_generation().to_string();
-            let read = |offset| read_generation(&dir, &generation, offset, None).unwrap();
+            let read = |offset| {
+                read_generation(&dir, &generation, offset, None)
+                    .unwrap()
+                    .map(|read| (read.events, read.end))
+            };
             let (first, offset) = read(0).unwrap();
             assert_eq!(first.len(), a.len());
             assert_eq!(offset, generation_len(&dir, &generation).unwrap());
-            // Unchanged log: metadata-only poll, no events.
+            // Unchanged log: no events, and the offset stays.
             let (none, same) = read(offset).unwrap();
             assert!(none.is_empty());
             assert_eq!(same, offset);

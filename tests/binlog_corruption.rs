@@ -273,6 +273,218 @@ fn an_unchanged_binary_log_polls_with_zero_lag_and_zero_events() {
     assert_eq!(tail.lag_bytes(), 0);
 }
 
+// == What an idle poll must still notice ==
+//
+// A tail that has read its generation answers later polls from a few
+// stats of paths it already knows: the manifest, each listed file and
+// the name of the segment a writer would roll to next. These tests move
+// each of those between two polls and check that the very next poll
+// acts on it exactly as a full re-read would.
+
+/// A caught-up replica of a binary log with a small segment cap (so the
+/// generation spans several segments), after a few idle passes have
+/// warmed its probe.
+fn idle_replica(
+    tag: &str,
+    segment_bytes: u64,
+) -> (
+    std::path::PathBuf,
+    bx::core::Repository,
+    BinaryLogBackend,
+    bx::core::replica::Federation,
+) {
+    let dir = unique_temp_dir(tag);
+    let repo = scripted_repository();
+    apply_ops(&repo, &script(&["Composers", "Dates"]));
+    let mut backend = BinaryLogBackend::open_with_segment_bytes(&dir, segment_bytes).unwrap();
+    backend.record(&repo.drain_events()).unwrap();
+    let mut replica = open_replica(&dir).unwrap();
+    for _ in 0..2 {
+        let idle = catch_up_clean(&mut replica);
+        assert_eq!((idle.events_applied, idle.rebases), (0, 0));
+    }
+    assert_eq!(replica.snapshot(), &repo.snapshot());
+    (dir, repo, backend, replica)
+}
+
+#[test]
+fn a_segment_roll_between_polls_is_applied_by_the_next_poll() {
+    let (dir, repo, mut backend, mut replica) = idle_replica("binlog-probe-roll", 200);
+    let before = backend.generation_files().unwrap();
+    let last = dir.join(before.last().unwrap());
+    let last_len = std::fs::metadata(&last).unwrap().len();
+
+    apply_ops(&repo, &script(&["Rolled"]));
+    let events = repo.drain_events();
+    backend.record(&events).unwrap();
+    let after = backend.generation_files().unwrap();
+    assert!(after.len() > before.len(), "the batch rolled the segment");
+    assert_eq!(
+        std::fs::metadata(&last).unwrap().len(),
+        last_len,
+        "the old last segment did not grow: only the new segment's name shows the roll"
+    );
+
+    let caught = catch_up_clean(&mut replica);
+    assert_eq!((caught.events_applied, caught.rebases), (events.len(), 0));
+    assert_eq!(replica.snapshot(), &repo.snapshot());
+    assert_eq!(replica.lag()[0].1, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_checkpoint_between_polls_re_bases_on_the_next_poll() {
+    let (dir, repo, mut backend, mut replica) = idle_replica("binlog-probe-checkpoint", 200);
+    // A bare checkpoint: nothing is appended after it, so only the
+    // manifest moved.
+    backend.checkpoint(&repo.snapshot()).unwrap();
+    let crossed = catch_up_clean(&mut replica);
+    assert_eq!((crossed.events_applied, crossed.rebases), (0, 1));
+    assert_eq!(replica.snapshot(), &repo.snapshot());
+    let generation = backend.current_generation().to_string();
+    assert_eq!(replica.positions()[0].1, generation.as_str());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn losing_or_cutting_a_sealed_segment_re_bases_on_the_next_poll() {
+    // The first sealed segment holding more than one frame, and where
+    // its first frame ends (a record boundary).
+    fn multi_frame_segment(dir: &std::path::Path, segments: &[String]) -> (String, u64) {
+        for name in &segments[..segments.len() - 1] {
+            let bytes = std::fs::read(dir.join(name)).unwrap();
+            let first = 12 + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as u64;
+            if first < bytes.len() as u64 {
+                return (name.clone(), first);
+            }
+        }
+        panic!("no sealed segment holds two frames");
+    }
+
+    // Deleted: the tail re-bases onto what the directory still holds.
+    let (dir, _, backend, mut replica) = idle_replica("binlog-probe-lost", 512);
+    let segments = backend.generation_files().unwrap();
+    assert!(segments.len() >= 3);
+    std::fs::remove_file(dir.join(&segments[1])).unwrap();
+    let lost = catch_up_clean(&mut replica);
+    assert_eq!(lost.rebases, 1, "a lost sealed segment is never idle");
+    let holds = EventLogBackend::restore_dir(&dir).unwrap();
+    assert_eq!(replica.snapshot().records, holds.records);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Cut at a record boundary: the same re-base.
+    let (dir, _, backend, mut replica) = idle_replica("binlog-probe-cut", 512);
+    let (name, first) = multi_frame_segment(&dir, &backend.generation_files().unwrap());
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join(&name))
+        .unwrap();
+    file.set_len(first).unwrap();
+    let cut = catch_up_clean(&mut replica);
+    assert_eq!(cut.rebases, 1, "a shortened sealed segment is never idle");
+    let holds = EventLogBackend::restore_dir(&dir).unwrap();
+    assert_eq!(replica.snapshot().records, holds.records);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Cut mid-record: the re-read finds the sealed segment torn, which
+    // is corruption, reported on the very next poll.
+    let (dir, repo, backend, mut replica) = idle_replica("binlog-probe-torn-sealed", 512);
+    let (name, first) = multi_frame_segment(&dir, &backend.generation_files().unwrap());
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join(&name))
+        .unwrap();
+    file.set_len(first + 5).unwrap();
+    let outcome = replica.catch_up().unwrap();
+    assert!(
+        matches!(
+            outcome.errors.as_slice(),
+            [(_, RepoError::CorruptFrame { .. })]
+        ),
+        "got {:?}",
+        outcome.errors
+    );
+    assert_eq!(
+        replica.snapshot(),
+        &repo.snapshot(),
+        "last good state serves"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_pending_torn_tail_is_re_read_until_it_heals() {
+    let dir = unique_temp_dir("binlog-probe-torn");
+    let repo = scripted_repository();
+    let mut backend = BinaryLogBackend::open(&dir).unwrap();
+    backend.record(&repo.drain_events()).unwrap();
+    let (mut tail, _) = LogTail::open(&dir).unwrap();
+    let applied = tail.poll().unwrap().events.len();
+
+    let torn = bx::core::binlog::torn_frame_bytes();
+    let live = dir.join(backend.generation_files().unwrap().last().unwrap());
+    let mut bytes = std::fs::read(&live).unwrap();
+    bytes.extend_from_slice(&torn);
+    std::fs::write(&live, bytes).unwrap();
+    for _ in 0..3 {
+        let pending = tail.poll().unwrap();
+        assert!(pending.events.is_empty() && !pending.rebased);
+        assert_eq!(tail.position().1, applied);
+        assert_eq!(tail.lag_bytes(), torn.len() as u64);
+    }
+
+    // The writer reopens (truncating the fragment) and appends.
+    let mut backend = BinaryLogBackend::open(&dir).unwrap();
+    apply_ops(&repo, &script(&["Healed"]));
+    let healed = repo.drain_events();
+    backend.record(&healed).unwrap();
+    let progress = tail.poll().unwrap();
+    assert_eq!(
+        (progress.events.len(), progress.rebased),
+        (healed.len(), false)
+    );
+    assert_eq!(tail.lag_bytes(), 0);
+    assert_eq!(tail.position().1, applied + healed.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_vanished_directory_or_manifest_fails_the_first_poll_after() {
+    let unavailable =
+        |result: Result<_, RepoError>| matches!(result, Err(RepoError::SourceUnavailable { .. }));
+    for checkpointed in [false, true] {
+        // The whole directory goes.
+        let (dir, repo, mut backend, _) = idle_replica("binlog-probe-vanish", 512);
+        if checkpointed {
+            backend.checkpoint(&repo.snapshot()).unwrap();
+        }
+        let (mut tail, _) = LogTail::open(&dir).unwrap();
+        tail.poll().unwrap();
+        assert!(tail.poll().unwrap().events.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(unavailable(tail.poll()), "checkpointed: {checkpointed}");
+        assert!(unavailable(tail.poll()), "and it stays unavailable");
+    }
+
+    // The manifest alone goes; the log files stay put.
+    let (dir, repo, mut backend, _) = idle_replica("binlog-probe-manifest", 512);
+    backend.checkpoint(&repo.snapshot()).unwrap();
+    apply_ops(&repo, &script(&["Kept"]));
+    backend.record(&repo.drain_events()).unwrap();
+    let (mut tail, _) = LogTail::open(&dir).unwrap();
+    tail.poll().unwrap();
+    assert!(tail.poll().unwrap().events.is_empty());
+    let manifest = dir.join("checkpoint.json");
+    let saved = std::fs::read(&manifest).unwrap();
+    std::fs::remove_file(&manifest).unwrap();
+    assert!(unavailable(tail.poll()));
+    // Restored, the tail resumes where it was.
+    std::fs::write(&manifest, saved).unwrap();
+    let resumed = tail.poll().unwrap();
+    assert!(resumed.events.is_empty() && !resumed.rebased);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn auto_compaction_checkpoints_binary_logs_and_replicas_follow() {
     let dir = unique_temp_dir("binlog-compact");
