@@ -5,12 +5,13 @@
 //! a `BackgroundWriter` from 1/4/16 producer threads, in producer
 //! batches of 4 events, under two durability schedules:
 //!
-//! * `per-batch/<producers>` — `write_batch` pinned to the producer
-//!   batch size, so the backend fsyncs once per 4-event batch: the
-//!   seed's "every durable append pays a `sync_all`" regime.
+//! * `per-batch/<producers>` — a zero window with `max_group_events`
+//!   pinned to the producer batch size, so the backend fsyncs once per
+//!   4-event batch: the seed's "every durable append pays a `sync_all`"
+//!   regime.
 //! * `group-commit/<producers>` — a 1 ms group-commit window: the writer
 //!   stages every batch concurrent producers queue and issues one fsync
-//!   per window ([`bx_core::pipeline::PipelineStats::group_commits`]).
+//!   per window ([`bx_core::pipeline::PipelineStats::fsyncs`]).
 //!
 //! Both rows pay the same serialisation and append work; the gap is
 //! purely the fsync schedule, which is the point. `restore/cold` checks
@@ -105,7 +106,7 @@ fn bench_append(c: &mut Criterion) {
     for &producers in &[1usize, 4, 16] {
         let per_batch = PipelineConfig {
             // One fsync per producer batch — the pre-group-commit regime.
-            write_batch: PRODUCER_BATCH,
+            max_group_events: PRODUCER_BATCH,
             ..PipelineConfig::default()
         };
         let dir = bench_dir(&format!("per-batch-{producers}"));

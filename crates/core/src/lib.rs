@@ -82,10 +82,7 @@ pub use replica::{
     federate_snapshots, DaemonConfig, DaemonStats, Federation, ReplicaDaemon, SourceId,
 };
 pub use repo::{EntryId, Repository};
-pub use runtime::{
-    ComponentHealth, HealthReport, HealthSink, PoolStats, Runtime, RuntimeHealth, SerialTask,
-    TimerTask, WeakSerialTask,
-};
+pub use runtime::{ComponentHealth, HealthReport, PoolStats, Runtime, RuntimeHealth, SerialTask};
 pub use storage::{
     AutoCompactingBinaryLog, AutoCompactingEventLog, CompactionPolicy, DurabilityMode,
     EventLogBackend, GenerationLog, MemoryBackend, StorageBackend, TailRepaired,

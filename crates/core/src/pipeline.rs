@@ -10,10 +10,10 @@
 //! [`crate::runtime::SerialTask`] tenant on a caller's [`Runtime`]
 //! ([`BackgroundWriter::on_runtime`]): many writers share one bounded
 //! pool — a federation's per-source writers run as N serialized tasks
-//! on a handful of threads, with group-commit window closes arriving as
-//! timer-wheel one-shots instead of per-writer sleeps. Every commit
-//! point and failure publishes a [`HealthReport::Pipeline`] on the
-//! runtime's health channel. Four properties define the pipeline:
+//! on a handful of threads, each closing its group-commit window by
+//! arming its own task ([`SerialTask::notify_in`]) instead of sleeping.
+//! Every commit point and failure publishes a [`HealthReport::Pipeline`]
+//! on the runtime's health channel. Four properties define the pipeline:
 //!
 //! * **Bounded, with backpressure.** The channel holds at most
 //!   [`PipelineConfig::channel_capacity`] events. When it is full,
@@ -26,17 +26,17 @@
 //!   after one, subsequent events are discarded (counted in
 //!   [`PipelineStats::dropped`]) rather than blocking writers forever,
 //!   and every later `flush`/`shutdown` keeps returning the error.
-//! * **Group commit.** With [`PipelineConfig::group_commit_window`] set,
-//!   the writer holds an fsync window open: it drains *everything*
-//!   concurrent producers queue, appends it through the backend's staged
-//!   (`DurabilityMode::GroupCommit`) path, and issues **one**
-//!   `flush_durable` when the window closes — on the window timer, at
-//!   [`PipelineConfig::max_group_events`], at shutdown, or early when a
-//!   `flush` caller is waiting. One fsync then acknowledges every
-//!   producer in the window ([`PipelineStats::fsyncs`] vs
-//!   [`PipelineStats::group_commits`] make the amortisation observable).
-//!   Without a window (the default), every `record` batch fsyncs on its
-//!   own, exactly as before.
+//! * **Group commit.** The writer always appends through the backend's
+//!   staged (`DurabilityMode::GroupCommit`) path and holds an fsync
+//!   window of [`PipelineConfig::group_commit_window`] open: it drains
+//!   *everything* concurrent producers queue and issues **one**
+//!   `flush_durable` when the window closes — on the window's deadline,
+//!   at [`PipelineConfig::max_group_events`], at shutdown, or early when
+//!   a `flush` caller is waiting. One fsync then acknowledges every
+//!   producer in the window ([`PipelineStats::durable`] over
+//!   [`PipelineStats::fsyncs`] is the amortisation). The default window
+//!   is zero: each pass closes the window it opened, one fsync per
+//!   batch.
 //! * **Drop-shutdown.** Dropping the writer (or calling
 //!   [`BackgroundWriter::shutdown`]) drains the queue to the backend —
 //!   closing any open group-commit window with its fsync — and waits for
@@ -49,19 +49,16 @@
 //! checkpoints/prunes as it writes.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::RepoError;
 use crate::event::{EventSink, RepoEvent};
-use crate::runtime::{HealthReport, Runtime, RuntimeHealth, SerialTask, WeakSerialTask};
+use crate::runtime::{HealthReport, Runtime, RuntimeHealth, SerialTask};
 use crate::storage::{DurabilityMode, StorageBackend};
 
 /// Default bound on the writer's input channel, in events.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
-
-/// Default maximum events handed to one `StorageBackend::record` call.
-pub const DEFAULT_WRITE_BATCH: usize = 256;
 
 /// Default cap on how many events one group-commit window may cover
 /// before it is forced closed (bounds both ack latency and the clean
@@ -74,16 +71,13 @@ pub struct PipelineConfig {
     /// Channel bound: how many events may sit between the writers and the
     /// backend before `accept` applies backpressure.
     pub channel_capacity: usize,
-    /// Largest batch handed to a single `record` call in per-batch mode
-    /// (amortises per-call fsync cost without starving flush waiters).
-    pub write_batch: usize,
-    /// When `Some(window)`, the writer runs in group-commit mode: the
-    /// backend is switched to `DurabilityMode::GroupCommit` and one
-    /// fsync per window replaces one per batch. `None` (the default)
-    /// keeps the one-call-durable per-batch behaviour.
-    pub group_commit_window: Option<Duration>,
-    /// Most events one group-commit window may cover before its fsync is
-    /// forced (≥ 1; ignored in per-batch mode).
+    /// How long a group-commit window stays open after its first staged
+    /// event before its one fsync. Zero (the default) closes every window
+    /// in the pass that opened it: one fsync per batch.
+    pub group_commit_window: Duration,
+    /// Most events one window may cover before its fsync is forced (≥ 1):
+    /// bounds ack latency, the batch handed to one `record` call and the
+    /// clean suffix a crash inside the window can lose.
     pub max_group_events: usize,
 }
 
@@ -91,8 +85,7 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             channel_capacity: DEFAULT_CHANNEL_CAPACITY,
-            write_batch: DEFAULT_WRITE_BATCH,
-            group_commit_window: None,
+            group_commit_window: Duration::ZERO,
             max_group_events: DEFAULT_MAX_GROUP_EVENTS,
         }
     }
@@ -102,7 +95,7 @@ impl PipelineConfig {
     /// The default configuration with a group-commit window of `window`.
     pub fn group_commit(window: Duration) -> PipelineConfig {
         PipelineConfig {
-            group_commit_window: Some(window),
+            group_commit_window: window,
             ..PipelineConfig::default()
         }
     }
@@ -120,16 +113,12 @@ pub struct PipelineStats {
     pub dropped: u64,
     /// How many times an `accept` blocked on a full channel.
     pub backpressure_waits: u64,
-    /// Durability commit points the writer has issued: one per `record`
-    /// batch in per-batch mode, one per window in group-commit mode.
+    /// Durability commit points the writer has issued, one per closed
+    /// window; `durable / fsyncs` is the realised amortisation factor.
     /// (Real `sync_all` calls on file-backed backends; commit points on
     /// memory ones.)
     pub fsyncs: u64,
-    /// Group-commit windows closed. Always 0 in per-batch mode;
-    /// `durable / group_commits` is the realised amortisation factor.
-    pub group_commits: u64,
-    /// The configured group-commit window, in microseconds; 0 in
-    /// per-batch mode.
+    /// The configured group-commit window, in microseconds.
     pub window_micros: u64,
 }
 
@@ -158,11 +147,11 @@ struct State {
     /// close at the next opportunity instead of running out its timer.
     flush_requested: bool,
     /// Events staged on the backend (recorded in `GroupCommit` mode) but
-    /// not yet covered by a `flush_durable`. Always 0 in per-batch mode.
+    /// not yet covered by a `flush_durable`.
     staged: usize,
     /// When the open group-commit window times out; `None` when no
-    /// window is open. The close is driven by a timer-wheel one-shot
-    /// re-notifying the writer task, not by a sleeping thread.
+    /// window is open. The close is driven by the writer task arming
+    /// itself for this instant, not by a sleeping thread.
     window_deadline: Option<Instant>,
     /// First backend error, stringified; sticky once set.
     error: Option<String>,
@@ -180,7 +169,6 @@ impl State {
             dropped: self.stats.dropped,
             backpressure_waits: self.stats.backpressure_waits,
             fsyncs: self.stats.fsyncs,
-            group_commits: self.stats.group_commits,
             window_micros: self.stats.window_micros,
             queue_len: self.queue.len(),
             error: self.error.clone(),
@@ -188,23 +176,12 @@ impl State {
     }
 }
 
-/// The writer task's self-handle, filled in after the task exists so
-/// the drive closure (and its window-close timers) can re-notify it.
-type TaskSlot = Arc<Mutex<Option<WeakSerialTask>>>;
-
-/// Schedule another writer pass, if the task is still alive.
-fn poke(slot: &TaskSlot) {
-    if let Some(task) = slot.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
-        task.notify();
-    }
-}
-
 /// The background durability pipeline's front end; see the module docs.
 pub struct BackgroundWriter {
     shared: Arc<Shared>,
     task: SerialTask,
-    /// Keeps the runtime (whose timer wheel closes windows) alive for as
-    /// long as the writer, so a caller may drop its own handle.
+    /// Keeps the runtime (whose timer closes windows) alive for as long
+    /// as the writer, so a caller may drop its own handle.
     _runtime: Arc<Runtime>,
 }
 
@@ -226,19 +203,17 @@ impl BackgroundWriter {
     /// one serialized task among the runtime's tenants instead of owning
     /// a thread, and every commit point (and failure) publishes a
     /// [`HealthReport::Pipeline`] under `component` on the runtime's
-    /// health channel. A [`PipelineConfig::group_commit_window`] switches
-    /// the backend to `DurabilityMode::GroupCommit` before the task
-    /// starts, so staging and the window's single fsync line up. The
-    /// writer holds its own `Arc` of the runtime.
+    /// health channel. The backend is switched to
+    /// `DurabilityMode::GroupCommit` before the task starts, so staging
+    /// and each window's single fsync line up. The writer holds its own
+    /// `Arc` of the runtime.
     pub fn on_runtime<B: StorageBackend + Send + 'static>(
         mut backend: B,
         config: PipelineConfig,
         runtime: &Arc<Runtime>,
         component: &str,
     ) -> BackgroundWriter {
-        if config.group_commit_window.is_some() {
-            backend.set_durability(DurabilityMode::GroupCommit);
-        }
+        backend.set_durability(DurabilityMode::GroupCommit);
         // A backend that repaired a torn tail when it opened says so on
         // the health channel — the repair predates this writer, but this
         // is the first observer that can publish it.
@@ -263,7 +238,7 @@ impl BackgroundWriter {
                 window_deadline: None,
                 error: None,
                 stats: PipelineStats {
-                    window_micros: window.map_or(0, |w| w.as_micros() as u64),
+                    window_micros: window.as_micros() as u64,
                     ..PipelineStats::default()
                 },
             }),
@@ -272,25 +247,10 @@ impl BackgroundWriter {
             health: Arc::clone(runtime.health()),
             component: component.to_string(),
         });
-        let tuning = WriterTuning {
-            batch_max: config.write_batch.max(1),
-            window,
-            group_max: config.max_group_events.max(1),
-        };
-        let slot: TaskSlot = Arc::default();
+        let group_max = config.max_group_events.max(1);
         let drive_shared = Arc::clone(&shared);
-        let drive_slot = Arc::clone(&slot);
-        let drive_runtime = Arc::downgrade(runtime);
-        let task = runtime.serial_task(move || {
-            drive(
-                &drive_shared,
-                &mut backend,
-                tuning,
-                &drive_runtime,
-                &drive_slot,
-            )
-        });
-        *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(task.downgrade());
+        let task = runtime
+            .serial_task(move |task| drive(task, &drive_shared, &mut backend, window, group_max));
         BackgroundWriter {
             shared,
             task,
@@ -433,33 +393,6 @@ impl Drop for BackgroundWriter {
     }
 }
 
-/// The writer task's resolved knobs.
-#[derive(Clone, Copy)]
-struct WriterTuning {
-    batch_max: usize,
-    window: Option<Duration>,
-    group_max: usize,
-}
-
-/// One pass of the writer task. Never blocks waiting for work or for a
-/// window timer — producers (`accept`), flush/shutdown callers and
-/// window-close one-shots all re-notify the task instead — and does one
-/// bounded step per pass (one record batch, or one stage-and-maybe-
-/// close round), re-notifying itself while work remains so sibling
-/// tenants on a shared runtime are never starved.
-fn drive<B: StorageBackend>(
-    shared: &Arc<Shared>,
-    backend: &mut B,
-    tuning: WriterTuning,
-    runtime: &Weak<Runtime>,
-    slot: &TaskSlot,
-) {
-    match tuning.window {
-        None => drive_batch(shared, backend, tuning.batch_max, slot),
-        Some(window) => drive_group(shared, backend, window, tuning.group_max, runtime, slot),
-    }
-}
-
 /// Mark the shutdown drain complete (nothing queued, nothing staged)
 /// and wake shutdown waiters. Caller holds the state lock.
 fn confirm_closed(shared: &Shared, state: &mut State) {
@@ -469,77 +402,29 @@ fn confirm_closed(shared: &Shared, state: &mut State) {
     }
 }
 
-/// Per-batch mode: pop one bounded batch, record it (the backend fsyncs
-/// inside `record`), account for it; re-notify while events remain.
-fn drive_batch<B: StorageBackend>(
-    shared: &Arc<Shared>,
-    backend: &mut B,
-    batch_max: usize,
-    slot: &TaskSlot,
-) {
-    let batch: Vec<RepoEvent> = {
-        let mut state = lock(shared);
-        if state.error.is_some() || state.queue.is_empty() {
-            confirm_closed(shared, &mut state);
-            return;
-        }
-        let n = state.queue.len().min(batch_max);
-        let batch = state.queue.drain(..n).collect();
-        shared.not_full.notify_all();
-        batch
-    };
-    match backend.record(&batch) {
-        Ok(()) => {
-            let report = {
-                let mut state = lock(shared);
-                state.stats.durable += batch.len() as u64;
-                state.stats.fsyncs += 1;
-                state.flush_requested = false;
-                shared.progress.notify_all();
-                state.report()
-            };
-            shared.health.report(&shared.component, report);
-        }
-        Err(e) => {
-            fail(shared, batch.len(), e);
-            return;
-        }
-    }
-    let more = {
-        let state = lock(shared);
-        !state.queue.is_empty() || (state.shutdown && !state.closed)
-    };
-    if more {
-        poke(slot);
-    }
-}
-
-/// Group-commit mode: stage whatever is queued (up to the group
-/// budget), open a window (arming a timer-wheel one-shot for its
-/// deadline) and close it — with the one `flush_durable` that makes
-/// every staged batch durable at once — when the budget fills, the
-/// deadline passes, shutdown begins, or a flush caller is waiting on a
-/// drained queue.
-fn drive_group<B: StorageBackend>(
-    shared: &Arc<Shared>,
+/// One pass of the writer task: stage whatever is queued (up to the
+/// group budget), open a window if none is, and close it — with the one
+/// `flush_durable` that makes every staged batch durable at once — when
+/// the budget fills, the deadline passes, shutdown begins, or a flush
+/// caller is waiting on a drained queue. A zero window's deadline has
+/// passed as it opens. Never blocks waiting for work or for the
+/// deadline: producers (`accept`), flush/shutdown callers and the task's
+/// own deadline re-notify it, and it re-notifies itself while work
+/// remains, so sibling tenants on a shared runtime are never starved.
+fn drive<B: StorageBackend>(
+    task: &SerialTask,
+    shared: &Shared,
     backend: &mut B,
     window: Duration,
     group_max: usize,
-    runtime: &Weak<Runtime>,
-    slot: &TaskSlot,
 ) {
     let (batch, staged_before) = {
         let mut state = lock(shared);
-        if state.error.is_some() {
+        if state.error.is_some() || (state.queue.is_empty() && state.staged == 0) {
             confirm_closed(shared, &mut state);
             return;
         }
-        if state.queue.is_empty() && state.staged == 0 {
-            confirm_closed(shared, &mut state);
-            return;
-        }
-        let room = group_max - state.staged;
-        let n = state.queue.len().min(room);
+        let n = state.queue.len().min(group_max - state.staged);
         let batch: Vec<RepoEvent> = state.queue.drain(..n).collect();
         if n > 0 {
             shared.not_full.notify_all();
@@ -556,61 +441,45 @@ fn drive_group<B: StorageBackend>(
     }
     let mut state = lock(shared);
     state.staged += batch.len();
-    if state.staged > 0 && state.window_deadline.is_none() && !window.is_zero() {
-        // Open the window: deadline first, then the timer — the wheel
-        // measures its own delay from *after* the deadline was fixed,
-        // so the one-shot can never fire before the deadline check
-        // passes and strand the window open.
-        state.window_deadline = Some(Instant::now() + window);
-        drop(state);
-        let timer_slot = Arc::clone(slot);
-        if let Some(runtime) = runtime.upgrade() {
-            runtime.schedule_once(window, move || poke(&timer_slot));
-        }
-        state = lock(shared);
-    }
-    let deadline_passed = state
-        .window_deadline
-        .is_some_and(|deadline| Instant::now() >= deadline);
-    let close = state.staged > 0
-        && (state.staged >= group_max
-            || state.shutdown
-            || (state.flush_requested && state.queue.is_empty())
-            || deadline_passed
-            || window.is_zero());
+    let now = Instant::now();
+    let deadline = *state.window_deadline.get_or_insert(now + window);
+    let close = state.staged >= group_max
+        || state.shutdown
+        || (state.flush_requested && state.queue.is_empty())
+        || now >= deadline;
     if close {
         let staged = state.staged;
         drop(state);
         // The window's single fsync point, covering every staged batch.
-        match backend.flush_durable() {
-            Ok(()) => {
-                let report = {
-                    let mut state = lock(shared);
-                    state.stats.durable += staged as u64;
-                    state.stats.fsyncs += 1;
-                    state.stats.group_commits += 1;
-                    state.staged = 0;
-                    state.window_deadline = None;
-                    state.flush_requested = false;
-                    shared.progress.notify_all();
-                    state.report()
-                };
-                shared.health.report(&shared.component, report);
-            }
-            Err(e) => {
-                fail(shared, staged, e);
-                return;
-            }
+        if let Err(e) = backend.flush_durable() {
+            fail(shared, staged, e);
+            return;
         }
+        let report = {
+            let mut state = lock(shared);
+            state.stats.durable += staged as u64;
+            state.stats.fsyncs += 1;
+            state.staged = 0;
+            state.window_deadline = None;
+            state.flush_requested = false;
+            shared.progress.notify_all();
+            state.report()
+        };
+        shared.health.report(&shared.component, report);
     } else {
         drop(state);
+        // Re-armed on every pass that leaves the window open: the task
+        // keeps only its earliest deadline, which may be a stale one from
+        // a window a flush closed early, so the pass it wakes re-arms
+        // the rest of this window's time.
+        task.notify_in(deadline - now);
     }
     let more = {
         let state = lock(shared);
         state.error.is_none() && (!state.queue.is_empty() || (state.shutdown && !state.closed))
     };
     if more {
-        poke(slot);
+        task.notify();
     }
 }
 
@@ -729,9 +598,9 @@ mod tests {
         assert_eq!(stats.enqueued, 4);
         assert_eq!(stats.durable, 4);
         assert_eq!(stats.dropped, 0);
-        // Per-batch mode: one commit point per record batch, no windows.
+        // A zero window: one commit point per batch, never more.
         assert!(stats.fsyncs >= 1);
-        assert_eq!(stats.group_commits, 0);
+        assert!(stats.fsyncs <= stats.durable);
         assert_eq!(writer.lag(), 0);
         writer.shutdown().unwrap();
     }
@@ -747,7 +616,7 @@ mod tests {
                 storage.clone(),
                 PipelineConfig {
                     channel_capacity: 2, // force backpressure on the way in
-                    write_batch: 1,
+                    max_group_events: 1,
                     ..PipelineConfig::default()
                 },
                 &Runtime::new(1),
@@ -768,7 +637,7 @@ mod tests {
             BrokenBackend,
             PipelineConfig {
                 channel_capacity: 2,
-                write_batch: 8,
+                max_group_events: 8,
                 ..PipelineConfig::default()
             },
             &Runtime::new(1),
@@ -859,8 +728,7 @@ mod tests {
         writer.flush().unwrap();
         let stats = writer.stats();
         assert_eq!(stats.durable, stats.enqueued);
-        assert!(stats.group_commits >= 1);
-        assert_eq!(stats.fsyncs, stats.group_commits);
+        assert!(stats.fsyncs >= 1);
         assert!(
             stats.fsyncs < stats.durable,
             "windows amortise: {} fsyncs for {} events",
@@ -949,15 +817,56 @@ mod tests {
         let stats = writer.stats();
         assert_eq!(stats.durable, 10);
         assert!(
-            stats.group_commits >= 3,
+            stats.fsyncs >= 3,
             "a 4-event budget splits 10 events over ≥ 3 windows, got {}",
-            stats.group_commits
+            stats.fsyncs
         );
         assert_eq!(
             storage.0.lock().unwrap().restore().unwrap(),
             repo.snapshot()
         );
         writer.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_window_after_one_a_flush_closed_early_still_times_out() {
+        // The first window's deadline stays armed after the flush closes
+        // it; the second window, opened before that deadline, cannot arm
+        // its own (the earliest deadline wins). The pass the stale one
+        // wakes must re-arm the rest of the second window, or it stays
+        // open until the next producer or flush.
+        let window = Duration::from_millis(200);
+        let storage = SharedMemory::default();
+        let writer = BackgroundWriter::on_runtime(
+            storage.clone(),
+            PipelineConfig::group_commit(window),
+            &Runtime::new(1),
+            "writer",
+        );
+        let repo = Repository::found("bx", vec![Principal::curator("c")]);
+        writer.enqueue(&repo.drain_events());
+        // Let the pass open the first window and arm its deadline before
+        // the flush closes it.
+        std::thread::sleep(window / 4);
+        writer.flush().unwrap();
+        repo.register(Principal::member("alice")).unwrap();
+        repo.contribute("alice", entry("COMPOSERS")).unwrap();
+        let opened = Instant::now();
+        writer.enqueue(&repo.drain_events());
+        while writer.lag() > 0 && opened.elapsed() < Duration::from_secs(30) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(writer.lag(), 0, "the second window never closed");
+        assert!(
+            opened.elapsed() < 5 * window,
+            "the second window took {:?}",
+            opened.elapsed()
+        );
+        assert_eq!(writer.stats().fsyncs, 2, "one flush close, one timeout");
+        assert_eq!(
+            storage.0.lock().unwrap().restore().unwrap(),
+            repo.snapshot()
+        );
     }
 
     #[test]

@@ -67,7 +67,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::cite;
@@ -77,7 +77,7 @@ use crate::index::SearchIndex;
 use crate::manuscript::{export_manuscript, ManuscriptOptions};
 use crate::principal::Principal;
 use crate::repo::{EntryId, EntryRecord, RepositorySnapshot};
-use crate::runtime::{HealthReport, Runtime, RuntimeHealth, TimerTask, WorkerPool};
+use crate::runtime::{HealthReport, Runtime, RuntimeHealth, SerialTask, WorkerPool};
 use crate::storage::{read_generation, EventLogBackend};
 use crate::supervise::{
     RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus, SourceSupervisor,
@@ -258,6 +258,17 @@ impl LogTail {
                 Ok(_) => return Probe::Moved { file_seen: true },
             }
         }
+        // A tail that has seen nothing guessed generation 0's format at
+        // open; the primary may start the other one.
+        if !self.observed()
+            && crate::storage::first_generations().any(|generation| {
+                generation != self.generation
+                    && crate::storage::successor_file(&generation, None)
+                        .is_some_and(|first| self.dir.join(first).exists())
+            })
+        {
+            return Probe::Moved { file_seen: true };
+        }
         Probe::Still { len }
     }
 
@@ -331,6 +342,10 @@ impl LogTail {
                 progress.new_base = Some(base);
                 progress.rebased = true;
             }
+        } else if !self.observed() {
+            // No manifest and nothing read yet: generation 0 is whichever
+            // format the primary has started by now (see `probe`).
+            self.generation = EventLogBackend::read_state_in(&self.dir)?.1;
         }
         let read = match read_generation(&self.dir, &self.generation, self.offset, pool)? {
             Some(read) => {
@@ -1023,18 +1038,6 @@ impl Federation {
             .collect()
     }
 
-    /// The soonest retry deadline across all backed-off sources, as seen
-    /// from now (`None` when every source is either healthy or already
-    /// due). [`ReplicaDaemon`] uses this to schedule a timer-wheel
-    /// wake-up instead of blind-polling a backed-off source.
-    pub fn next_retry_in(&self) -> Option<Duration> {
-        let now = Instant::now();
-        self.supervisors
-            .iter()
-            .filter_map(|supervisor| supervisor.retry_in(now))
-            .min()
-    }
-
     /// Clear `source`'s backoff deadline so the next catch-up polls it
     /// immediately (an operator repaired it and wants it back now).
     /// Returns `false` when the source id is unknown.
@@ -1196,10 +1199,10 @@ impl Federation {
 /// Tuning for a [`ReplicaDaemon`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DaemonConfig {
-    /// How long the timer wheel waits between catch-up passes. A stop
-    /// request cancels the tick immediately (it never waits out the
-    /// interval), and [`ReplicaDaemon::force_catch_up`] runs a pass on
-    /// the caller's thread at any time.
+    /// How long the daemon waits after one catch-up pass ends before it
+    /// runs the next. A stop request never waits out the interval, and
+    /// [`ReplicaDaemon::force_catch_up`] runs a pass on the caller's
+    /// thread at any time.
     pub poll_interval: Duration,
 }
 
@@ -1248,13 +1251,9 @@ struct DaemonShared {
     /// `component`.
     health: Arc<RuntimeHealth>,
     component: String,
-    /// The runtime whose timer wheel schedules backoff retries. Weak:
-    /// a pending retry one-shot must not keep the runtime (or, via the
-    /// closure, this shared state) alive past the daemon.
-    runtime: Weak<Runtime>,
-    poll_interval: Duration,
-    /// Collapses retry wake-ups: at most one one-shot is in flight.
-    retry_scheduled: AtomicBool,
+    /// Set by [`ReplicaDaemon::stop`]: a scheduled pass that has not
+    /// started yet does nothing and re-arms nothing.
+    stopped: AtomicBool,
 }
 
 fn daemon_lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -1263,11 +1262,11 @@ fn daemon_lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl DaemonShared {
     /// One catch-up pass over the federation, folding the outcome into
-    /// stats and the sticky error slots, then scheduling a timer-wheel
-    /// retry if a backed-off source's deadline falls beyond the next
-    /// periodic tick.
-    fn pass(self: &Arc<Self>) -> Result<FederationCatchUp, RepoError> {
-        let (outcome, retry_in) = {
+    /// stats and the sticky error slots. A backed-off source sits out
+    /// passes until its retry deadline; the first pass at or after it
+    /// retries the source.
+    fn pass(&self) -> Result<FederationCatchUp, RepoError> {
+        let outcome = {
             let mut federation = daemon_lock(&self.federation);
             let outcome = federation.catch_up();
             let mut stats = daemon_lock(&self.stats);
@@ -1293,12 +1292,8 @@ impl DaemonShared {
                     *daemon_lock(&self.error) = Some(e.clone());
                 }
             }
-            let retry_in = federation.next_retry_in();
-            (outcome, retry_in)
+            outcome
         };
-        self.schedule_retry(retry_in);
-        // Publish after the daemon locks are released: a health sink is
-        // arbitrary user code and must not nest inside them.
         let (polls, events_applied, rebases) = {
             let stats = daemon_lock(&self.stats);
             (stats.polls, stats.events_applied, stats.rebases)
@@ -1315,38 +1310,13 @@ impl DaemonShared {
         );
         outcome
     }
-
-    /// Arm a one-shot timer-wheel wake-up for the soonest backed-off
-    /// source whose deadline falls beyond the periodic tick — the tick
-    /// itself covers deadlines inside the next interval. At most one
-    /// wake-up is in flight; it holds only a weak reference, so a
-    /// stopped daemon (or a dropped runtime) simply lets it lapse.
-    fn schedule_retry(self: &Arc<Self>, retry_in: Option<Duration>) {
-        let Some(delay) = retry_in else { return };
-        if delay <= self.poll_interval {
-            return;
-        }
-        if self.retry_scheduled.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let Some(runtime) = self.runtime.upgrade() else {
-            self.retry_scheduled.store(false, Ordering::Release);
-            return;
-        };
-        let weak = Arc::downgrade(self);
-        runtime.schedule_once(delay, move || {
-            if let Some(shared) = weak.upgrade() {
-                shared.retry_scheduled.store(false, Ordering::Release);
-                let _ = shared.pass();
-            }
-        });
-    }
 }
 
 /// A background polling tenant around a [`Federation`]: starts at
-/// [`ReplicaDaemon::spawn_on`] as a tenant of a caller's [`Runtime`],
-/// catches up every [`DaemonConfig::poll_interval`] via the runtime's
-/// timer wheel, and stops cleanly (tick cancelled, in-flight pass waited out) on
+/// [`ReplicaDaemon::spawn_on`] as a [`SerialTask`] of a caller's
+/// [`Runtime`], runs one catch-up pass and re-arms itself
+/// [`DaemonConfig::poll_interval`] after the pass ends, and stops
+/// cleanly (in-flight pass waited out, armed wake-up dropped) on
 /// [`ReplicaDaemon::stop`] or drop — stop is prompt even mid-interval.
 /// Poll errors are sticky — per source in
 /// [`ReplicaDaemon::last_errors`], with [`ReplicaDaemon::last_error`]
@@ -1354,20 +1324,20 @@ impl DaemonShared {
 /// [`ReplicaDaemon::clear_error`] — while the daemon keeps serving from
 /// the last good merged state and polling the healthy sources, so a
 /// source directory that comes back is picked up again automatically.
-/// Backed-off sources beyond the poll interval get a dedicated one-shot
-/// wake-up on the runtime's timer wheel instead of blind polling.
+/// A backed-off source is retried by the first pass at or after its
+/// retry deadline.
 pub struct ReplicaDaemon {
     shared: Arc<DaemonShared>,
-    tick: Option<TimerTask>,
+    task: Option<SerialTask>,
     /// Keeps the runtime alive for as long as the daemon, so a caller may
-    /// drop its own handle. Dropped after the tick is cancelled.
+    /// drop its own handle. Dropped after the task is.
     _runtime: Arc<Runtime>,
 }
 
 impl std::fmt::Debug for ReplicaDaemon {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicaDaemon")
-            .field("running", &self.tick.is_some())
+            .field("running", &self.task.is_some())
             .field("stats", &self.stats())
             .finish()
     }
@@ -1375,8 +1345,8 @@ impl std::fmt::Debug for ReplicaDaemon {
 
 impl ReplicaDaemon {
     /// Take ownership of `federation` and poll it every
-    /// [`DaemonConfig::poll_interval`] as a tenant of `runtime`: poll
-    /// ticks fire on the runtime's pool, and every pass publishes
+    /// [`DaemonConfig::poll_interval`] as a tenant of `runtime`: passes
+    /// run on the runtime's pool, and every pass publishes
     /// [`HealthReport::Daemon`] on the runtime's health channel under
     /// `component`, next to the federation's supervision transitions.
     /// The first pass runs on the caller's thread before this returns,
@@ -1396,20 +1366,24 @@ impl ReplicaDaemon {
             errors: Mutex::new(BTreeMap::new()),
             health: Arc::clone(runtime.health()),
             component: component.to_string(),
-            runtime: Arc::downgrade(runtime),
-            poll_interval: config.poll_interval,
-            retry_scheduled: AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
         });
         // Poll errors are recorded (sticky) and polling continues; a
         // vanished source may come back.
         let _ = shared.pass();
-        let tick_shared = shared.clone();
-        let tick = runtime.schedule_periodic(config.poll_interval, move || {
-            let _ = tick_shared.pass();
+        let task_shared = shared.clone();
+        let interval = config.poll_interval;
+        let task = runtime.serial_task(move |task| {
+            if task_shared.stopped.load(Ordering::Acquire) {
+                return;
+            }
+            let _ = task_shared.pass();
+            task.notify_in(interval);
         });
+        task.notify_in(interval);
         ReplicaDaemon {
             shared,
-            tick: Some(tick),
+            task: Some(task),
             _runtime: Arc::clone(runtime),
         }
     }
@@ -1481,16 +1455,17 @@ impl ReplicaDaemon {
 
     /// Is the daemon still scheduled on its runtime?
     pub fn is_running(&self) -> bool {
-        self.tick.is_some()
+        self.task.is_some()
     }
 
     /// Stop polling, returning the federation's final stats. Prompt —
-    /// cancelling the tick never waits out [`DaemonConfig::poll_interval`],
-    /// only an already-running pass — and idempotent: a second call
-    /// returns the same stats without touching the runtime.
+    /// it never waits out [`DaemonConfig::poll_interval`], only an
+    /// already-running pass — and idempotent: a second call returns the
+    /// same stats without touching the runtime.
     pub fn stop(&mut self) -> DaemonStats {
-        if let Some(tick) = self.tick.take() {
-            tick.cancel();
+        if let Some(task) = self.task.take() {
+            self.shared.stopped.store(true, Ordering::Release);
+            task.wait_idle();
         }
         self.stats()
     }
@@ -1499,7 +1474,7 @@ impl ReplicaDaemon {
     pub fn into_federation(mut self) -> Federation {
         self.stop();
         let mut shared = self.shared.clone();
-        drop(self); // idempotent: the tick is already cancelled
+        drop(self); // idempotent: the task is already stopped
         loop {
             match Arc::try_unwrap(shared) {
                 Ok(shared) => {
@@ -1508,10 +1483,9 @@ impl ReplicaDaemon {
                         .into_inner()
                         .unwrap_or_else(|e| e.into_inner())
                 }
-                // cancel() guarantees no pass is running or scheduled,
-                // but on a shared runtime the worker that ran the last
-                // tick can hold the fired job's environment (and its
-                // Arc) for an instant after the pass returns.
+                // stop() waited the task idle, but on a shared runtime
+                // the worker that ran the last pass can hold the task
+                // (and its Arc) for an instant after the pass returns.
                 Err(again) => {
                     shared = again;
                     std::thread::yield_now();
@@ -2486,12 +2460,11 @@ mod tests {
                 consecutive_failures: 1
             }
         );
-        assert!(status[0].1.retry_in.is_some());
-        assert_eq!(status[1].1.health, SourceHealth::Healthy);
         assert!(
-            federation.next_retry_in().unwrap() > Duration::from_secs(3000),
-            "the daemon would schedule a distant timer-wheel wake-up, not blind-poll"
+            status[0].1.retry_in.unwrap() > Duration::from_secs(3000),
+            "the sick source sits out passes until its distant deadline"
         );
+        assert_eq!(status[1].1.health, SourceHealth::Healthy);
 
         // Operator override: clear the deadline and the next pass polls
         // the source again immediately.
@@ -2743,7 +2716,7 @@ mod tests {
         // not run until it is released.
         let runtime = Runtime::new(1);
         let (release, parked) = std::sync::mpsc::channel::<()>();
-        runtime.execute(move || {
+        runtime.pool().execute(move || {
             let _ = parked.recv();
         });
         let mut daemon =

@@ -19,24 +19,24 @@
 //!   issued *from* a worker thread runs the nested batch inline on the
 //!   calling worker instead of deadlocking the pool.
 //!
-//! * **Timer wheel** — a single lazy `bx-timer` thread tracking
-//!   deadlines; due jobs are fired *onto the pool*, never run on the
-//!   timer thread itself. [`Runtime::schedule_periodic`] returns a
-//!   [`TimerTask`] whose `cancel()` is prompt (no sleeping out the
-//!   period) and waits for an in-flight firing to finish; periodic
-//!   firings are coalesced (skip-if-still-running) so a slow tenant
-//!   never stacks up behind itself.
-//!
-//! * **[`SerialTask`]** — the actor-style discipline that replaced the
-//!   dedicated per-component threads: a `FnMut` that is never run
-//!   concurrently with itself, with coalesced wakeups (`notify()` while
-//!   running marks a re-run instead of queueing a duplicate).
+//! * **[`SerialTask`]** — the one way a tenant is scheduled: a `FnMut`
+//!   that is never run concurrently with itself, woken now
+//!   ([`SerialTask::notify`]) or after a delay ([`SerialTask::notify_in`]).
+//!   Wake-ups coalesce: a `notify()` while a run is in progress marks one
+//!   re-run instead of queueing a duplicate, and a task holds at most one
+//!   armed deadline, the earliest asked for. Deadlines live on a short
+//!   crate-private list that one lazy `bx-timer` thread drains, waking
+//!   the task *onto the pool*; the timer thread never runs tenant work.
+//!   The work closure receives its own task, so a tenant re-arms itself
+//!   (the writer's window close, the daemon's next pass, the law
+//!   checker's next bounded batch) without holding a handle to itself.
 //!
 //! * **[`RuntimeHealth`]** — the unified health/stats channel. Every
-//!   tenant (durability pipeline, replica daemon, compaction, lint)
-//!   reports [`HealthReport`]s tagged with a component name; observers
-//!   drain the bounded backlog or read the latest-per-component map,
-//!   superseding the ad-hoc per-component plumbing.
+//!   tenant (durability pipeline, replica daemon, compaction, lint,
+//!   federated sources) reports [`HealthReport`]s tagged with a component
+//!   name; observers drain the bounded backlog or read the latest report
+//!   of one component. The pool does not report: its counters are read
+//!   with [`Runtime::pool_stats`].
 //!
 //! The pool runs `'static` jobs: callers share read-only inputs via
 //! [`std::sync::Arc`] and partition mutable state by *moving* disjoint
@@ -66,7 +66,7 @@ thread_local! {
 }
 
 /// Counters a runtime's worker pool keeps about itself; snapshot via
-/// [`Runtime::pool_stats`] or push one as [`HealthReport::Pool`].
+/// [`Runtime::pool_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Worker threads in the pool.
@@ -150,14 +150,13 @@ impl WorkerPool {
 
     /// Whether the calling thread is a pool worker (of *any* pool).
     /// `scatter` uses this to run nested batches inline.
-    pub fn on_worker_thread() -> bool {
+    fn on_worker_thread() -> bool {
         IN_POOL_WORKER.with(|f| f.get())
     }
 
     /// Spawn one named OS thread (the naming discipline every bx-core
-    /// background thread follows; also used directly by one-shot helpers
-    /// that do not need pooling).
-    pub fn spawn_named<T: Send + 'static>(
+    /// background thread follows: the workers and the timer thread).
+    fn spawn_named<T: Send + 'static>(
         name: &str,
         f: impl FnOnce() -> T + Send + 'static,
     ) -> JoinHandle<T> {
@@ -298,7 +297,7 @@ impl Drop for WorkerPool {
         let me = std::thread::current().id();
         for worker in self.workers.drain(..) {
             // The last Arc holding a pool can be dropped *from a pool
-            // job* (a stale timer firing, a detached task): a worker
+            // job* (a task's run, a detached job): a worker
             // must never join itself. Dropping the handle detaches the
             // thread; it exits on its own since shutdown is set.
             if worker.thread().id() == me {
@@ -326,7 +325,6 @@ pub enum HealthReport {
         dropped: u64,
         backpressure_waits: u64,
         fsyncs: u64,
-        group_commits: u64,
         /// The configured group-commit window, in microseconds.
         window_micros: u64,
         queue_len: usize,
@@ -380,8 +378,6 @@ pub enum HealthReport {
         /// How many torn bytes were dropped.
         bytes_dropped: u64,
     },
-    /// The pool's own counters.
-    Pool(PoolStats),
 }
 
 /// One sequenced, component-tagged health report.
@@ -393,9 +389,6 @@ pub struct ComponentHealth {
     pub component: String,
     pub report: HealthReport,
 }
-
-/// Push sink for health reports; invoked outside the channel's lock.
-pub type HealthSink = Arc<dyn Fn(&ComponentHealth) + Send + Sync>;
 
 /// Backlog cap: the channel keeps the most recent reports, dropping the
 /// oldest — health is a sampling channel, not a durable log.
@@ -409,13 +402,11 @@ struct HealthInner {
 
 /// The unified health/stats channel shared by every runtime tenant.
 ///
-/// Three consumption styles: [`RuntimeHealth::drain`] the bounded
-/// backlog (polling observers), [`RuntimeHealth::latest`] /
-/// [`RuntimeHealth::latest_all`] for dashboards that only want current
-/// state, or [`RuntimeHealth::set_sink`] for push delivery.
+/// Two consumption styles: [`RuntimeHealth::drain`] the bounded backlog
+/// (polling observers), or [`RuntimeHealth::latest`] for dashboards that
+/// only want one component's current state.
 pub struct RuntimeHealth {
     inner: Mutex<HealthInner>,
-    sink: Mutex<Option<HealthSink>>,
 }
 
 impl Default for RuntimeHealth {
@@ -443,32 +434,23 @@ impl RuntimeHealth {
                 backlog: VecDeque::new(),
                 latest: BTreeMap::new(),
             }),
-            sink: Mutex::new(None),
         }
     }
 
     /// Publish one report for `component`.
     pub fn report(&self, component: &str, report: HealthReport) {
-        let entry = {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.seq += 1;
-            let entry = ComponentHealth {
-                seq: inner.seq,
-                component: component.to_string(),
-                report,
-            };
-            inner.backlog.push_back(entry.clone());
-            while inner.backlog.len() > HEALTH_BACKLOG {
-                inner.backlog.pop_front();
-            }
-            inner.latest.insert(entry.component.clone(), entry.clone());
-            entry
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.seq += 1;
+        let entry = ComponentHealth {
+            seq: inner.seq,
+            component: component.to_string(),
+            report,
         };
-        let sink = self.sink.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        if let Some(sink) = sink {
-            // Outside the lock: a sink may itself inspect the channel.
-            sink(&entry);
+        inner.backlog.push_back(entry.clone());
+        while inner.backlog.len() > HEALTH_BACKLOG {
+            inner.backlog.pop_front();
         }
+        inner.latest.insert(entry.component.clone(), entry);
     }
 
     /// Drain and return the backlog in publish order.
@@ -482,286 +464,128 @@ impl RuntimeHealth {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.latest.get(component).cloned()
     }
-
-    /// The most recent report of every component that ever reported.
-    pub fn latest_all(&self) -> Vec<ComponentHealth> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.latest.values().cloned().collect()
-    }
-
-    /// Install (or clear) a push sink. Called outside the channel lock;
-    /// keep it fast — it runs on whichever tenant thread reported.
-    pub fn set_sink(&self, sink: Option<HealthSink>) {
-        *self.sink.lock().unwrap_or_else(|e| e.into_inner()) = sink;
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Timer wheel
+// Deadlines
 // ---------------------------------------------------------------------------
 
-type TimerJob = Arc<dyn Fn() + Send + Sync + 'static>;
-
-/// Per-task control block shared between the wheel, the fired pool
-/// jobs, and the [`TimerTask`] handle.
-struct TimerCtl {
-    cancelled: AtomicBool,
-    /// `(running, queued)` — `queued` counts firings handed to the pool
-    /// but not yet finished; skip-if-running coalescing and
-    /// cancel-and-wait both key off this.
-    state: Mutex<(bool, u32)>,
-    done: Condvar,
+/// One armed wake-up. Weak: a deadline never keeps its task alive, so a
+/// wake for a dropped task simply lapses.
+struct Deadline {
+    at: Instant,
+    task: Weak<SerialInner>,
 }
 
-impl TimerCtl {
-    fn new() -> Arc<TimerCtl> {
-        Arc::new(TimerCtl {
-            cancelled: AtomicBool::new(false),
-            state: Mutex::new((false, 0)),
-            done: Condvar::new(),
-        })
-    }
-}
-
-struct TimerEntry {
-    deadline: Instant,
-    /// `None` for detached one-shots.
-    period: Option<Duration>,
-    job: TimerJob,
-    /// `None` for detached one-shots (nothing to cancel or wait on).
-    ctl: Option<Arc<TimerCtl>>,
-}
-
-struct TimerState {
-    entries: BTreeMap<u64, TimerEntry>,
-    next_id: u64,
+struct DeadlineState {
+    /// At most one entry per task; a handful of tenants, so a plain list.
+    entries: Vec<Deadline>,
     shutdown: bool,
 }
 
-struct TimerShared {
-    state: Mutex<TimerState>,
-    /// Wakes the timer thread when an entry is added/removed or
-    /// shutdown begins.
+/// The runtime's deadline list, drained by one lazy `bx-timer` thread
+/// that wakes due tasks onto the pool. Private to the runtime; reached
+/// through [`SerialTask::notify_in`].
+struct Deadlines {
+    state: Mutex<DeadlineState>,
+    /// Wakes the timer thread when a deadline moves earlier or shutdown
+    /// begins.
     changed: Condvar,
-}
-
-/// The runtime's deadline tracker: one lazy `bx-timer` thread that
-/// fires due jobs onto the pool. Private to [`Runtime`].
-struct TimerWheel {
-    shared: Arc<TimerShared>,
-    pool: Arc<WorkerPool>,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
-impl TimerWheel {
-    fn new(pool: Arc<WorkerPool>) -> TimerWheel {
-        TimerWheel {
-            shared: Arc::new(TimerShared {
-                state: Mutex::new(TimerState {
-                    entries: BTreeMap::new(),
-                    next_id: 0,
-                    shutdown: false,
-                }),
-                changed: Condvar::new(),
+impl Deadlines {
+    fn new() -> Arc<Deadlines> {
+        Arc::new(Deadlines {
+            state: Mutex::new(DeadlineState {
+                entries: Vec::new(),
+                shutdown: false,
             }),
-            pool,
+            changed: Condvar::new(),
             thread: Mutex::new(None),
-        }
+        })
     }
 
-    /// Insert an entry and make sure the timer thread exists.
-    fn insert(&self, entry: TimerEntry) -> u64 {
-        let id = {
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            let id = state.next_id;
-            state.next_id += 1;
-            state.entries.insert(id, entry);
-            id
-        };
-        self.shared.changed.notify_all();
-        let mut thread = self.thread.lock().unwrap_or_else(|e| e.into_inner());
+    /// Arm `task` for `at`, unless it already holds an earlier deadline,
+    /// and make sure the timer thread exists.
+    fn arm(this: &Arc<Deadlines>, task: &Arc<SerialInner>, at: Instant) {
+        {
+            let mut state = this.state.lock().unwrap_or_else(|e| e.into_inner());
+            if state.shutdown {
+                return;
+            }
+            let mine = Arc::as_ptr(task);
+            match state.entries.iter_mut().find(|d| d.task.as_ptr() == mine) {
+                Some(armed) if armed.at <= at => return,
+                Some(armed) => armed.at = at,
+                None => state.entries.push(Deadline {
+                    at,
+                    task: Arc::downgrade(task),
+                }),
+            }
+        }
+        this.changed.notify_all();
+        let mut thread = this.thread.lock().unwrap_or_else(|e| e.into_inner());
         if thread.is_none() {
-            let shared = Arc::clone(&self.shared);
-            let pool = Arc::clone(&self.pool);
-            *thread = Some(WorkerPool::spawn_named("bx-timer", move || {
-                Self::run(&shared, &pool)
-            }));
-        }
-        id
-    }
-
-    /// Hand one firing of `job` to the pool, honouring the control
-    /// block's cancellation and skip-if-running coalescing.
-    fn fire(pool: &WorkerPool, job: &TimerJob, ctl: &Option<Arc<TimerCtl>>) {
-        match ctl {
-            None => {
-                let job = Arc::clone(job);
-                pool.execute(move || job());
-            }
-            Some(ctl) => {
-                if ctl.cancelled.load(Ordering::Acquire) {
-                    return;
-                }
-                {
-                    let mut state = ctl.state.lock().unwrap_or_else(|e| e.into_inner());
-                    if state.0 || state.1 > 0 {
-                        // Still running (or already queued) from the
-                        // previous firing: coalesce, don't stack.
-                        return;
-                    }
-                    state.1 += 1;
-                }
-                let job = Arc::clone(job);
-                let ctl = Arc::clone(ctl);
-                pool.execute(move || {
-                    if !ctl.cancelled.load(Ordering::Acquire) {
-                        {
-                            let mut state = ctl.state.lock().unwrap_or_else(|e| e.into_inner());
-                            state.0 = true;
-                        }
-                        // The pool's worker loop catches a panicking
-                        // job, but the control block must be released
-                        // even then, so guard the flags with a Drop.
-                        struct Finish(Arc<TimerCtl>);
-                        impl Drop for Finish {
-                            fn drop(&mut self) {
-                                let mut state =
-                                    self.0.state.lock().unwrap_or_else(|e| e.into_inner());
-                                state.0 = false;
-                                state.1 = state.1.saturating_sub(1);
-                                drop(state);
-                                self.0.done.notify_all();
-                            }
-                        }
-                        let _finish = Finish(Arc::clone(&ctl));
-                        job();
-                    } else {
-                        let mut state = ctl.state.lock().unwrap_or_else(|e| e.into_inner());
-                        state.1 = state.1.saturating_sub(1);
-                        drop(state);
-                        ctl.done.notify_all();
-                    }
-                });
-            }
+            let deadlines = Arc::clone(this);
+            *thread = Some(WorkerPool::spawn_named("bx-timer", move || deadlines.run()));
         }
     }
 
-    /// The timer thread: sleep until the earliest deadline, fire due
-    /// entries onto the pool, reschedule periodics.
-    fn run(shared: &TimerShared, pool: &Arc<WorkerPool>) {
-        let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+    /// The timer thread: sleep until the earliest deadline, then notify
+    /// every due task that still exists.
+    fn run(&self) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if state.shutdown {
                 return;
             }
             let now = Instant::now();
-            // Fire everything due; collect jobs first so firing happens
-            // with the wheel lock held only briefly per entry.
-            let due: Vec<u64> = state
-                .entries
-                .iter()
-                .filter(|(_, e)| e.deadline <= now)
-                .map(|(id, _)| *id)
-                .collect();
-            for id in due {
-                let (job, ctl, reschedule) = {
-                    let entry = state.entries.get_mut(&id).expect("due entry exists");
-                    let job = Arc::clone(&entry.job);
-                    let ctl = entry.ctl.clone();
-                    let reschedule = match entry.period {
-                        Some(period) => {
-                            entry.deadline = now + period;
-                            true
-                        }
-                        None => false,
-                    };
-                    (job, ctl, reschedule)
-                };
-                if !reschedule {
-                    state.entries.remove(&id);
+            let mut due = Vec::new();
+            state.entries.retain(|d| {
+                let keep = d.at > now;
+                if !keep {
+                    due.push(d.task.clone());
                 }
-                Self::fire(pool, &job, &ctl);
+                keep
+            });
+            if !due.is_empty() {
+                // Notify outside the lock: a run may re-arm at once.
+                drop(state);
+                for task in due.iter().filter_map(Weak::upgrade) {
+                    SerialInner::notify(&task);
+                }
+                state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+                continue;
             }
-            let next = state.entries.values().map(|e| e.deadline).min();
-            state = match next {
-                None => shared
-                    .changed
-                    .wait(state)
-                    .unwrap_or_else(|e| e.into_inner()),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if deadline <= now {
-                        continue;
-                    }
-                    shared
-                        .changed
-                        .wait_timeout(state, deadline - now)
+            state = match state.entries.iter().map(|d| d.at).min() {
+                None => self.changed.wait(state).unwrap_or_else(|e| e.into_inner()),
+                Some(at) => {
+                    self.changed
+                        .wait_timeout(state, at - now)
                         .unwrap_or_else(|e| e.into_inner())
                         .0
                 }
             };
         }
     }
-}
 
-impl Drop for TimerWheel {
-    fn drop(&mut self) {
+    /// Stop the timer thread (pending deadlines lapse) and join it,
+    /// unless this *is* the timer thread: a task it woke can hold the
+    /// last `Arc<Runtime>`.
+    fn shut_down(&self) {
         {
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
             state.shutdown = true;
             state.entries.clear();
         }
-        self.shared.changed.notify_all();
-        if let Some(thread) = self.thread.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            let _ = thread.join();
+        self.changed.notify_all();
+        let thread = self.thread.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some(thread) = thread {
+            if thread.thread().id() != std::thread::current().id() {
+                let _ = thread.join();
+            }
         }
-    }
-}
-
-/// Handle to a periodic timer entry; see [`Runtime::schedule_periodic`].
-///
-/// `cancel()` is prompt (it does not sleep out the remaining period)
-/// and waits for an in-flight firing to finish, so after it returns the
-/// job is guaranteed not running and never will again. Dropping the
-/// handle cancels without waiting.
-pub struct TimerTask {
-    id: u64,
-    wheel: Arc<TimerShared>,
-    ctl: Arc<TimerCtl>,
-}
-
-impl std::fmt::Debug for TimerTask {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimerTask").field("id", &self.id).finish()
-    }
-}
-
-impl TimerTask {
-    /// Remove the entry from the wheel and wait until any in-flight
-    /// firing has finished. Idempotent.
-    pub fn cancel(&self) {
-        self.ctl.cancelled.store(true, Ordering::Release);
-        {
-            let mut state = self.wheel.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.entries.remove(&self.id);
-        }
-        self.wheel.changed.notify_all();
-        let mut state = self.ctl.state.lock().unwrap_or_else(|e| e.into_inner());
-        while state.0 || state.1 > 0 {
-            state = self.ctl.done.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-impl Drop for TimerTask {
-    fn drop(&mut self) {
-        // Cancel without waiting: an in-flight firing only holds the
-        // job closure alive a moment longer.
-        self.ctl.cancelled.store(true, Ordering::Release);
-        let mut state = self.wheel.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.entries.remove(&self.id);
-        drop(state);
-        self.wheel.changed.notify_all();
     }
 }
 
@@ -778,17 +602,22 @@ struct SerialState {
     rerun: bool,
 }
 
+/// A task's work closure; it is handed its own task.
+type Work = Box<dyn FnMut(&SerialTask) + Send>;
+
 struct SerialInner {
-    work: Mutex<Box<dyn FnMut() + Send>>,
+    work: Mutex<Work>,
     state: Mutex<SerialState>,
     idle: Condvar,
+    pool: Arc<WorkerPool>,
+    deadlines: Arc<Deadlines>,
 }
 
 impl SerialInner {
     /// One pool-job pass: run the closure, then either reschedule (a
     /// notify arrived mid-run) or go idle. Re-enqueueing instead of
     /// looping keeps one chatty task from monopolising a worker.
-    fn run(this: &Arc<SerialInner>, pool: &Arc<WorkerPool>) {
+    fn run(this: &Arc<SerialInner>) {
         {
             let mut state = this.state.lock().unwrap_or_else(|e| e.into_inner());
             state.scheduled = false;
@@ -796,7 +625,7 @@ impl SerialInner {
         }
         // Release `running` even if the closure panics (the pool
         // catches the unwind); otherwise the task would wedge forever.
-        struct Finish<'a>(&'a Arc<SerialInner>, &'a Arc<WorkerPool>);
+        struct Finish<'a>(&'a Arc<SerialInner>);
         impl Drop for Finish<'_> {
             fn drop(&mut self) {
                 let mut state = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -806,19 +635,21 @@ impl SerialInner {
                     state.scheduled = true;
                     drop(state);
                     let inner = Arc::clone(self.0);
-                    let pool = Arc::clone(self.1);
-                    self.1.execute(move || SerialInner::run(&inner, &pool));
+                    self.0.pool.execute(move || SerialInner::run(&inner));
                 } else {
                     drop(state);
                     self.0.idle.notify_all();
                 }
             }
         }
-        let _finish = Finish(this, pool);
-        (this.work.lock().unwrap_or_else(|e| e.into_inner()))();
+        let _finish = Finish(this);
+        let task = SerialTask {
+            inner: Arc::clone(this),
+        };
+        (this.work.lock().unwrap_or_else(|e| e.into_inner()))(&task);
     }
 
-    fn notify(this: &Arc<SerialInner>, pool: &Arc<WorkerPool>) {
+    fn notify(this: &Arc<SerialInner>) {
         {
             let mut state = this.state.lock().unwrap_or_else(|e| e.into_inner());
             if state.running {
@@ -831,19 +662,18 @@ impl SerialInner {
             state.scheduled = true;
         }
         let inner = Arc::clone(this);
-        let pool_for_job = Arc::clone(pool);
-        pool.execute(move || SerialInner::run(&inner, &pool_for_job));
+        this.pool.execute(move || SerialInner::run(&inner));
     }
 }
 
 /// A serialized task on the runtime: a `FnMut` that is never run
-/// concurrently with itself. [`SerialTask::notify`] schedules a run;
-/// notifies arriving while a run is in progress coalesce into exactly
-/// one follow-up run. This is the actor-style discipline the dedicated
-/// per-component threads (durability writer, lint fold) migrated onto.
+/// concurrently with itself, and the only way a tenant is scheduled.
+/// [`SerialTask::notify`] schedules a run now; notifies arriving while a
+/// run is in progress coalesce into exactly one follow-up run.
+/// [`SerialTask::notify_in`] schedules one after a delay. The work
+/// closure is handed its own task, so it can re-notify or re-arm itself.
 pub struct SerialTask {
     inner: Arc<SerialInner>,
-    pool: Arc<WorkerPool>,
 }
 
 impl std::fmt::Debug for SerialTask {
@@ -855,11 +685,21 @@ impl std::fmt::Debug for SerialTask {
 impl SerialTask {
     /// Schedule a run (coalesced; see the type docs).
     pub fn notify(&self) {
-        SerialInner::notify(&self.inner, &self.pool);
+        SerialInner::notify(&self.inner);
     }
 
-    /// Block until no run is scheduled or in progress. A concurrent
-    /// `notify` can of course schedule a new run right after.
+    /// Schedule a run `delay` from now. A task holds at most one armed
+    /// deadline: an earlier one already armed wins, and a later one is
+    /// dropped, so a tenant that needs a later wake-up re-arms from the
+    /// run the earlier one causes. Dropping the task lets its deadline
+    /// lapse.
+    pub fn notify_in(&self, delay: Duration) {
+        Deadlines::arm(&self.inner.deadlines, &self.inner, Instant::now() + delay);
+    }
+
+    /// Block until no run is scheduled or in progress. A deadline armed
+    /// but not yet due does not count; a concurrent `notify` can of
+    /// course schedule a new run right after.
     pub fn wait_idle(&self) {
         let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
         while state.scheduled || state.running || state.rerun {
@@ -871,29 +711,16 @@ impl SerialTask {
         }
     }
 
-    /// A weak handle for wakeups from timer callbacks (breaks the
-    /// `Arc` cycle a timer job capturing its own task would form).
-    pub fn downgrade(&self) -> WeakSerialTask {
-        WeakSerialTask {
-            inner: Arc::downgrade(&self.inner),
-            pool: Arc::downgrade(&self.pool),
-        }
-    }
-}
-
-/// Weak counterpart of [`SerialTask`]; `notify` is a no-op once the
-/// task (or its runtime) is gone.
-#[derive(Clone)]
-pub struct WeakSerialTask {
-    inner: Weak<SerialInner>,
-    pool: Weak<WorkerPool>,
-}
-
-impl WeakSerialTask {
-    pub fn notify(&self) {
-        if let (Some(inner), Some(pool)) = (self.inner.upgrade(), self.pool.upgrade()) {
-            SerialInner::notify(&inner, &pool);
-        }
+    /// Deadlines armed for this task and not yet fired.
+    #[cfg(test)]
+    fn pending_deadlines(&self) -> usize {
+        let state = self.inner.deadlines.state.lock().unwrap();
+        let mine = Arc::as_ptr(&self.inner);
+        state
+            .entries
+            .iter()
+            .filter(|d| d.task.as_ptr() == mine)
+            .count()
     }
 }
 
@@ -901,19 +728,17 @@ impl WeakSerialTask {
 // Runtime
 // ---------------------------------------------------------------------------
 
-/// The shared background runtime: one bounded worker pool, one timer
-/// wheel, one [`RuntimeHealth`] channel. Components "rent" capacity —
-/// the durability writer and lint fold as [`SerialTask`]s, the replica
-/// daemon and compaction triggers as timer entries, parallel restore as
-/// `scatter` batches — so a node hosting dozens of federated sources
-/// runs on one fixed set of threads instead of a thread per component.
+/// The shared background runtime: one bounded worker pool, one deadline
+/// list, one [`RuntimeHealth`] channel. Components "rent" capacity — the
+/// durability writer, the replica daemon and the law checker as
+/// [`SerialTask`]s, parallel restore as `scatter` batches — so a node
+/// hosting dozens of federated sources runs on one fixed set of threads
+/// instead of a thread per component.
 ///
-/// Dropping the last `Arc<Runtime>` shuts down the wheel first (no new
-/// firings), then the pool (queued jobs drain, workers join).
+/// Dropping the last `Arc<Runtime>` stops the timer thread first (armed
+/// deadlines lapse), then the pool (queued jobs drain, workers join).
 pub struct Runtime {
-    // Field order is drop order: the wheel must stop scheduling onto
-    // the pool before the pool joins its workers.
-    timers: TimerWheel,
+    deadlines: Arc<Deadlines>,
     pool: Arc<WorkerPool>,
     health: Arc<RuntimeHealth>,
 }
@@ -935,10 +760,9 @@ impl Runtime {
     /// A runtime whose workers carry a custom name prefix, so thread
     /// dumps say which node or test owns them.
     pub fn named(prefix: &str, threads: usize) -> Arc<Runtime> {
-        let pool = Arc::new(WorkerPool::named(prefix, threads));
         Arc::new(Runtime {
-            timers: TimerWheel::new(Arc::clone(&pool)),
-            pool,
+            deadlines: Deadlines::new(),
+            pool: Arc::new(WorkerPool::named(prefix, threads)),
             health: Arc::new(RuntimeHealth::new()),
         })
     }
@@ -958,11 +782,6 @@ impl Runtime {
         &self.health
     }
 
-    /// Enqueue one fire-and-forget job on the pool.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.pool.execute(job);
-    }
-
     /// Ordered scatter/gather on the pool: results in submission order,
     /// the first panic in submission order re-raised on the caller, and
     /// a nested call from a worker run inline (see the module docs).
@@ -978,15 +797,8 @@ impl Runtime {
         self.pool.stats()
     }
 
-    /// Publish the pool's counters on the health channel as
-    /// `component` (dashboards poll this alongside tenant reports).
-    pub fn report_pool_health(&self, component: &str) {
-        self.health
-            .report(component, HealthReport::Pool(self.pool.stats()));
-    }
-
     /// A serialized task on this runtime's pool; see [`SerialTask`].
-    pub fn serial_task(&self, work: impl FnMut() + Send + 'static) -> SerialTask {
+    pub fn serial_task(&self, work: impl FnMut(&SerialTask) + Send + 'static) -> SerialTask {
         SerialTask {
             inner: Arc::new(SerialInner {
                 work: Mutex::new(Box::new(work)),
@@ -996,52 +808,16 @@ impl Runtime {
                     rerun: false,
                 }),
                 idle: Condvar::new(),
+                pool: Arc::clone(&self.pool),
+                deadlines: Arc::clone(&self.deadlines),
             }),
-            pool: Arc::clone(&self.pool),
         }
     }
+}
 
-    /// Run `job` every `period`, starting one `period` from now. Each
-    /// firing runs on the pool; a firing that is still running when the
-    /// next deadline arrives is skipped (coalesced), so a slow tenant
-    /// lags rather than stacks. The returned [`TimerTask`] cancels
-    /// promptly; dropping it cancels without waiting.
-    pub fn schedule_periodic(
-        &self,
-        period: Duration,
-        job: impl Fn() + Send + Sync + 'static,
-    ) -> TimerTask {
-        let job: TimerJob = Arc::new(job);
-        let ctl = TimerCtl::new();
-        let id = self.timers.insert(TimerEntry {
-            deadline: Instant::now() + period,
-            period: Some(period),
-            job,
-            ctl: Some(Arc::clone(&ctl)),
-        });
-        TimerTask {
-            id,
-            wheel: Arc::clone(&self.timers.shared),
-            ctl,
-        }
-    }
-
-    /// Run `job` once, `delay` from now, detached (no handle; runtime
-    /// shutdown before the deadline drops the job silently).
-    pub fn schedule_once(&self, delay: Duration, job: impl FnOnce() + Send + 'static) {
-        // The wheel stores `Fn` jobs; a one-shot fires at most once, so
-        // smuggle the `FnOnce` through an Option.
-        let job = Mutex::new(Some(job));
-        self.timers.insert(TimerEntry {
-            deadline: Instant::now() + delay,
-            period: None,
-            job: Arc::new(move || {
-                if let Some(job) = job.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                    job();
-                }
-            }),
-            ctl: None,
-        });
+impl Drop for Runtime {
+    fn drop(&mut self) {
+        self.deadlines.shut_down();
     }
 }
 
@@ -1207,45 +983,99 @@ mod tests {
         assert_eq!(ran_after.load(Ordering::SeqCst), 1);
     }
 
+    /// Wait up to 5 s for `done`, polling.
+    fn settle(done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
-    fn periodic_timer_fires_and_cancels_promptly() {
+    fn notify_in_runs_the_task_once_after_the_delay() {
         let runtime = Runtime::new(2);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&fired);
-        let task = runtime.schedule_periodic(Duration::from_millis(5), move || {
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&runs);
+        let task = runtime.serial_task(move |_| seen.lock().unwrap().push(Instant::now()));
+        let armed = Instant::now();
+        task.notify_in(Duration::from_millis(30));
+        // Not due yet: waiting idle does not wait for the deadline.
+        task.wait_idle();
+        settle(|| !runs.lock().unwrap().is_empty());
+        std::thread::sleep(Duration::from_millis(50));
+        let runs = runs.lock().unwrap();
+        assert_eq!(runs.len(), 1, "one deadline, one run");
+        assert!(runs[0] - armed >= Duration::from_millis(30), "never early");
+        assert_eq!(task.pending_deadlines(), 0, "a fired deadline is gone");
+    }
+
+    #[test]
+    fn re_arming_keeps_at_most_one_deadline_per_task() {
+        let runtime = Runtime::new(1);
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&runs);
+        let task = runtime.serial_task(move |_| {
             counter.fetch_add(1, Ordering::SeqCst);
         });
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while fired.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
+        let other = runtime.serial_task(|_| {});
+        other.notify_in(Duration::from_secs(600));
+        for i in 0..10_000u64 {
+            // Later and earlier asks interleave; the earliest wins.
+            task.notify_in(Duration::from_secs(600) - Duration::from_millis(i % 97));
+            assert!(task.pending_deadlines() <= 1);
         }
-        assert!(fired.load(Ordering::SeqCst) >= 3, "timer fires repeatedly");
-        let start = Instant::now();
-        task.cancel();
-        assert!(start.elapsed() < Duration::from_secs(1), "cancel is prompt");
-        let after = fired.load(Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(
-            fired.load(Ordering::SeqCst),
-            after,
-            "no firings after cancel"
+        assert_eq!(task.pending_deadlines(), 1);
+        assert_eq!(other.pending_deadlines(), 1, "tasks keep their own");
+        // An earlier ask moves the one deadline forward.
+        task.notify_in(Duration::from_millis(1));
+        assert_eq!(task.pending_deadlines(), 1);
+        settle(|| runs.load(Ordering::SeqCst) == 1);
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert_eq!(task.pending_deadlines(), 0);
+    }
+
+    #[test]
+    fn a_wake_for_a_dropped_task_lapses_and_keeps_nothing_alive() {
+        let runtime = Runtime::new(1);
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&runs);
+        let task = runtime.serial_task(move |_| {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        task.notify_in(Duration::from_millis(10));
+        drop(task);
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(runs.load(Ordering::SeqCst), 0, "the wake lapsed");
+
+        // A task whose work holds the runtime, armed far out: dropping
+        // the task frees the runtime, and dropping that joins the timer.
+        let held = Arc::clone(&runtime);
+        let task = runtime.serial_task(move |_| {
+            let _ = &held;
+        });
+        task.notify_in(Duration::from_secs(600));
+        drop(task);
+        let weak = Arc::downgrade(&runtime);
+        drop(runtime);
+        assert!(
+            weak.upgrade().is_none(),
+            "the deadline kept the runtime alive"
         );
     }
 
     #[test]
-    fn one_shot_timer_fires_once() {
+    fn a_task_re_arms_itself_from_its_own_run() {
         let runtime = Runtime::new(1);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&fired);
-        runtime.schedule_once(Duration::from_millis(3), move || {
-            counter.fetch_add(1, Ordering::SeqCst);
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&runs);
+        let task = runtime.serial_task(move |me| {
+            if counter.fetch_add(1, Ordering::SeqCst) < 4 {
+                me.notify_in(Duration::from_millis(1));
+            }
         });
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while fired.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        task.notify();
+        settle(|| runs.load(Ordering::SeqCst) == 5);
+        assert_eq!(runs.load(Ordering::SeqCst), 5);
     }
 
     #[test]
@@ -1259,7 +1089,7 @@ mod tests {
             Arc::clone(&max_seen),
             Arc::clone(&runs),
         );
-        let task = runtime.serial_task(move || {
+        let task = runtime.serial_task(move |_| {
             let now = running2.fetch_add(1, Ordering::SeqCst) + 1;
             max2.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(Duration::from_millis(1));
@@ -1281,7 +1111,7 @@ mod tests {
         let runtime = Runtime::new(1);
         let runs = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&runs);
-        let task = runtime.serial_task(move || {
+        let task = runtime.serial_task(move |_| {
             let n = counter.fetch_add(1, Ordering::SeqCst);
             if n == 0 {
                 panic!("first run panics");
@@ -1311,7 +1141,6 @@ mod tests {
                     dropped: 0,
                     backpressure_waits: 0,
                     fsyncs: 0,
-                    group_commits: 0,
                     window_micros: 0,
                     queue_len: 0,
                     error: None,
@@ -1329,31 +1158,10 @@ mod tests {
         );
         let latest = health.latest("writer").expect("writer reported");
         assert_eq!(latest.seq, 300);
-        assert_eq!(health.latest_all().len(), 2);
+        assert!(health.latest("daemon").is_some());
         let drained = health.drain();
         assert_eq!(drained.len(), HEALTH_BACKLOG, "backlog is bounded");
         assert!(health.drain().is_empty(), "drain empties the backlog");
-    }
-
-    #[test]
-    fn health_sink_pushes_outside_lock() {
-        let health = Arc::new(RuntimeHealth::new());
-        let seen = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&seen);
-        let probe = Arc::clone(&health);
-        health.set_sink(Some(Arc::new(move |entry: &ComponentHealth| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            // Re-entering the channel from the sink must not deadlock.
-            let _ = probe.latest(&entry.component);
-        })));
-        health.report(
-            "lint",
-            HealthReport::Lint {
-                checks_run: 1,
-                entries_with_diagnostics: 0,
-            },
-        );
-        assert_eq!(seen.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -1364,7 +1172,7 @@ mod tests {
         let runtime = Runtime::new(2);
         let held = Arc::clone(&runtime);
         let (tx, rx) = mpsc::channel::<()>();
-        runtime.execute(move || {
+        runtime.pool().execute(move || {
             std::thread::sleep(Duration::from_millis(10));
             drop(held);
             let _ = tx.send(());

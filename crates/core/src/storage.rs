@@ -566,9 +566,7 @@ impl<C: Codec> SegmentedLog<C> {
         if let Some(manifest) = Self::read_manifest_in(dir)? {
             return Ok((manifest.state, manifest.log));
         }
-        let generation = SUFFIXES
-            .iter()
-            .map(|suffix| format!("events-0{suffix}"))
+        let generation = first_generations()
             .find(|generation| segment_files(dir, generation).is_ok_and(|files| !files.is_empty()))
             .unwrap_or_else(|| format!("events-0{}", C::SUFFIX));
         Ok((RepositorySnapshot::empty(""), generation))
@@ -847,6 +845,12 @@ pub(crate) fn segment_file(generation: &str, segmented: bool, segment: u32) -> S
 /// The segment index of a log file name, `None` for an unsegmented one.
 fn segment_index(file: &str) -> Option<u32> {
     file.rsplit_once('.')?.1.parse().ok()
+}
+
+/// Generation 0's name in each log format: what a directory without a
+/// manifest holds once a writer of that format has started it.
+pub(crate) fn first_generations() -> impl Iterator<Item = String> {
+    SUFFIXES.iter().map(|suffix| format!("events-0{suffix}"))
 }
 
 /// The file a writer of `generation` creates next, after `last` (the
@@ -1147,7 +1151,7 @@ impl<C: Codec> GenerationLog for SegmentedLog<C> {
 /// When an [`AutoCompactingEventLog`] checkpoints: after at least
 /// `checkpoint_every` events have been recorded since the last
 /// checkpoint. Restores therefore replay at most `checkpoint_every - 1 +
-/// write_batch` events, and the directory holds O(1) generations no
+/// max_group_events` events, and the directory holds O(1) generations no
 /// matter how long the repository lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {

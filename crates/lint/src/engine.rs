@@ -9,21 +9,21 @@
 //! [`LawChecker`] wraps the same logic as a live service: an
 //! [`EventSink`] whose `accept` does only O(affected-set) bookkeeping
 //! under the publisher's lock — fold the event into a mirrored snapshot,
-//! consult the dependency map, enqueue the affected entries — while the
-//! caller's [`bx_core::Runtime`] ([`LawChecker::on_runtime`]) runs the
-//! actual checks off-thread and folds results into a shared index with
-//! last-write-wins version stamps. Subscribe it to a
+//! consult the dependency map, add the affected entries to a dirty set —
+//! while one [`bx_core::SerialTask`] on the caller's [`bx_core::Runtime`]
+//! ([`LawChecker::on_runtime`]) drains the set off-thread, checking each
+//! entry against the latest mirrored snapshot. Subscribe it to a
 //! [`bx_core::Repository`] or a [`bx_core::Federation`] (a read
 //! replica is a federation of one identity source) and query
 //! diagnostics next to search.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bx_core::event::{apply_event, EventSink, RepoEvent};
 use bx_core::repo::{EntryId, RepositorySnapshot};
-use bx_core::runtime::{HealthReport, Runtime, RuntimeHealth};
+use bx_core::runtime::{HealthReport, Runtime, RuntimeHealth, SerialTask};
 
 use crate::catalog::CheckCatalog;
 use crate::check::{check_entry, full_check};
@@ -101,101 +101,79 @@ impl Linter {
     }
 }
 
+/// Most entries one run of the checker's task checks before it yields
+/// its worker to sibling tenants (it re-notifies itself while ids
+/// remain).
+const CHECKS_PER_RUN: usize = 64;
+
 /// The mirrored publisher state the accept path maintains. The snapshot
-/// lives in an `Arc` so workers check against an O(1) clone taken at pop
-/// time instead of holding this lock for the duration of a check.
+/// lives in an `Arc` so a check runs against an O(1) clone taken when
+/// its entry leaves `dirty`, instead of holding this lock for the check.
 struct EngineState {
     snapshot: Arc<RepositorySnapshot>,
     deps: DepMap,
-    /// Bumped once per accepted event / rebase; stamps check results so
-    /// a slow worker cannot overwrite a newer entry report.
-    version: u64,
-}
-
-/// The folded output side: the index plus the version stamp of the state
-/// each entry's current findings were computed against.
-struct Fold {
-    index: DiagnosticsIndex,
-    stamps: BTreeMap<EntryId, u64>,
+    /// Entries whose findings may be stale. An entry dirtied again
+    /// before its check is checked once, against the state at that time.
+    dirty: BTreeSet<EntryId>,
 }
 
 struct Inner {
     state: Mutex<EngineState>,
-    fold: Mutex<Fold>,
-    /// Entries scheduled but not yet folded; `idle` fires at zero.
-    pending: Mutex<usize>,
-    idle: Condvar,
-    /// Set on drop: still-queued check jobs become no-ops (they only
-    /// release their pending slot), so a shared runtime is handed back
-    /// promptly.
-    shutdown: AtomicBool,
+    index: Mutex<DiagnosticsIndex>,
     /// Checks completed (panicking checks don't count).
     checks_run: AtomicU64,
     catalog: Arc<CheckCatalog>,
     delta_sink: Mutex<Option<DeltaSink>>,
-    /// Every folded check publishes [`HealthReport::Lint`] here under
-    /// `component`.
+    /// Every run publishes [`HealthReport::Lint`] here under `component`.
     health: Arc<RuntimeHealth>,
     component: String,
 }
 
-/// Releases one pending slot when the check job ends — **including by
-/// panic**. The pool catches the unwind and keeps its worker; this guard
-/// keeps `wait_idle` from hanging on the slot the panicked check never
-/// folded.
-struct PendingGuard<'a>(&'a Inner);
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        let mut pending = lock(&self.0.pending);
-        *pending -= 1;
-        if *pending == 0 {
-            self.0.idle.notify_all();
-        }
-    }
-}
-
 impl Inner {
-    /// One scheduled check, run as a pool job.
-    fn run_one(&self, id: EntryId) {
-        let _slot = PendingGuard(self);
-        if self.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Check against the freshest state (≥ the version that
-        // scheduled this entry) without holding any engine lock.
-        let (snapshot, version) = {
-            let state = lock(&self.state);
-            (state.snapshot.clone(), state.version)
-        };
-        let diagnostics = snapshot
-            .records
-            .get(&id)
-            .map(|record| check_entry(&snapshot, &id, record, &self.catalog))
-            .unwrap_or_default();
-        let (folded, entries_with_diagnostics) = {
-            let mut fold = lock(&self.fold);
-            let stamp = fold.stamps.get(&id).copied().unwrap_or(0);
-            if version >= stamp {
-                fold.stamps.insert(id.clone(), version);
-                fold.index.set_entry(&id, diagnostics.clone());
+    /// One run of the checker's task: check up to [`CHECKS_PER_RUN`]
+    /// dirty entries, then publish one [`HealthReport::Lint`] — also when
+    /// a check panics, since the report goes out as the run unwinds.
+    fn run(&self, task: &SerialTask) {
+        struct Report<'a>(&'a Inner);
+        impl Drop for Report<'_> {
+            fn drop(&mut self) {
+                let inner = self.0;
+                let entries_with_diagnostics = lock(&inner.index).entries().count();
+                inner.health.report(
+                    &inner.component,
+                    HealthReport::Lint {
+                        checks_run: inner.checks_run.load(Ordering::Relaxed),
+                        entries_with_diagnostics,
+                    },
+                );
             }
-            (version >= stamp, fold.index.entries().count())
-        };
-        self.checks_run.fetch_add(1, Ordering::Relaxed);
-        if folded {
+        }
+        let _report = Report(self);
+        for _ in 0..CHECKS_PER_RUN {
+            let (id, snapshot, more) = {
+                let mut state = lock(&self.state);
+                let Some(id) = state.dirty.pop_first() else {
+                    return;
+                };
+                (id, state.snapshot.clone(), !state.dirty.is_empty())
+            };
+            // Re-notified before the check: should it panic, only this
+            // entry is lost and the next run drains the rest.
+            if more {
+                task.notify();
+            }
+            let diagnostics = snapshot
+                .records
+                .get(&id)
+                .map(|record| check_entry(&snapshot, &id, record, &self.catalog))
+                .unwrap_or_default();
+            lock(&self.index).set_entry(&id, diagnostics.clone());
+            self.checks_run.fetch_add(1, Ordering::Relaxed);
             let sink = lock(&self.delta_sink).clone();
             if let Some(sink) = sink {
                 sink(&id, &diagnostics);
             }
         }
-        self.health.report(
-            &self.component,
-            HealthReport::Lint {
-                checks_run: self.checks_run.load(Ordering::Relaxed),
-                entries_with_diagnostics,
-            },
-        );
     }
 }
 
@@ -206,22 +184,21 @@ impl Inner {
 /// re-check.
 pub struct LawChecker {
     inner: Arc<Inner>,
-    runtime: Arc<Runtime>,
+    task: SerialTask,
 }
 
 impl std::fmt::Debug for LawChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LawChecker")
-            .field("workers", &self.runtime.pool_stats().threads)
-            .field("pending", &*lock(&self.inner.pending))
+            .field("dirty", &lock(&self.inner.state).dirty.len())
             .finish()
     }
 }
 
 impl LawChecker {
     /// A checker over an initially empty state that runs its checks as a
-    /// tenant of `runtime`, publishing [`HealthReport::Lint`] on the
-    /// runtime's health channel under `component` after every check.
+    /// serial task on `runtime`, publishing [`HealthReport::Lint`] on the
+    /// runtime's health channel under `component` after every run.
     pub fn on_runtime(
         catalog: Arc<CheckCatalog>,
         runtime: &Arc<Runtime>,
@@ -231,25 +208,18 @@ impl LawChecker {
             state: Mutex::new(EngineState {
                 snapshot: Arc::new(RepositorySnapshot::empty("")),
                 deps: DepMap::default(),
-                version: 0,
+                dirty: BTreeSet::new(),
             }),
-            fold: Mutex::new(Fold {
-                index: DiagnosticsIndex::default(),
-                stamps: BTreeMap::new(),
-            }),
-            pending: Mutex::new(0),
-            idle: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            index: Mutex::new(DiagnosticsIndex::default()),
             checks_run: AtomicU64::new(0),
             catalog,
             delta_sink: Mutex::new(None),
             health: Arc::clone(runtime.health()),
             component: component.to_string(),
         });
-        LawChecker {
-            inner,
-            runtime: Arc::clone(runtime),
-        }
+        let run_inner = Arc::clone(&inner);
+        let task = runtime.serial_task(move |task| run_inner.run(task));
+        LawChecker { inner, task }
     }
 
     /// Push `(entry, findings)` deltas to `sink` as checks fold in (the
@@ -259,55 +229,35 @@ impl LawChecker {
         *lock(&self.inner.delta_sink) = Some(sink);
     }
 
-    fn schedule(&self, affected: BTreeSet<EntryId>) {
-        if affected.is_empty() {
-            return;
-        }
-        // Pending is raised before the pool sees the work, so a
-        // `wait_idle` racing this call can never observe zero between
-        // enqueue and check.
-        *lock(&self.inner.pending) += affected.len();
-        for id in affected {
-            let inner = self.inner.clone();
-            self.runtime.execute(move || inner.run_one(id));
-        }
-    }
-
-    /// Checks completed since construction (pool jobs that panicked
-    /// don't count — the pool catches them and the worker survives).
+    /// Checks completed since construction (a check that panicked
+    /// doesn't count — the pool catches it and the worker survives).
     pub fn checks_run(&self) -> u64 {
         self.inner.checks_run.load(Ordering::Relaxed)
     }
 
-    /// Block until every scheduled check has folded into the index.
+    /// Block until every dirty entry has been checked (or its check has
+    /// panicked) and folded into the index.
     pub fn wait_idle(&self) {
-        let mut pending = lock(&self.inner.pending);
-        while *pending > 0 {
-            pending = self
-                .inner
-                .idle
-                .wait(pending)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        self.task.wait_idle();
     }
 
     /// A point-in-time copy of the live diagnostics. Call
     /// [`LawChecker::wait_idle`] first for a quiescent view.
     pub fn diagnostics(&self) -> DiagnosticsIndex {
-        lock(&self.inner.fold).index.clone()
+        lock(&self.inner.index).clone()
     }
 
     /// The current findings for one entry.
     pub fn diagnostics_of(&self, id: &EntryId) -> Vec<Diagnostic> {
-        lock(&self.inner.fold).index.diagnostics_of(id).to_vec()
+        lock(&self.inner.index).diagnostics_of(id).to_vec()
     }
 }
 
 impl EventSink for LawChecker {
     fn accept(&self, event: &RepoEvent) {
         // Publishers deliver under their commit lock: do only the
-        // bookkeeping here and leave the checking to the workers.
-        let affected = {
+        // bookkeeping here and leave the checking to the task.
+        {
             let mut state = lock(&self.inner.state);
             let mut affected = state.deps.affected(event);
             apply_event(Arc::make_mut(&mut state.snapshot), event);
@@ -316,35 +266,35 @@ impl EventSink for LawChecker {
                 state.deps.update_entry(id, record.as_ref());
                 affected.extend(state.deps.affected(event));
             }
-            state.version += 1;
-            affected
-        };
-        self.schedule(affected);
+            if affected.is_empty() {
+                return;
+            }
+            state.dirty.append(&mut affected);
+        }
+        self.task.notify();
     }
 
     fn rebased(&self, base: &RepositorySnapshot) {
-        let affected = {
+        {
             let mut state = lock(&self.inner.state);
             state.snapshot = Arc::new(base.clone());
             state.deps = DepMap::build(base);
-            state.version += 1;
-            let mut ids: BTreeSet<EntryId> = base.records.keys().cloned().collect();
+            state.dirty.extend(base.records.keys().cloned());
             // Entries the new base no longer has must have their stale
-            // findings cleared; scheduling them makes the worker see an
-            // absent record and remove them.
-            ids.extend(lock(&self.inner.fold).index.entries().cloned());
-            ids
-        };
-        self.schedule(affected);
+            // findings cleared; a check that finds no record removes them.
+            state
+                .dirty
+                .extend(lock(&self.inner.index).entries().cloned());
+        }
+        self.task.notify();
     }
 }
 
 impl Drop for LawChecker {
     fn drop(&mut self) {
-        // Still-queued checks become no-ops, so the runtime gets its
-        // workers back promptly. If this struct held the last Arc of the
-        // runtime, dropping it joins the workers.
-        self.inner.shutdown.store(true, Ordering::Release);
+        // A run already queued finds nothing left to check, so the
+        // runtime gets its worker back promptly.
+        lock(&self.inner.state).dirty.clear();
     }
 }
 

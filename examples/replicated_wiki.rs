@@ -77,7 +77,7 @@ fn main() {
         "primary: {} entries, {} events durable over {} group commit(s)",
         primary.len(),
         stats.durable,
-        stats.group_commits,
+        stats.fsyncs,
     );
 
     // == the replica ==

@@ -206,6 +206,37 @@ fn truncating_a_sealed_segment_is_corruption_not_a_torn_tail() {
     }
 }
 
+/// A replica opened before its primary has written settles on
+/// generation 0's default name, the JSONL one. A *binary* primary that
+/// then starts writing must still be found: the tail that has observed
+/// nothing re-resolves generation 0's format once its probe moves.
+#[test]
+fn a_replica_opened_before_its_binary_primary_writes_follows_it() {
+    let dir = unique_temp_dir("binlog-blind");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let mut replica = open_replica(&dir).unwrap();
+    let nothing = catch_up_clean(&mut replica);
+    assert_eq!(nothing.events_applied, 0, "no directory yet");
+    std::fs::create_dir(&dir).unwrap();
+    let nothing = catch_up_clean(&mut replica);
+    assert_eq!(nothing.events_applied, 0, "an empty directory");
+
+    let repo = scripted_repository();
+    let mut backend = BinaryLogBackend::open(&dir).unwrap();
+    backend.record(&repo.drain_events()).unwrap();
+    let caught = catch_up_clean(&mut replica);
+    assert!(caught.events_applied > 0, "the binary log was never read");
+    assert_eq!(caught.rebases, 0);
+    assert_eq!(replica.snapshot(), &repo.snapshot());
+
+    // Having observed the log, it tails it like any other.
+    apply_ops(&repo, &script(&["Tailed"]));
+    backend.record(&repo.drain_events()).unwrap();
+    assert!(catch_up_clean(&mut replica).events_applied > 0);
+    assert_eq!(replica.snapshot(), &repo.snapshot());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn replicas_tail_binary_logs_incrementally_and_across_checkpoints() {
     let dir = unique_temp_dir("binlog-replica");

@@ -75,8 +75,7 @@ fn concurrent_producers_converge_through_group_commit() {
     let stats = writer.stats();
     assert_eq!(stats.durable, stats.enqueued);
     assert_eq!(stats.dropped, 0);
-    assert!(stats.group_commits >= 1);
-    assert_eq!(stats.fsyncs, stats.group_commits);
+    assert!(stats.fsyncs >= 1);
     assert!(
         stats.fsyncs < stats.durable,
         "{} events must not cost {} fsyncs",
@@ -150,25 +149,20 @@ fn periodic_health_reports_show_the_amortisation() {
     // Shut down first, so no report can still be in flight.
     writer.shutdown().unwrap();
 
-    let reports: Vec<(u64, u64, Option<String>)> = runtime
+    let reports: Vec<(u64, Option<String>)> = runtime
         .health()
         .drain()
         .into_iter()
         .filter(|entry| entry.component == "writer")
         .filter_map(|entry| match entry.report {
-            HealthReport::Pipeline {
-                group_commits,
-                fsyncs,
-                error,
-                ..
-            } => Some((group_commits, fsyncs, error)),
+            HealthReport::Pipeline { fsyncs, error, .. } => Some((fsyncs, error)),
             _ => None,
         })
         .collect();
     assert!(!reports.is_empty());
-    let (group_commits, fsyncs, error) = reports.last().unwrap();
+    let (fsyncs, error) = reports.last().unwrap();
     assert!(error.is_none());
-    assert_eq!(group_commits, fsyncs);
+    assert_eq!(*fsyncs, writer.stats().fsyncs);
     for pair in reports.windows(2) {
         assert!(pair[0].0 < pair[1].0, "each report marks one more window");
     }
@@ -193,8 +187,21 @@ fn per_batch_default_remains_one_call_durable() {
     writer.flush().unwrap();
     let stats = writer.stats();
     assert_eq!(stats.durable, stats.enqueued);
-    assert_eq!(stats.group_commits, 0, "no windows in per-batch mode");
     assert!(stats.fsyncs >= 1);
+    assert!(
+        stats.fsyncs <= stats.durable,
+        "never more than one per batch"
+    );
+    // A batch flushed on its own costs exactly one fsync: the default
+    // window is zero, so the pass that stages a batch also makes it
+    // durable.
+    for i in 0..4 {
+        let before = writer.stats().fsyncs;
+        repo.comment("alice", &ids[0], "2014-03-28", &format!("alone{i}"))
+            .unwrap();
+        writer.flush().unwrap();
+        assert_eq!(writer.stats().fsyncs, before + 1, "one fsync per batch");
+    }
     writer.shutdown().unwrap();
     let recovered = EventLogBackend::open(&dir).unwrap();
     assert_eq!(recovered.restore().unwrap(), repo.snapshot());

@@ -10,9 +10,12 @@
 
 use std::sync::Arc;
 
-use bx::core::event::{EntryDelta, RepoEvent};
+use bx::core::curation::EntryStatus;
+use bx::core::event::{apply_event, EntryDelta, EventSink, RepoEvent};
 use bx::core::replica::{Federation, SourceId};
+use bx::core::repo::{EntryRecord, RepositorySnapshot};
 use bx::core::storage::{EventLogBackend, StorageBackend};
+use bx::core::template::{Artefact, ArtefactKind};
 use bx::core::{EntryId, ExampleEntry, ExampleType, Principal, Repository, Runtime};
 use bx::lint::{full_check, CheckCatalog, LawChecker, LintLaw, Linter, Severity};
 use bx_testkit::federation::{catch_up_clean, open_replica};
@@ -220,6 +223,98 @@ fn federation_lint_flags_the_violating_source() {
 
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
+}
+
+/// An entry whose artefact is a lens check that panics when run.
+fn poisoned_entry(title: &str) -> ExampleEntry {
+    let mut entry = valid_entry(title, "Poisoned.");
+    entry.artefacts.push(Artefact {
+        name: "boom".to_string(),
+        kind: ArtefactKind::Code,
+        location: "lint::panic_lens".to_string(),
+    });
+    entry
+}
+
+/// A panicking check costs only its own entry: `wait_idle` returns, the
+/// pool counts the panic, and every other dirty entry — before and after
+/// the poisoned one, across several bounded runs of the checker's task,
+/// on the re-base path and the event path — lands on the cold check's
+/// findings.
+#[test]
+fn a_panicking_check_loses_only_its_own_entry() {
+    let runtime = Runtime::new(2);
+    let mut catalog = CheckCatalog::new();
+    catalog.register_lens_check("lint::panic_lens", || panic!("injected lint panic"));
+    let checker = Arc::new(LawChecker::on_runtime(Arc::new(catalog), &runtime, "lint"));
+
+    // More entries than one run checks; every seventh violates the
+    // template; a block in the middle of the id order is poisoned, so
+    // some run of the task starts on a check that panics.
+    let mut base = scripted_repository().snapshot();
+    for i in 0..200 {
+        let title = format!("ENTRY-{i:03}");
+        let entry = match i {
+            100..=103 => poisoned_entry(&title),
+            i if i % 7 == 0 => violating_entry(&title),
+            _ => valid_entry(&title, "Generated."),
+        };
+        base.records.insert(
+            EntryId::from_title(&title),
+            EntryRecord {
+                status: EntryStatus::Provisional,
+                history: vec![entry],
+            },
+        );
+    }
+    checker.rebased(&base);
+    checker.wait_idle();
+    let mut poisoned: Vec<EntryId> = (100..=103)
+        .map(|i| EntryId::from_title(&format!("ENTRY-{i}")))
+        .collect();
+    poisoned.push(EntryId::from_title("ADDED-1"));
+    let assert_unstranded = |state: &RepositorySnapshot| {
+        let expected = full_check(state, &CheckCatalog::new());
+        assert!(expected.error_count() > 2, "the script plants violations");
+        for id in state.records.keys().filter(|id| !poisoned.contains(id)) {
+            assert_eq!(
+                checker.diagnostics_of(id),
+                expected.diagnostics_of(id),
+                "{id:?} was stranded"
+            );
+        }
+    };
+    assert_unstranded(&base);
+
+    // The event path: a second poisoned entry between two violations.
+    let mut state = base.clone();
+    for (title, entry) in [
+        ("ADDED-0", violating_entry("ADDED-0")),
+        ("ADDED-1", poisoned_entry("ADDED-1")),
+        ("ADDED-2", violating_entry("ADDED-2")),
+    ] {
+        let event = RepoEvent::Contributed(EntryDelta {
+            id: EntryId::from_title(title),
+            entry,
+        });
+        apply_event(&mut state, &event);
+        checker.accept(&event);
+    }
+    checker.wait_idle();
+    assert_unstranded(&state);
+    // `wait_idle` can return while the pool is still counting the last
+    // unwind; let it settle.
+    let settle = std::time::Instant::now();
+    while runtime.pool_stats().panics_caught < 5
+        && settle.elapsed() < std::time::Duration::from_secs(5)
+    {
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        runtime.pool_stats().panics_caught,
+        5,
+        "one per poisoned check"
+    );
 }
 
 /// The scale acceptance (release builds only — it rides in CI with the

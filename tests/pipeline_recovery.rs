@@ -60,7 +60,7 @@ fn killed_writer_and_torn_append_recover_to_the_primary() {
         backend,
         PipelineConfig {
             channel_capacity: 4, // keep batches small so the crash lands mid-stream
-            write_batch: 4,
+            max_group_events: 4,
             ..PipelineConfig::default()
         },
         &Runtime::new(1),
@@ -211,7 +211,7 @@ fn replica_converges_while_the_writer_crashes_and_is_replaced() {
         CrashingBackend::new(EventLogBackend::open(&dir).unwrap(), fuse),
         PipelineConfig {
             channel_capacity: 2,
-            write_batch: 2,
+            max_group_events: 2,
             ..PipelineConfig::default()
         },
         &Runtime::new(1),

@@ -68,9 +68,8 @@ fn mixed_tenants_on_one_small_pool_survive_faults_and_converge() {
         backend,
         PipelineConfig {
             channel_capacity: 16,
-            write_batch: 4,
-            group_commit_window: Some(Duration::from_millis(2)),
-            ..PipelineConfig::default()
+            max_group_events: 4,
+            group_commit_window: Duration::from_millis(2),
         },
         &runtime,
         "writer",
@@ -81,7 +80,7 @@ fn mixed_tenants_on_one_small_pool_survive_faults_and_converge() {
         CrashingBackend::new(EventLogBackend::open(&crash_dir).unwrap(), 5),
         PipelineConfig {
             channel_capacity: 16,
-            write_batch: 4,
+            max_group_events: 4,
             ..PipelineConfig::default()
         },
         &runtime,
