@@ -12,8 +12,10 @@
 //! pool — a federation's per-source writers run as N serialized tasks
 //! on a handful of threads, each closing its group-commit window by
 //! arming its own task ([`SerialTask::notify_in`]) instead of sleeping.
-//! Every commit point and failure publishes a [`HealthReport::Pipeline`]
-//! on the runtime's health channel. Four properties define the pipeline:
+//! Its counters live on [`BackgroundWriter::stats`]; the runtime's health
+//! channel hears from a writer only when it fails
+//! ([`HealthReport::WriterFailed`]) or repaired a torn tail at open. Four
+//! properties define the pipeline:
 //!
 //! * **Bounded, with backpressure.** The channel holds at most
 //!   [`PipelineConfig::channel_capacity`] events. When it is full,
@@ -118,8 +120,6 @@ pub struct PipelineStats {
     /// (Real `sync_all` calls on file-backed backends; commit points on
     /// memory ones.)
     pub fsyncs: u64,
-    /// The configured group-commit window, in microseconds.
-    pub window_micros: u64,
 }
 
 /// Everything the producer side and the writer task share.
@@ -130,8 +130,8 @@ struct Shared {
     /// Signalled when `durable` advances, the writer fails, or the
     /// shutdown drain completes (`State::closed`).
     progress: Condvar,
-    /// Every commit point and failure publishes a
-    /// [`HealthReport::Pipeline`] here under `component`.
+    /// A failure publishes [`HealthReport::WriterFailed`] here under
+    /// `component`.
     health: Arc<RuntimeHealth>,
     component: String,
 }
@@ -156,24 +156,6 @@ struct State {
     /// First backend error, stringified; sticky once set.
     error: Option<String>,
     stats: PipelineStats,
-}
-
-impl State {
-    /// The report a commit point (or failure) publishes. Taken under the
-    /// state lock and published only after releasing it, since a channel
-    /// sink may call back into the writer.
-    fn report(&self) -> HealthReport {
-        HealthReport::Pipeline {
-            enqueued: self.stats.enqueued,
-            durable: self.stats.durable,
-            dropped: self.stats.dropped,
-            backpressure_waits: self.stats.backpressure_waits,
-            fsyncs: self.stats.fsyncs,
-            window_micros: self.stats.window_micros,
-            queue_len: self.queue.len(),
-            error: self.error.clone(),
-        }
-    }
 }
 
 /// The background durability pipeline's front end; see the module docs.
@@ -201,12 +183,11 @@ fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, State> {
 impl BackgroundWriter {
     /// Place a writer around `backend` on `runtime`: the writer becomes
     /// one serialized task among the runtime's tenants instead of owning
-    /// a thread, and every commit point (and failure) publishes a
-    /// [`HealthReport::Pipeline`] under `component` on the runtime's
-    /// health channel. The backend is switched to
-    /// `DurabilityMode::GroupCommit` before the task starts, so staging
-    /// and each window's single fsync line up. The writer holds its own
-    /// `Arc` of the runtime.
+    /// a thread, and a failure publishes [`HealthReport::WriterFailed`]
+    /// under `component` on the runtime's health channel. The backend is
+    /// switched to `DurabilityMode::GroupCommit` before the task starts,
+    /// so staging and each window's single fsync line up. The writer
+    /// holds its own `Arc` of the runtime.
     pub fn on_runtime<B: StorageBackend + Send + 'static>(
         mut backend: B,
         config: PipelineConfig,
@@ -237,10 +218,7 @@ impl BackgroundWriter {
                 staged: 0,
                 window_deadline: None,
                 error: None,
-                stats: PipelineStats {
-                    window_micros: window.as_micros() as u64,
-                    ..PipelineStats::default()
-                },
+                stats: PipelineStats::default(),
             }),
             not_full: Condvar::new(),
             progress: Condvar::new(),
@@ -279,23 +257,26 @@ impl BackgroundWriter {
         let target = lock(&self.shared).stats.enqueued;
         let mut state = lock(&self.shared);
         while state.error.is_none() && state.stats.durable + state.stats.dropped < target {
-            // Re-asserted on every wake-up, not just once: each window
-            // fsync clears the flag, and a window that closed on its
-            // group budget (or covered only events enqueued before ours)
-            // may leave this flusher unacknowledged — without re-arming,
-            // the next window would wait out its full timer.
+            if state.flush_requested {
+                // A pass that sees the flag closes its window, clearing
+                // the flag and signalling `progress` under this lock.
+                state = self
+                    .shared
+                    .progress
+                    .wait(state)
+                    .unwrap_or_else(|e| e.into_inner());
+                continue;
+            }
+            // Re-asserted whenever a window close cleared the flag, not
+            // just once: a window that closed on its group budget (or
+            // covered only events enqueued before ours) may leave this
+            // flusher unacknowledged, and that close may have cleared the
+            // flag while this thread was not yet waiting. Waiting on a
+            // cleared flag would leave the next window to its timer.
             state.flush_requested = true;
             drop(state);
             self.task.notify();
             state = lock(&self.shared);
-            if !(state.error.is_none() && state.stats.durable + state.stats.dropped < target) {
-                break;
-            }
-            state = self
-                .shared
-                .progress
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
         }
         match &state.error {
             Some(e) => Err(RepoError::Persist(e.clone())),
@@ -333,8 +314,8 @@ impl BackgroundWriter {
             None => Ok(()),
         };
         drop(state);
-        // Wait out any in-flight pass so its health reports (including a
-        // failure report) have landed on the runtime's channel.
+        // Wait out any in-flight pass so a failure report has landed on
+        // the runtime's channel.
         self.task.wait_idle();
         result
     }
@@ -455,17 +436,13 @@ fn drive<B: StorageBackend>(
             fail(shared, staged, e);
             return;
         }
-        let report = {
-            let mut state = lock(shared);
-            state.stats.durable += staged as u64;
-            state.stats.fsyncs += 1;
-            state.staged = 0;
-            state.window_deadline = None;
-            state.flush_requested = false;
-            shared.progress.notify_all();
-            state.report()
-        };
-        shared.health.report(&shared.component, report);
+        let mut state = lock(shared);
+        state.stats.durable += staged as u64;
+        state.stats.fsyncs += 1;
+        state.staged = 0;
+        state.window_deadline = None;
+        state.flush_requested = false;
+        shared.progress.notify_all();
     } else {
         drop(state);
         // Re-armed on every pass that leaves the window open: the task
@@ -486,25 +463,29 @@ fn drive<B: StorageBackend>(
 /// The writer failed with `in_flight` events handed to the backend but
 /// not durable (a durable *prefix* of them may exist on disk; recovery
 /// reconciles via the primary's journal). They and everything still
-/// queued are lost and counted; the error turns sticky.
+/// queued are lost and counted; the error turns sticky and is published
+/// as [`HealthReport::WriterFailed`]. Runs at most once per writer: every
+/// later pass sees the sticky error and returns.
 fn fail(shared: &Shared, in_flight: usize, e: RepoError) {
-    let report = {
+    let error = e.to_string();
+    {
         let mut state = lock(shared);
         state.stats.dropped += in_flight as u64;
         state.stats.dropped += state.queue.len() as u64;
         state.queue.clear();
         if state.error.is_none() {
-            state.error = Some(e.to_string());
+            state.error = Some(error.clone());
         }
         state.flush_requested = false;
         state.staged = 0;
         state.window_deadline = None;
         shared.not_full.notify_all();
         shared.progress.notify_all();
-        state.report()
-    };
-    // The channel hears about the failure too — outside the lock.
-    shared.health.report(&shared.component, report);
+    }
+    // Outside the lock: an observer may call back into the writer.
+    shared
+        .health
+        .report(&shared.component, HealthReport::WriterFailed { error });
 }
 
 #[cfg(test)]
@@ -743,22 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_window_reports_its_configured_size() {
-        let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::on_runtime(
-            storage.clone(),
-            PipelineConfig::group_commit(Duration::from_millis(2)),
-            &Runtime::new(1),
-            "writer",
-        ));
-        let repo = Repository::found("bx", vec![Principal::curator("c")]);
-        writer.enqueue(&repo.drain_events());
-        writer.flush().unwrap();
-        assert_eq!(writer.stats().window_micros, 2_000);
-        writer.shutdown().unwrap();
-    }
-
-    #[test]
     fn flush_closes_an_open_window_early() {
         let storage = SharedMemory::default();
         // A window far longer than any test timeout: only the
@@ -890,23 +855,23 @@ mod tests {
         );
     }
 
-    /// The `HealthReport::Pipeline` reports `component` published, in
+    /// The `HealthReport::WriterFailed` errors `component` published, in
     /// order, taken off the runtime's channel.
-    fn pipeline_reports(runtime: &Runtime, component: &str) -> Vec<(u64, Option<String>)> {
+    fn failures(runtime: &Runtime, component: &str) -> Vec<String> {
         runtime
             .health()
             .drain()
             .into_iter()
             .filter(|entry| entry.component == component)
-            .filter_map(|entry| match entry.report {
-                HealthReport::Pipeline { durable, error, .. } => Some((durable, error)),
-                _ => None,
+            .map(|entry| match entry.report {
+                HealthReport::WriterFailed { error } => error,
+                other => panic!("a writer published {other:?}"),
             })
             .collect()
     }
 
     #[test]
-    fn every_commit_and_failure_publishes_on_the_runtime_channel() {
+    fn commits_publish_nothing_and_a_failure_publishes_once() {
         let runtime = Runtime::new(1);
         let storage = SharedMemory::default();
         let writer = Arc::new(BackgroundWriter::on_runtime(
@@ -921,18 +886,16 @@ mod tests {
         repo.register(Principal::member("alice")).unwrap();
         repo.contribute("alice", entry("COMPOSERS")).unwrap();
         writer.flush().unwrap();
-        // Shut down first: a report is published outside the pipeline
-        // lock, so it may trail the flush acknowledgement.
         writer.shutdown().unwrap();
-        let reports = pipeline_reports(&runtime, "writer");
-        assert!(!reports.is_empty(), "each window publishes a report");
-        assert!(reports.iter().all(|(_, error)| error.is_none()));
-        for pair in reports.windows(2) {
-            assert!(pair[0].0 <= pair[1].0, "durable never regresses");
-        }
-        assert_eq!(reports.last().unwrap().0, writer.stats().durable);
+        assert_eq!(writer.stats().durable, writer.stats().enqueued);
+        assert!(writer.stats().fsyncs >= 1);
+        assert!(
+            runtime.health().drain().is_empty(),
+            "commit points are counted on the writer, not published"
+        );
 
-        // A failing backend publishes an error report.
+        // A failing backend publishes its error exactly once, however
+        // many events it then drops.
         let broken = Arc::new(BackgroundWriter::on_runtime(
             BrokenBackend,
             PipelineConfig::default(),
@@ -942,13 +905,17 @@ mod tests {
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         broken.enqueue(&repo.drain_events());
         assert!(broken.flush().is_err());
+        repo.subscribe(broken.clone());
+        repo.register(Principal::member("alice")).unwrap();
         assert!(broken.shutdown().is_err(), "the error stays sticky");
-        let reports = pipeline_reports(&runtime, "broken");
-        assert!(reports.iter().any(|(_, error)| error.is_some()));
+        assert!(broken.stats().dropped >= 2);
+        let failures = failures(&runtime, "broken");
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("disk on fire"));
     }
 
     #[test]
-    fn writers_on_a_shared_runtime_report_into_the_unified_channel() {
+    fn writers_on_a_shared_runtime_keep_their_own_counters() {
         let runtime = Runtime::new(2);
         let storages: Vec<SharedMemory> = (0..4).map(|_| SharedMemory::default()).collect();
         let writers: Vec<BackgroundWriter> = storages
@@ -975,21 +942,12 @@ mod tests {
                 repo.snapshot()
             );
             writer.shutdown().unwrap();
+            assert_eq!(writer.stats().durable, events.len() as u64);
         }
-        // Every writer reported per-component on the one channel.
-        for i in 0..4 {
-            let latest = runtime
-                .health()
-                .latest(&format!("writer:s{i}"))
-                .expect("each writer reported");
-            match latest.report {
-                HealthReport::Pipeline { durable, error, .. } => {
-                    assert_eq!(durable, events.len() as u64);
-                    assert_eq!(error, None);
-                }
-                ref other => panic!("unexpected report {other:?}"),
-            }
-        }
+        assert!(
+            runtime.health().drain().is_empty(),
+            "healthy writers are quiet"
+        );
         // And the shared pool stayed at its configured width the whole
         // time: tasks, not threads, per writer.
         assert_eq!(runtime.pool_stats().threads, 2);
@@ -1043,7 +1001,8 @@ mod tests {
         let err = writer.flush().unwrap_err();
         assert!(matches!(err, RepoError::Persist(ref m) if m.contains("disk on fire")));
         assert!(writer.shutdown().is_err());
-        let reports = pipeline_reports(&runtime, "writer");
-        assert!(reports.last().is_some_and(|(_, error)| error.is_some()));
+        let failures = failures(&runtime, "writer");
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("disk on fire"));
     }
 }

@@ -38,8 +38,10 @@
 //!
 //! [`ReplicaDaemon`] wraps a federation in a background polling tenant
 //! ([`DaemonConfig`] sets the cadence) with clean start/stop,
-//! [`ReplicaDaemon::force_catch_up`], sticky error surfacing and
-//! [`DaemonStats`] (polls, events applied, rebases, per-source lag).
+//! [`ReplicaDaemon::force_catch_up`] and [`DaemonStats`] (polls, events
+//! applied, rebases). Everything per source — health, errors, lag —
+//! stays on the federation, read through
+//! [`ReplicaDaemon::with_federation`].
 //!
 //! ## Fault supervision
 //!
@@ -50,7 +52,9 @@
 //! healthy sources keep converging and the outcome carries the sick
 //! sources' typed errors ([`FederationCatchUp::errors`]) instead of
 //! aborting. Serving APIs keep answering from the last good merged
-//! state; [`DaemonStats::source_health`] exposes per-source staleness.
+//! state; [`Federation::source_status`] exposes per-source staleness,
+//! and every change of a source's state is published on an attached
+//! runtime health channel as [`HealthReport::Source`].
 //! Opting in to [`RecoveryPolicy::SalvagePrefix`] lets a quarantined
 //! source that failed with a corruption error reopen from its intact
 //! prefix, reporting exactly what was dropped as a [`SalvageReport`] —
@@ -141,9 +145,6 @@ pub struct LogTail {
     /// them; `None` until a poll has read. [`LogTail::probe`] stats these
     /// instead of listing the directory.
     files: Option<Vec<(String, u64)>>,
-    /// Bytes of the generation beyond `offset` when the last successful
-    /// poll looked: 0, or a torn tail still waiting for its writer.
-    polled_lag: u64,
 }
 
 /// What [`LogTail::probe`] found.
@@ -175,7 +176,6 @@ impl LogTail {
                 offset: 0,
                 manifest_stamp,
                 files: None,
-                polled_lag: 0,
             },
             base,
         ))
@@ -292,10 +292,7 @@ impl LogTail {
         let file_seen = match self.probe(stamp) {
             // Caught up and still: nothing to read. A pending torn tail
             // (a length beyond `offset`) is re-read until it heals.
-            Probe::Still { len } if len == self.offset => {
-                self.polled_lag = 0;
-                return Ok(progress);
-            }
+            Probe::Still { len } if len == self.offset => return Ok(progress),
             Probe::Still { .. } => true,
             Probe::Moved { file_seen } => file_seen,
         };
@@ -367,8 +364,6 @@ impl LogTail {
             }
         };
         self.offset = read.end;
-        let len: u64 = read.files.iter().map(|(_, size)| size).sum();
-        self.polled_lag = len.saturating_sub(self.offset);
         self.files = Some(read.files);
         progress.events = read.events;
         Ok(progress)
@@ -1173,16 +1168,6 @@ impl Federation {
             .collect()
     }
 
-    /// Per-source lag as each source's last successful poll saw it:
-    /// free, because the poll already knew its generation's length. A
-    /// source that failed or was skipped since keeps its older figure.
-    fn polled_lag(&self) -> Vec<(SourceId, u64)> {
-        self.sources
-            .iter()
-            .map(|(source, tail)| (source.clone(), tail.polled_lag))
-            .collect()
-    }
-
     /// Per-source tail positions: (source, generation file, events
     /// applied from it).
     pub fn positions(&self) -> Vec<(&SourceId, &str, usize)> {
@@ -1215,7 +1200,10 @@ impl Default for DaemonConfig {
 }
 
 /// Progress accounting of a [`ReplicaDaemon`], readable at any time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Per-source state is read where it lives, on the federation
+/// ([`ReplicaDaemon::with_federation`]): [`Federation::source_status`]
+/// and [`Federation::lag`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DaemonStats {
     /// Catch-up passes completed (scheduled and forced).
     pub polls: u64,
@@ -1224,33 +1212,11 @@ pub struct DaemonStats {
     /// Source re-bases observed (checkpoints crossed, truncations
     /// recovered).
     pub rebases: u64,
-    /// Per-source lag in bytes, as of the last pass: what each source's
-    /// last successful poll left unapplied (a torn tail awaiting its
-    /// writer), read off that poll at no cost of its own. A source that
-    /// failed or sat out its backoff keeps the figure of its last good
-    /// poll; [`Federation::lag`] measures afresh.
-    pub source_lag: Vec<(SourceId, u64)>,
-    /// Per-source supervision status as of the last pass — health state,
-    /// retry deadline, and staleness, the metadata degraded serving
-    /// hands out alongside answers from the last good merged state.
-    pub source_health: Vec<(SourceId, SourceStatus)>,
 }
 
 struct DaemonShared {
     federation: Mutex<Federation>,
     stats: Mutex<DaemonStats>,
-    /// Most recent poll error; sticky — it stays visible after later
-    /// successful polls until [`ReplicaDaemon::clear_error`].
-    error: Mutex<Option<RepoError>>,
-    /// Per-source sticky errors: two failing sources no longer overwrite
-    /// each other's slot. Cleared per source on
-    /// [`ReplicaDaemon::clear_source_error`] (or wholesale on
-    /// [`ReplicaDaemon::clear_error`]).
-    errors: Mutex<BTreeMap<SourceId, RepoError>>,
-    /// Every pass publishes a [`HealthReport::Daemon`] here under
-    /// `component`.
-    health: Arc<RuntimeHealth>,
-    component: String,
     /// Set by [`ReplicaDaemon::stop`]: a scheduled pass that has not
     /// started yet does nothing and re-arms nothing.
     stopped: AtomicBool,
@@ -1261,53 +1227,20 @@ fn daemon_lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl DaemonShared {
-    /// One catch-up pass over the federation, folding the outcome into
-    /// stats and the sticky error slots. A backed-off source sits out
-    /// passes until its retry deadline; the first pass at or after it
-    /// retries the source.
+    /// One catch-up pass over the federation, counted. A backed-off
+    /// source sits out passes until its retry deadline; the first pass
+    /// at or after it retries the source.
     fn pass(&self) -> Result<FederationCatchUp, RepoError> {
-        let outcome = {
-            let mut federation = daemon_lock(&self.federation);
-            let outcome = federation.catch_up();
-            let mut stats = daemon_lock(&self.stats);
-            match &outcome {
-                Ok(progress) => {
-                    stats.polls += 1;
-                    stats.events_applied += progress.events_applied as u64;
-                    stats.rebases += progress.rebases as u64;
-                    stats.source_lag = federation.polled_lag();
-                    stats.source_health = federation.source_status();
-                    if !progress.errors.is_empty() {
-                        let mut errors = daemon_lock(&self.errors);
-                        for (source, error) in &progress.errors {
-                            errors.insert(source.clone(), error.clone());
-                        }
-                        // The "most recent" slot keeps its pre-existing
-                        // meaning: the last error any source raised.
-                        *daemon_lock(&self.error) = progress.errors.last().map(|(_, e)| e.clone());
-                    }
-                }
-                Err(e) => {
-                    stats.polls += 1;
-                    *daemon_lock(&self.error) = Some(e.clone());
-                }
-            }
-            outcome
-        };
-        let (polls, events_applied, rebases) = {
-            let stats = daemon_lock(&self.stats);
-            (stats.polls, stats.events_applied, stats.rebases)
-        };
-        let error = daemon_lock(&self.error).as_ref().map(|e| e.to_string());
-        self.health.report(
-            &self.component,
-            HealthReport::Daemon {
-                polls,
-                events_applied,
-                rebases_detected: rebases,
-                error,
-            },
-        );
+        let mut federation = daemon_lock(&self.federation);
+        let outcome = federation.catch_up();
+        // Counted under the federation's lock, so a reader never sees
+        // the federation ahead of the stats.
+        let mut stats = daemon_lock(&self.stats);
+        stats.polls += 1;
+        if let Ok(progress) = &outcome {
+            stats.events_applied += progress.events_applied as u64;
+            stats.rebases += progress.rebases as u64;
+        }
         outcome
     }
 }
@@ -1318,12 +1251,11 @@ impl DaemonShared {
 /// [`DaemonConfig::poll_interval`] after the pass ends, and stops
 /// cleanly (in-flight pass waited out, armed wake-up dropped) on
 /// [`ReplicaDaemon::stop`] or drop — stop is prompt even mid-interval.
-/// Poll errors are sticky — per source in
-/// [`ReplicaDaemon::last_errors`], with [`ReplicaDaemon::last_error`]
-/// keeping the most recent across sources, until
-/// [`ReplicaDaemon::clear_error`] — while the daemon keeps serving from
-/// the last good merged state and polling the healthy sources, so a
-/// source directory that comes back is picked up again automatically.
+/// A failing source is supervised by the federation: its error and
+/// state are in [`Federation::source_status`], each change of state is
+/// published as [`HealthReport::Source`], and the daemon keeps serving
+/// from the last good merged state and polling the healthy sources, so
+/// a source directory that comes back is picked up again automatically.
 /// A backed-off source is retried by the first pass at or after its
 /// retry deadline.
 pub struct ReplicaDaemon {
@@ -1346,9 +1278,10 @@ impl std::fmt::Debug for ReplicaDaemon {
 impl ReplicaDaemon {
     /// Take ownership of `federation` and poll it every
     /// [`DaemonConfig::poll_interval`] as a tenant of `runtime`: passes
-    /// run on the runtime's pool, and every pass publishes
-    /// [`HealthReport::Daemon`] on the runtime's health channel under
-    /// `component`, next to the federation's supervision transitions.
+    /// run on the runtime's pool, and the federation's supervision
+    /// transitions ([`HealthReport::Source`]) are published on the
+    /// runtime's health channel under `component`. A pass that changes
+    /// no source's state publishes nothing.
     /// The first pass runs on the caller's thread before this returns,
     /// so a fresh daemon is never blind for a full interval and no later
     /// [`ReplicaDaemon::force_catch_up`] races it.
@@ -1362,14 +1295,10 @@ impl ReplicaDaemon {
         let shared = Arc::new(DaemonShared {
             federation: Mutex::new(federation),
             stats: Mutex::new(DaemonStats::default()),
-            error: Mutex::new(None),
-            errors: Mutex::new(BTreeMap::new()),
-            health: Arc::clone(runtime.health()),
-            component: component.to_string(),
             stopped: AtomicBool::new(false),
         });
-        // Poll errors are recorded (sticky) and polling continues; a
-        // vanished source may come back.
+        // A source's poll error is the federation's to supervise, and
+        // polling continues; a vanished source may come back.
         let _ = shared.pass();
         let task_shared = shared.clone();
         let interval = config.poll_interval;
@@ -1419,38 +1348,7 @@ impl ReplicaDaemon {
 
     /// Progress accounting so far.
     pub fn stats(&self) -> DaemonStats {
-        daemon_lock(&self.shared.stats).clone()
-    }
-
-    /// The most recent poll error any source raised — sticky until
-    /// [`ReplicaDaemon::clear_error`]. For attribution when several
-    /// sources are failing, use [`ReplicaDaemon::last_errors`].
-    pub fn last_error(&self) -> Option<RepoError> {
-        daemon_lock(&self.shared.error).clone()
-    }
-
-    /// Per-source sticky errors: each failing source keeps its own slot,
-    /// so a flaky peer no longer masks a corrupt one. Entries persist
-    /// across later successful polls of *other* sources until cleared
-    /// ([`ReplicaDaemon::clear_source_error`] /
-    /// [`ReplicaDaemon::clear_error`]).
-    pub fn last_errors(&self) -> BTreeMap<SourceId, RepoError> {
-        daemon_lock(&self.shared.errors).clone()
-    }
-
-    /// Clear one source's sticky error (e.g. after repairing it).
-    /// Returns whether an entry was present. The "most recent" slot is
-    /// left alone — it is cross-source by definition.
-    pub fn clear_source_error(&self, source: &SourceId) -> bool {
-        daemon_lock(&self.shared.errors).remove(source).is_some()
-    }
-
-    /// Clear every sticky error — the most-recent slot and the whole
-    /// per-source map (e.g. after restoring a vanished source
-    /// directory).
-    pub fn clear_error(&self) {
-        *daemon_lock(&self.shared.error) = None;
-        daemon_lock(&self.shared.errors).clear();
+        *daemon_lock(&self.shared.stats)
     }
 
     /// Is the daemon still scheduled on its runtime?
@@ -2265,9 +2163,9 @@ mod tests {
             assert_eq!(daemon.force_catch_up().unwrap().events_applied, 0);
         }
         assert_eq!(crate::storage::dirs_listed() - before, 0);
-        let stats = daemon.stats();
-        assert_eq!(stats.source_lag.len(), 2);
-        assert!(stats.source_lag.iter().all(|(_, lag)| *lag == 0));
+        let lag = daemon.with_federation(|f| f.lag());
+        assert_eq!(lag.len(), 2);
+        assert!(lag.iter().all(|(_, lag)| *lag == 0));
         daemon.stop();
         for (_, dir) in sources {
             std::fs::remove_dir_all(dir).ok();
@@ -2307,7 +2205,7 @@ mod tests {
                 "a pending torn tail is read again, never skipped as idle"
             );
             daemon.force_catch_up().unwrap();
-            assert_eq!(daemon.stats().source_lag[0].1, torn.len() as u64);
+            assert_eq!(daemon.with_federation(|f| f.lag())[0].1, torn.len() as u64);
         }
 
         // The writer reopens (truncating the fragment) and appends.
@@ -2319,13 +2217,13 @@ mod tests {
         federation.catch_up().unwrap();
         assert_eq!(crate::storage::dirs_listed() - before, 0, "healed: idle");
         daemon.force_catch_up().unwrap();
-        assert_eq!(daemon.stats().source_lag[0].1, 0);
+        assert_eq!(daemon.with_federation(|f| f.lag())[0].1, 0);
         drop(daemon);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn daemon_polls_surfaces_sticky_errors_and_stops_clean() {
+    fn daemon_polls_serves_degraded_and_stops_clean() {
         let dir_a = unique_dir("daemon-a");
         let dir_b = unique_dir("daemon-b");
         let a = primary("alpha");
@@ -2362,10 +2260,9 @@ mod tests {
         assert!(daemon.stats().events_applied >= 1);
         assert_eq!(daemon.query(&["composers"]).len(), 1);
         assert_eq!(daemon.citations().len(), 1);
-        assert!(daemon.last_error().is_none());
 
-        // A vanished source surfaces a sticky typed error — per source
-        // and in the most-recent slot — while the pass itself succeeds
+        // A vanished source surfaces a typed error in the pass outcome
+        // and in its supervision status, while the pass itself succeeds
         // with partial progress and healthy sources still serve.
         std::fs::remove_dir_all(&dir_a).unwrap();
         let outcome = daemon.force_catch_up().unwrap();
@@ -2375,31 +2272,19 @@ mod tests {
             outcome.errors[0].1,
             RepoError::SourceUnavailable { .. }
         ));
+        let status = daemon.with_federation(|f| f.source_status());
+        let (a_status, b_status) = (&status[0].1, &status[1].1);
+        assert_ne!(a_status.health, SourceHealth::Healthy);
         assert!(matches!(
-            daemon.last_error(),
+            a_status.last_error,
             Some(RepoError::SourceUnavailable { .. })
         ));
-        let errors = daemon.last_errors();
-        assert!(matches!(
-            errors.get(&SourceId::new("a")),
-            Some(RepoError::SourceUnavailable { .. })
-        ));
-        assert!(!errors.contains_key(&SourceId::new("b")));
+        assert_eq!(b_status.health, SourceHealth::Healthy);
+        assert!(b_status.last_error.is_none());
         assert_eq!(daemon.query(&["composers"]).len(), 1, "degraded serving");
-        assert!(daemon.clear_source_error(&SourceId::new("a")));
-        assert!(!daemon.clear_source_error(&SourceId::new("a")));
-        daemon.clear_error();
 
         let stats = daemon.stop();
         assert!(stats.polls >= 2);
-        assert!(
-            stats
-                .source_health
-                .iter()
-                .any(|(s, status)| s == &SourceId::new("a")
-                    && status.health != SourceHealth::Healthy),
-            "per-source staleness metadata reflects the sick source"
-        );
         assert!(!daemon.is_running(), "no orphan thread after stop");
         // Idempotent stop; the federation comes back out for direct use.
         daemon.stop();
@@ -2767,7 +2652,7 @@ mod tests {
     }
 
     #[test]
-    fn daemon_on_a_shared_runtime_reports_on_the_unified_channel() {
+    fn daemon_on_a_shared_runtime_publishes_only_transitions() {
         let dir_a = unique_dir("daemon-shared-a");
         let dir_b = unique_dir("daemon-shared-b");
         let a = primary("alpha");
@@ -2785,9 +2670,17 @@ mod tests {
         let runtime = crate::runtime::Runtime::new(2);
         // The shared-pool cold open matches the per-pool one exactly.
         let sequential = Federation::open("fed", sources.clone()).unwrap();
-        let federation = Federation::open_on("fed", sources, &runtime).unwrap();
+        let mut federation = Federation::open_on("fed", sources, &runtime).unwrap();
         assert_eq!(federation.snapshot(), sequential.snapshot());
         assert_eq!(federation.index(), sequential.index());
+        // A failed source is not retried within the test, so the one
+        // transition below stays the only one.
+        let hour = Duration::from_secs(3600);
+        federation.set_retry_policy(RetryPolicy {
+            base: hour,
+            max: hour,
+            ..RetryPolicy::default()
+        });
 
         let mut daemon = ReplicaDaemon::spawn_on(
             federation,
@@ -2801,24 +2694,33 @@ mod tests {
         backend_b.record(&b.drain_events()).unwrap();
         daemon.force_catch_up().unwrap();
         assert_eq!(daemon.query(&["uml2rdbms"]).len(), 1);
+        let stats = daemon.stats();
+        assert!(stats.polls >= 2);
+        assert!(stats.events_applied >= 1);
+        assert!(
+            runtime.health().drain().is_empty(),
+            "passes over healthy sources publish nothing"
+        );
 
-        let report = runtime
-            .health()
-            .latest("daemon")
-            .expect("every pass publishes on the unified channel");
-        match report.report {
-            HealthReport::Daemon {
-                polls,
-                events_applied,
-                error,
+        // A source that vanishes is one transition, published under the
+        // daemon's component and readable as its latest report.
+        std::fs::remove_dir_all(&dir_b).unwrap();
+        daemon.force_catch_up().unwrap();
+        let latest = runtime.health().latest("daemon").expect("a transition");
+        match latest.report {
+            HealthReport::Source {
+                ref source,
+                ref state,
+                ref error,
                 ..
             } => {
-                assert!(polls >= 1);
-                assert!(events_applied >= 1);
-                assert!(error.is_none());
+                assert_eq!(source, "b");
+                assert_eq!(state, "degraded");
+                assert!(error.as_deref().is_some_and(|e| !e.is_empty()));
             }
-            other => panic!("expected a daemon report, got {other:?}"),
+            ref other => panic!("expected a source transition, got {other:?}"),
         }
+        assert_eq!(runtime.health().drain(), [latest]);
         daemon.stop();
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();

@@ -31,12 +31,16 @@
 //!   (the writer's window close, the daemon's next pass, the law
 //!   checker's next bounded batch) without holding a handle to itself.
 //!
-//! * **[`RuntimeHealth`]** — the unified health/stats channel. Every
-//!   tenant (durability pipeline, replica daemon, compaction, lint,
-//!   federated sources) reports [`HealthReport`]s tagged with a component
-//!   name; observers drain the bounded backlog or read the latest report
-//!   of one component. The pool does not report: its counters are read
-//!   with [`Runtime::pool_stats`].
+//! * **[`RuntimeHealth`]** — the unified health channel. It carries only
+//!   discrete transitions, each a [`HealthReport`] tagged with a
+//!   component name: a writer failing, a federated source changing
+//!   supervision state, a torn tail repaired, a lint check panicking, a
+//!   checkpoint taken. Observers drain the bounded backlog or read the
+//!   latest report of one component. Counters live on their owners and
+//!   are never copied here: `BackgroundWriter::stats`,
+//!   `ReplicaDaemon::stats`, `LawChecker::checks_run` and
+//!   [`Runtime::pool_stats`]. A tenant in steady state publishes
+//!   nothing.
 //!
 //! The pool runs `'static` jobs: callers share read-only inputs via
 //! [`std::sync::Arc`] and partition mutable state by *moving* disjoint
@@ -312,31 +316,21 @@ impl Drop for WorkerPool {
 // Unified health channel
 // ---------------------------------------------------------------------------
 
-/// One tenant's health snapshot, pushed through [`RuntimeHealth`].
+/// One discrete transition of a runtime tenant, pushed through
+/// [`RuntimeHealth`].
 ///
-/// Variants mirror the runtime's tenants and carry plain owned values
-/// so observers need no per-tenant imports.
+/// Only changes are published: a writer failing, a federated source
+/// moving between supervision states, a torn tail repaired at open, a
+/// check panicking, a checkpoint taken. Counters live on their owners
+/// (`BackgroundWriter::stats`, `ReplicaDaemon::stats`,
+/// `LawChecker::checks_run`), so a tenant in steady state publishes
+/// nothing. Variants carry plain owned values so observers need no
+/// per-tenant imports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HealthReport {
-    /// The durability pipeline (background writer).
-    Pipeline {
-        enqueued: u64,
-        durable: u64,
-        dropped: u64,
-        backpressure_waits: u64,
-        fsyncs: u64,
-        /// The configured group-commit window, in microseconds.
-        window_micros: u64,
-        queue_len: usize,
-        error: Option<String>,
-    },
-    /// A replica daemon's polling loop.
-    Daemon {
-        polls: u64,
-        events_applied: u64,
-        rebases_detected: u64,
-        error: Option<String>,
-    },
+    /// A durability writer failed; its error is now sticky and every
+    /// later event is dropped. Published once per writer.
+    WriterFailed { error: String },
     /// A compaction pass on an auto-compacting log.
     Compaction {
         /// Which backend kind compacted (e.g. `"events"`, `"binlog"`).
@@ -344,10 +338,12 @@ pub enum HealthReport {
         checkpoints: u64,
         pruned_files: u64,
     },
-    /// The lint engine's incremental checker.
-    Lint {
-        checks_run: u64,
-        entries_with_diagnostics: usize,
+    /// A law check panicked on a pool worker: the entry's findings are
+    /// stale until it is dirtied again. The checker's other entries are
+    /// unaffected.
+    CheckPanicked {
+        /// The entry whose check panicked.
+        entry: String,
     },
     /// A federated source's supervision state changed: a failure moved
     /// it along `healthy → degraded → quarantined`, a successful poll
@@ -391,7 +387,8 @@ pub struct ComponentHealth {
 }
 
 /// Backlog cap: the channel keeps the most recent reports, dropping the
-/// oldest — health is a sampling channel, not a durable log.
+/// oldest — it is not a durable log. Only transitions are published, so
+/// steady traffic never pushes one out.
 const HEALTH_BACKLOG: usize = 256;
 
 struct HealthInner {
@@ -400,7 +397,8 @@ struct HealthInner {
     latest: BTreeMap<String, ComponentHealth>,
 }
 
-/// The unified health/stats channel shared by every runtime tenant.
+/// The unified health channel shared by every runtime tenant: the
+/// transitions they publish, in order.
 ///
 /// Two consumption styles: [`RuntimeHealth::drain`] the bounded backlog
 /// (polling observers), or [`RuntimeHealth::latest`] for dashboards that
@@ -1134,33 +1132,26 @@ mod tests {
         let health = RuntimeHealth::new();
         for i in 0..300u64 {
             health.report(
-                "writer",
-                HealthReport::Pipeline {
-                    enqueued: i,
-                    durable: i,
-                    dropped: 0,
-                    backpressure_waits: 0,
-                    fsyncs: 0,
-                    window_micros: 0,
-                    queue_len: 0,
-                    error: None,
+                "storage",
+                HealthReport::Compaction {
+                    kind: "events".to_string(),
+                    checkpoints: i,
+                    pruned_files: 0,
                 },
             );
         }
         health.report(
-            "daemon",
-            HealthReport::Daemon {
-                polls: 1,
-                events_applied: 0,
-                rebases_detected: 0,
-                error: None,
+            "lint",
+            HealthReport::CheckPanicked {
+                entry: "composers".to_string(),
             },
         );
-        let latest = health.latest("writer").expect("writer reported");
+        let latest = health.latest("storage").expect("storage reported");
         assert_eq!(latest.seq, 300);
-        assert!(health.latest("daemon").is_some());
+        assert!(health.latest("lint").is_some());
         let drained = health.drain();
         assert_eq!(drained.len(), HEALTH_BACKLOG, "backlog is bounded");
+        assert_eq!(drained[0].seq, 301 - 255, "the oldest are dropped");
         assert!(health.drain().is_empty(), "drain empties the backlog");
     }
 

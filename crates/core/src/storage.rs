@@ -222,26 +222,15 @@ struct ManifestDisk {
 }
 
 thread_local! {
-    /// Test/bench instrumentation: how many checkpoint manifests this
-    /// thread has parsed (the manifest embeds a whole snapshot, so a
-    /// parse is the expensive path a poll's `(mtime, len)` stamp check
-    /// exists to avoid). Lets tests assert that polling an idle
-    /// replica/federation really is pure metadata stats.
+    /// Test instrumentation, per thread. Checkpoint manifests parsed:
+    /// the manifest embeds a whole snapshot, so a parse is the expensive
+    /// path a poll's `(mtime, len)` stamp check exists to avoid.
     static MANIFESTS_PARSED: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Number of checkpoint manifests parsed by this thread so far.
-/// Instrumentation for tests and benches.
-pub fn manifests_parsed() -> u64 {
-    MANIFESTS_PARSED.with(Cell::get)
-}
-
-thread_local! {
-    /// Test instrumentation: how many directories this thread has listed
-    /// to find a generation's files ([`segment_files`]). An idle poll is
-    /// a few stats of paths its tail already knows, so tests assert
-    /// that it lists nothing.
+    /// Generation directories listed ([`segment_files`]): an idle poll
+    /// stats paths its tail already knows and lists none.
     static DIRS_LISTED: Cell<u64> = const { Cell::new(0) };
+    /// Directories fsynced ([`sync_dir`]): one per new log file.
+    static DIRS_SYNCED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Count one directory listing on this thread (see [`dirs_listed`]).
@@ -249,10 +238,26 @@ pub(crate) fn note_dir_listed() {
     DIRS_LISTED.with(|c| c.set(c.get() + 1));
 }
 
-/// Number of generation directory listings this thread has made so far.
+#[cfg(test)]
+pub(crate) fn manifests_parsed() -> u64 {
+    MANIFESTS_PARSED.with(Cell::get)
+}
+
 #[cfg(test)]
 pub(crate) fn dirs_listed() -> u64 {
     DIRS_LISTED.with(Cell::get)
+}
+
+#[cfg(test)]
+pub(crate) fn dirs_synced() -> u64 {
+    DIRS_SYNCED.with(Cell::get)
+}
+
+/// Fsync `dir`, persisting the entries of files created or renamed in
+/// it.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    DIRS_SYNCED.with(|c| c.set(c.get() + 1));
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// The exact `checkpoint.json` bytes for `manifest`: the canonical body
@@ -284,11 +289,10 @@ fn write_manifest_in(dir: &Path, manifest: &Manifest) -> Result<(), RepoError> {
         file.sync_all().map_err(io_err)?;
     }
     std::fs::rename(&tmp, dir.join("checkpoint.json")).map_err(io_err)?;
-    // Persist the rename itself (directory entry); best-effort since
-    // not every platform lets a directory be fsynced.
-    if let Ok(d) = std::fs::File::open(dir) {
-        d.sync_all().ok();
-    }
+    // Persist the rename itself (the directory entry). Best-effort: the
+    // rename is the commit point, so an error now must not send the
+    // writer back to the generation the new manifest superseded.
+    sync_dir(dir).ok();
     Ok(())
 }
 
@@ -402,6 +406,10 @@ pub struct SegmentedLog<C: Codec> {
     /// The persistent appender for the live segment, opened lazily and
     /// dropped when a roll or checkpoint moves the writer on.
     appender: Option<File>,
+    /// The appender opened an empty file, most likely creating it: the
+    /// next `sync` also fsyncs the directory, so the file's entry is as
+    /// durable as its bytes.
+    dir_sync_owed: bool,
     /// Bytes staged (written but not fsynced) since the last
     /// `flush_durable`; only ever true in [`DurabilityMode::GroupCommit`].
     dirty: bool,
@@ -432,6 +440,7 @@ impl<C: Codec> Clone for SegmentedLog<C> {
             segment_bytes: self.segment_bytes,
             durability: self.durability,
             appender: None,
+            dir_sync_owed: false,
             dirty: false,
             fsyncs: 0,
             tail_repaired: None,
@@ -485,6 +494,7 @@ impl<C: Codec> SegmentedLog<C> {
             segment_bytes: segment_bytes.max(1),
             durability: DurabilityMode::default(),
             appender: None,
+            dir_sync_owed: false,
             dirty: false,
             fsyncs: 0,
             tail_repaired: None,
@@ -690,6 +700,7 @@ impl<C: Codec> SegmentedLog<C> {
                 .metadata()
                 .map_err(|e| RepoError::persist_io("stat event log segment", e))?
                 .len();
+            self.dir_sync_owed = self.segment_len == 0;
             self.appender = Some(file);
         }
         Ok(self.appender.as_mut().expect("appender was just opened"))
@@ -704,12 +715,20 @@ impl<C: Codec> SegmentedLog<C> {
     }
 
     /// Fsync the live segment. Every append grew it, so this is the full
-    /// `sync_all`: the new length is metadata that must reach disk.
+    /// `sync_all`: the new length is metadata that must reach disk. The
+    /// first sync of a file the appender created also fsyncs the
+    /// directory, or a crash could lose the file's entry along with
+    /// every record in it.
     fn sync(&mut self) -> Result<(), RepoError> {
         self.appender()?
             .sync_all()
             .map_err(|e| RepoError::persist_io("fsync event log", e))?;
         self.fsyncs += 1;
+        if self.dir_sync_owed {
+            sync_dir(&self.dir)
+                .map_err(|e| RepoError::persist_io("fsync event log directory", e))?;
+            self.dir_sync_owed = false;
+        }
         Ok(())
     }
 
@@ -1498,6 +1517,7 @@ mod tests {
         pending_events_counts_records_without_decoding,
         checkpoint_rolls_the_persistent_appender,
         tail_reads_resume_at_record_boundaries_and_detect_rolls,
+        a_new_log_file_fsyncs_its_directory_once,
     );
 
     mod engine {
@@ -1762,6 +1782,42 @@ mod tests {
             backend.checkpoint(&r.snapshot()).unwrap();
             let rolled = backend.current_generation();
             assert_eq!(read_generation(&dir, rolled, end, None).unwrap(), None);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        pub(super) fn a_new_log_file_fsyncs_its_directory_once<C: Codec>() {
+            let dir = dir::<C>("dir-sync");
+            let r = busy_repository();
+            let synced = |backend: &mut SegmentedLog<C>, events: &[RepoEvent]| {
+                let before = dirs_synced();
+                backend.record(events).unwrap();
+                dirs_synced() - before
+            };
+            let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
+            let events = r.drain_events();
+            // The first record creates generation 0's first file; the
+            // next one appends to it.
+            assert_eq!(synced(&mut backend, &events[..1]), 1, "first record");
+            assert_eq!(synced(&mut backend, &events[1..]), 0, "steady state");
+            // The first record after a checkpoint creates the new
+            // generation's first file.
+            backend.checkpoint(&r.snapshot()).unwrap();
+            comment(&r, "after the checkpoint");
+            assert_eq!(synced(&mut backend, &r.drain_events()), 1, "new generation");
+            comment(&r, "steady");
+            assert_eq!(synced(&mut backend, &r.drain_events()), 0, "steady state");
+            if C::SEGMENTED {
+                // Under a cap the live segment already exceeds, the next
+                // record rolls onto a new successor file.
+                let mut backend = SegmentedLog::<C>::open_with_segment_bytes(&dir, 64).unwrap();
+                comment(&r, "rolls");
+                assert_eq!(synced(&mut backend, &r.drain_events()), 1, "a roll");
+                assert_eq!(backend.generation_files().unwrap().len(), 2);
+            }
+            assert_eq!(
+                SegmentedLog::<C>::open(&dir).unwrap().restore().unwrap(),
+                r.snapshot()
+            );
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -202,8 +202,9 @@ pub struct SalvageReport {
 }
 
 /// A point-in-time snapshot of one source's supervision state, exposed
-/// via `Federation::source_status` and `DaemonStats::source_health` —
-/// the staleness metadata the read tier serves alongside degraded data.
+/// via `Federation::source_status` (a `ReplicaDaemon`'s through
+/// `ReplicaDaemon::with_federation`) — the staleness metadata the read
+/// tier serves alongside degraded data.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceStatus {
     /// Current position in the state machine.

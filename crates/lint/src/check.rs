@@ -4,8 +4,6 @@
 //! cold full check call exactly the same function, which is what makes
 //! the incremental-≡-full property meaningful.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use bx_core::cite;
 use bx_core::curation::EntryStatus;
 use bx_core::principal::{Principal, Role};
@@ -17,17 +15,6 @@ use bx_theory::laws::ClaimVerdict;
 
 use crate::catalog::CheckCatalog;
 use crate::diagnostics::{Diagnostic, DiagnosticsIndex, LintLaw, Severity};
-
-/// Entries checked process-wide, ever — the observable the scale tests
-/// and the `law_matrix` bench pin O(change) verification against, the
-/// same way `entries_tokenized`/`entries_rendered` pin O(change)
-/// materialization.
-static ENTRIES_CHECKED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of [`check_entry`] calls.
-pub fn entries_checked() -> u64 {
-    ENTRIES_CHECKED.load(Ordering::Relaxed)
-}
 
 /// A cross-entry reference: `entry:<slug>` or `entry:<slug>@<maj>.<min>`
 /// in a reference's citation field.
@@ -94,7 +81,6 @@ pub fn check_entry(
     record: &EntryRecord,
     catalog: &CheckCatalog,
 ) -> Vec<Diagnostic> {
-    ENTRIES_CHECKED.fetch_add(1, Ordering::Relaxed);
     let entry = record.latest();
     let mut diagnostics = Vec::new();
     let mut push = |law, severity, span: String, message: String| {

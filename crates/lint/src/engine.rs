@@ -31,9 +31,9 @@ use crate::deps::DepMap;
 use crate::diagnostics::{Diagnostic, DiagnosticsIndex};
 
 /// Called with `(entry, its new findings)` every time the engine folds a
-/// fresh check result in — the push protocol for diagnostics deltas.
-/// Engine health goes to the runtime's channel instead
-/// ([`HealthReport::Lint`]).
+/// fresh check result in — the push protocol for diagnostics deltas. A
+/// check that panics goes to the runtime's health channel instead
+/// ([`HealthReport::CheckPanicked`]).
 pub type DeltaSink = Arc<dyn Fn(&EntryId, &[Diagnostic]) + Send + Sync>;
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -124,31 +124,31 @@ struct Inner {
     checks_run: AtomicU64,
     catalog: Arc<CheckCatalog>,
     delta_sink: Mutex<Option<DeltaSink>>,
-    /// Every run publishes [`HealthReport::Lint`] here under `component`.
+    /// A check that panics publishes [`HealthReport::CheckPanicked`]
+    /// here under `component`.
     health: Arc<RuntimeHealth>,
     component: String,
 }
 
+/// Publishes [`HealthReport::CheckPanicked`] for its entry when a
+/// panicking check unwinds through it; a check that returns drops it
+/// silently.
+struct PanicGuard<'a>(&'a Inner, &'a EntryId);
+
+impl Drop for PanicGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let entry = self.1.to_string();
+            let report = HealthReport::CheckPanicked { entry };
+            self.0.health.report(&self.0.component, report);
+        }
+    }
+}
+
 impl Inner {
     /// One run of the checker's task: check up to [`CHECKS_PER_RUN`]
-    /// dirty entries, then publish one [`HealthReport::Lint`] — also when
-    /// a check panics, since the report goes out as the run unwinds.
+    /// dirty entries. A check that panics is published as it unwinds.
     fn run(&self, task: &SerialTask) {
-        struct Report<'a>(&'a Inner);
-        impl Drop for Report<'_> {
-            fn drop(&mut self) {
-                let inner = self.0;
-                let entries_with_diagnostics = lock(&inner.index).entries().count();
-                inner.health.report(
-                    &inner.component,
-                    HealthReport::Lint {
-                        checks_run: inner.checks_run.load(Ordering::Relaxed),
-                        entries_with_diagnostics,
-                    },
-                );
-            }
-        }
-        let _report = Report(self);
         for _ in 0..CHECKS_PER_RUN {
             let (id, snapshot, more) = {
                 let mut state = lock(&self.state);
@@ -162,11 +162,13 @@ impl Inner {
             if more {
                 task.notify();
             }
+            let guard = PanicGuard(self, &id);
             let diagnostics = snapshot
                 .records
                 .get(&id)
                 .map(|record| check_entry(&snapshot, &id, record, &self.catalog))
                 .unwrap_or_default();
+            drop(guard);
             lock(&self.index).set_entry(&id, diagnostics.clone());
             self.checks_run.fetch_add(1, Ordering::Relaxed);
             let sink = lock(&self.delta_sink).clone();
@@ -197,8 +199,10 @@ impl std::fmt::Debug for LawChecker {
 
 impl LawChecker {
     /// A checker over an initially empty state that runs its checks as a
-    /// serial task on `runtime`, publishing [`HealthReport::Lint`] on the
-    /// runtime's health channel under `component` after every run.
+    /// serial task on `runtime`. Its counters stay on the checker
+    /// ([`LawChecker::checks_run`]); the runtime's health channel hears
+    /// from it only when a check panics, as
+    /// [`HealthReport::CheckPanicked`] under `component`.
     pub fn on_runtime(
         catalog: Arc<CheckCatalog>,
         runtime: &Arc<Runtime>,

@@ -42,7 +42,7 @@ pub mod diagnostics;
 pub mod engine;
 
 pub use catalog::{standard_catalog, CheckCatalog};
-pub use check::{check_entry, entries_checked, full_check};
+pub use check::{check_entry, full_check};
 pub use deps::DepMap;
 pub use diagnostics::{Diagnostic, DiagnosticsIndex, LintLaw, Severity};
 pub use engine::{DeltaSink, LawChecker, Linter};

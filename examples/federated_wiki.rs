@@ -124,7 +124,10 @@ fn main() {
     let stats = daemon.stats();
     println!(
         "daemon: {} polls, {} events applied, {} rebases, lag {:?}",
-        stats.polls, stats.events_applied, stats.rebases, stats.source_lag
+        stats.polls,
+        stats.events_applied,
+        stats.rebases,
+        daemon.with_federation(|f| f.lag())
     );
     daemon.with_federation(|federation| {
         let page = federation

@@ -423,9 +423,10 @@ fn a_reappeared_source_resumes_its_tail_without_rebase() {
 /// The acceptance path end to end, on a [`ReplicaDaemon`] tenant of a
 /// shared runtime: one JSONL source and one *binary* source both rot,
 /// quarantine, salvage under [`RecoveryPolicy::SalvagePrefix`], and the
-/// [`SalvageReport`]s surface in the catch-up outcome, in
-/// `DaemonStats::source_health`, in the per-source error map (until
-/// cleared), and as `HealthReport::Source` on the runtime channel.
+/// [`SalvageReport`]s surface in the catch-up outcome and in
+/// `Federation::source_status`, and the quarantines (with the
+/// corruption's text) and recoveries as `HealthReport::Source` on the
+/// runtime channel.
 #[test]
 fn quarantined_corrupt_sources_salvage_and_report_on_the_runtime_channel() {
     let dir_a = unique_temp_dir("salvage-chan-a");
@@ -495,48 +496,52 @@ fn quarantined_corrupt_sources_salvage_and_report_on_the_runtime_channel() {
     }
     assert_eq!(salvaged.len(), 2, "both formats salvage");
 
-    // The sticky per-source error map kept the corruption attributable
-    // until explicitly cleared.
-    let errors = daemon.last_errors();
-    assert!(matches!(
-        errors.get(&SourceId::new("a")),
-        Some(RepoError::CorruptFrame { .. })
-    ));
-    assert!(matches!(
-        errors.get(&SourceId::new("b")),
-        Some(RepoError::CorruptFrame { .. })
-    ));
-    daemon.clear_error();
-    assert!(daemon.last_errors().is_empty());
-
-    // Degraded serving never blinked, and the salvage is on the stats
-    // record with both sources healthy again.
-    let stats = daemon.stats();
-    for (source, status) in &stats.source_health {
+    // Degraded serving never blinked, and the salvage is on each
+    // source's supervision record with both sources healthy again.
+    for (source, status) in daemon.with_federation(|f| f.source_status()) {
         assert_eq!(status.health, SourceHealth::Healthy, "{source:?}");
+        assert!(status.last_error.is_none(), "{source:?} recovered");
         let report = status.salvage.as_ref().expect("salvage on record");
         assert!(report.bytes_dropped > 0);
         assert!(report.truncated_at.is_some());
     }
 
-    // The runtime channel saw the quarantine and the salvaged recovery.
-    let reports = runtime.health().drain();
-    let mut saw_quarantine = false;
-    let mut saw_salvage = false;
-    for entry in reports {
-        if let HealthReport::Source {
+    // The runtime channel saw each source's quarantine, attributed to
+    // it with the corruption that caused it, and its salvaged recovery.
+    let mut quarantined: Vec<String> = Vec::new();
+    let mut salvaged_sources: Vec<String> = Vec::new();
+    for entry in runtime.health().drain() {
+        let HealthReport::Source {
+            source,
             state,
+            error,
             salvaged_bytes,
             ..
         } = entry.report
-        {
-            assert_eq!(entry.component, "fed");
-            saw_quarantine |= state == "quarantined";
-            saw_salvage |= salvaged_bytes.is_some() && state == "healthy";
+        else {
+            panic!("only source transitions were expected: {entry:?}");
+        };
+        assert_eq!(entry.component, "fed");
+        if state == "quarantined" {
+            let error = error.expect("a failure transition carries its error");
+            assert!(
+                error.starts_with("corrupt frame in segment"),
+                "{source}: {error}"
+            );
+            quarantined.push(source);
+        } else if state == "healthy" && salvaged_bytes.is_some() {
+            salvaged_sources.push(source);
         }
     }
-    assert!(saw_quarantine, "the quarantine transition was published");
-    assert!(saw_salvage, "the salvaged recovery was published");
+    quarantined.sort();
+    quarantined.dedup();
+    salvaged_sources.sort();
+    assert_eq!(quarantined, ["a", "b"], "both quarantines were published");
+    assert_eq!(
+        salvaged_sources,
+        ["a", "b"],
+        "both salvaged recoveries were published"
+    );
 
     // The merged state never lost the pre-corruption prefix.
     let federation = daemon.into_federation();

@@ -240,7 +240,10 @@ fn daemon_serves_and_stops_clean() {
     let manuscript = daemon.export_manuscript(ManuscriptOptions::default());
     assert!(manuscript.contains("@misc{bx-a-composers-0-1,"));
     assert!(manuscript.contains("@misc{bx-b-composers-0-1,"));
-    assert!(daemon.last_error().is_none());
+    assert!(daemon.with_federation(|f| f
+        .source_status()
+        .iter()
+        .all(|(_, status)| status.last_error.is_none())));
     assert!(daemon.stats().polls >= 1);
 
     // Clean stop: the thread is joined, a second stop is a no-op, and

@@ -16,7 +16,7 @@ use bx::core::replica::{Federation, SourceId};
 use bx::core::repo::{EntryRecord, RepositorySnapshot};
 use bx::core::storage::{EventLogBackend, StorageBackend};
 use bx::core::template::{Artefact, ArtefactKind};
-use bx::core::{EntryId, ExampleEntry, ExampleType, Principal, Repository, Runtime};
+use bx::core::{EntryId, ExampleEntry, ExampleType, HealthReport, Principal, Repository, Runtime};
 use bx::lint::{full_check, CheckCatalog, LawChecker, LintLaw, Linter, Severity};
 use bx_testkit::federation::{catch_up_clean, open_replica};
 use bx_testkit::ops::{apply_op, arb_ops, scripted_repository, unique_temp_dir, valid_entry};
@@ -315,6 +315,24 @@ fn a_panicking_check_loses_only_its_own_entry() {
         5,
         "one per poisoned check"
     );
+    // Each panic is published as it unwinds, naming its entry; the
+    // checks that returned published nothing.
+    let mut panicked: Vec<String> = runtime
+        .health()
+        .drain()
+        .into_iter()
+        .map(|report| {
+            assert_eq!(report.component, "lint");
+            match report.report {
+                HealthReport::CheckPanicked { entry } => entry,
+                other => panic!("the checker published {other:?}"),
+            }
+        })
+        .collect();
+    panicked.sort();
+    let mut expected: Vec<String> = poisoned.iter().map(ToString::to_string).collect();
+    expected.sort();
+    assert_eq!(panicked, expected);
 }
 
 /// The scale acceptance (release builds only — it rides in CI with the

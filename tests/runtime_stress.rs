@@ -13,12 +13,12 @@ use std::time::{Duration, Instant};
 
 use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
 use bx::core::replica::{DaemonConfig, Federation, ReplicaDaemon, SourceId};
-use bx::core::runtime::{HealthReport, Runtime};
+use bx::core::runtime::{ComponentHealth, HealthReport, Runtime};
 use bx::core::storage::{
     AutoCompactingEventLog, CompactionPolicy, EventLogBackend, StorageBackend,
 };
 use bx::core::template::ArtefactKind;
-use bx::core::{EntryId, Principal, RepoError, Repository};
+use bx::core::{EntryId, Principal, RepoError, Repository, RetryPolicy};
 use bx::lint::{CheckCatalog, LawChecker};
 use bx_testkit::faults::CrashingBackend;
 use bx_testkit::ops::unique_temp_dir;
@@ -45,9 +45,10 @@ fn primary(name: &str) -> Repository {
 /// The headline scenario: writer + daemon + compaction + lint as tenants
 /// of one two-worker pool, with a crashing backend and a panicking lint
 /// check injected. Asserts (a) the pool survives both faults, (b) every
-/// healthy tenant converges to its expected end state, (c) each tenant's
-/// health lands on the unified channel — i.e. all of them made progress
-/// on the shared pool, none starved another out.
+/// healthy tenant converges to its expected end state and its own
+/// counters show progress on the shared pool — none starved another
+/// out — and (c) the faults and checkpoints, and nothing else, land on
+/// the unified channel.
 #[test]
 fn mixed_tenants_on_one_small_pool_survive_faults_and_converge() {
     let dir = unique_temp_dir("stress-writer");
@@ -168,41 +169,153 @@ fn mixed_tenants_on_one_small_pool_survive_faults_and_converge() {
         titles.len() + 1, // the 8 clean entries plus POISONED
         "the daemon serves everything the writer made durable"
     );
-    daemon.stop();
+    let daemon_stats = daemon.stop();
 
-    // No tenant starved: every component reported on the one channel,
-    // and the whole run used exactly the two bounded workers.
+    // No tenant starved: each one's own counters show progress on the
+    // shared pool.
+    assert_eq!(writer.stats().durable, event_count);
+    assert!(checker.checks_run() >= 1);
+    assert!(daemon_stats.polls >= 1);
+    // The channel carries the transitions: the crash, the checkpoints
+    // and the panicking check. Healthy tenants published nothing.
     let health = runtime.health();
-    for component in ["writer", "writer:crash", "compaction", "lint", "daemon"] {
-        let report = health
+    let latest = |component: &str| {
+        health
             .latest(component)
-            .unwrap_or_else(|| panic!("`{component}` never reported"));
-        match (component, &report.report) {
-            ("writer", HealthReport::Pipeline { durable, error, .. }) => {
-                assert_eq!(*durable, event_count);
-                assert!(error.is_none());
-            }
-            ("writer:crash", HealthReport::Pipeline { error, .. }) => {
-                assert!(
-                    error.as_deref().is_some_and(|m| m.contains("injected")),
-                    "the injected crash is visible on the channel"
-                );
-            }
-            ("compaction", HealthReport::Compaction { checkpoints, .. }) => {
-                assert!(*checkpoints >= 1)
-            }
-            ("lint", HealthReport::Lint { checks_run, .. }) => assert!(*checks_run >= 1),
-            ("daemon", HealthReport::Daemon { polls, error, .. }) => {
-                assert!(*polls >= 1);
-                assert!(error.is_none());
-            }
-            (component, other) => panic!("`{component}` reported the wrong variant: {other:?}"),
+            .unwrap_or_else(|| panic!("`{component}` never reported"))
+            .report
+    };
+    match latest("writer:crash") {
+        HealthReport::WriterFailed { error } => assert!(
+            error.contains("injected"),
+            "the injected crash is visible on the channel: {error}"
+        ),
+        other => panic!("the crash writer reported {other:?}"),
+    }
+    match latest("compaction") {
+        HealthReport::Compaction { checkpoints, .. } => assert!(checkpoints >= 1),
+        other => panic!("compaction reported {other:?}"),
+    }
+    assert_eq!(
+        latest("lint"),
+        HealthReport::CheckPanicked {
+            entry: "poisoned".to_string()
         }
+    );
+    for quiet in ["writer", "daemon"] {
+        assert_eq!(health.latest(quiet), None, "`{quiet}` is healthy");
     }
     assert_eq!(runtime.pool_stats().threads, 2, "bounded: one small pool");
 
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&crash_dir).ok();
+}
+
+/// The health channel carries transitions only, so a source's
+/// quarantine stays visible however much steady work shares the
+/// runtime: after 300 flushed commits and 300 daemon passes, each
+/// re-checked by the law checker, it is still in the backlog and still
+/// the daemon component's latest report. Steady commits, passes and
+/// lint runs publish nothing at all.
+#[test]
+fn health_channel_keeps_a_quarantine_through_steady_traffic() {
+    let live_dir = unique_temp_dir("transition-live");
+    let lost_dir = unique_temp_dir("transition-lost");
+    let runtime = Runtime::named("bx-transition", 2);
+
+    // Source "a" is written live through a writer on the runtime, into
+    // a log that never compacts; source "b" is written once and then
+    // vanishes.
+    let repo = primary("alpha");
+    let writer = Arc::new(BackgroundWriter::on_runtime(
+        EventLogBackend::open(&live_dir).unwrap(),
+        PipelineConfig::default(),
+        &runtime,
+        "writer",
+    ));
+    repo.subscribe_with_backfill(writer.clone());
+    writer.flush().unwrap();
+    let lost = primary("beta");
+    EventLogBackend::open(&lost_dir)
+        .unwrap()
+        .record(&lost.drain_events())
+        .unwrap();
+    let mut federation = Federation::open(
+        "fed",
+        vec![
+            (SourceId::new("a"), live_dir.clone()),
+            (SourceId::new("b"), lost_dir.clone()),
+        ],
+    )
+    .unwrap();
+    // The first failure quarantines, and no retry falls within the test.
+    let hour = Duration::from_secs(3600);
+    federation.set_retry_policy(RetryPolicy {
+        base: hour,
+        max: hour,
+        quarantine_after: 1,
+        ..RetryPolicy::default()
+    });
+    let checker = Arc::new(LawChecker::on_runtime(
+        Arc::new(CheckCatalog::new()),
+        &runtime,
+        "lint",
+    ));
+    federation.subscribe(checker.clone());
+    let mut daemon = ReplicaDaemon::spawn_on(
+        federation,
+        DaemonConfig {
+            poll_interval: Duration::from_millis(5),
+        },
+        &runtime,
+        "daemon",
+    );
+
+    std::fs::remove_dir_all(&lost_dir).unwrap();
+    daemon.force_catch_up().unwrap();
+    let is_quarantine = |entry: &ComponentHealth| {
+        entry.component == "daemon"
+            && matches!(
+                &entry.report,
+                HealthReport::Source { source, state, .. }
+                    if source == "b" && state == "quarantined"
+            )
+    };
+
+    // Each round commits an entry durably, then applies it at the
+    // federation, whose law checker checks it.
+    let mut round = 0;
+    let mut steady = |rounds: usize| {
+        for _ in 0..rounds {
+            round += 1;
+            repo.contribute("alice", entry(&format!("STEADY-{round}")))
+                .unwrap();
+            writer.flush().unwrap();
+            assert_eq!(daemon.force_catch_up().unwrap().errors.len(), 0);
+        }
+        checker.wait_idle();
+    };
+    steady(300);
+    assert!(writer.stats().fsyncs >= 300);
+    assert!(daemon.stats().polls >= 300);
+    assert!(checker.checks_run() >= 300);
+
+    let latest = runtime.health().latest("daemon").expect("a transition");
+    assert!(is_quarantine(&latest), "latest daemon report: {latest:?}");
+    let drained = runtime.health().drain();
+    assert!(
+        drained.iter().any(is_quarantine),
+        "the quarantine fell out of the backlog"
+    );
+    assert_eq!(drained.len(), 1, "only the quarantine: {drained:?}");
+
+    steady(20);
+    assert_eq!(runtime.health().drain(), []);
+    assert_eq!(daemon.with_federation(|f| f.snapshot().records.len()), 320);
+
+    daemon.stop();
+    writer.shutdown().unwrap();
+    std::fs::remove_dir_all(&live_dir).ok();
 }
 
 /// 64 federated sources cold-opened and then daemon-polled on ONE shared
@@ -243,7 +356,9 @@ fn sixty_four_sources_cold_open_and_poll_on_one_shared_pool() {
     while daemon.stats().polls == 0 && settle.elapsed() < Duration::from_secs(5) {
         std::thread::yield_now();
     }
-    assert_eq!(daemon.stats().source_lag.len(), 64);
+    let lag = daemon.with_federation(|f| f.lag());
+    assert_eq!(lag.len(), 64);
+    assert!(lag.iter().all(|(_, lag)| *lag == 0));
     // Prompt stop: cancelling a 5 s tick must not wait the interval out.
     let begin = Instant::now();
     daemon.stop();
