@@ -39,6 +39,7 @@ fn seed_sources(n: usize, entries_each: usize) -> Vec<(SourceId, PathBuf)> {
             let repo = scaled_repository(entries_each);
             let mut backend = EventLogBackend::open(&dir).expect("event log opens");
             backend.record(&repo.drain_events()).expect("seed records");
+            backend.flush_durable().expect("fsync seed records");
             (SourceId::new(&format!("s{i}")), dir)
         })
         .collect()

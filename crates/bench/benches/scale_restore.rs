@@ -95,10 +95,12 @@ fn bench_log_restore(c: &mut Criterion) {
     {
         let mut backend = EventLogBackend::open(&jsonl).expect("event log opens");
         backend.record(&events).expect("records");
+        backend.flush_durable().expect("fsync records");
     }
     {
         let mut backend = BinaryLogBackend::open(&binary).expect("binary log opens");
         backend.record(&events).expect("records");
+        backend.flush_durable().expect("fsync records");
     }
     drop(events);
 

@@ -572,8 +572,6 @@ pub struct FrameCodec;
 
 impl Codec for FrameCodec {
     const SUFFIX: &'static str = ".bin";
-    const KIND: &'static str = "binary-log";
-    const COMPACTED_KIND: &'static str = "binary-log+auto-compact";
     const SEGMENTED: bool = true;
 
     fn encode(event: &RepoEvent, out: &mut Vec<u8>) -> Result<(), RepoError> {
@@ -757,9 +755,8 @@ fn convert_log_dir_pooled(
     if src.join("checkpoint.json").exists() {
         target.checkpoint(&base)?;
     }
-    if !events.is_empty() {
-        target.record(&events)?;
-    }
+    target.record(&events)?;
+    target.flush_durable()?;
     Ok(events.len())
 }
 
@@ -872,6 +869,33 @@ mod tests {
         reopened.record(&r.drain_events()).unwrap();
         assert_eq!(reopened.restore().unwrap(), r.snapshot());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_conversion_is_durable_when_it_returns() {
+        let r = busy_repository();
+        let src = unique_dir("logconv-durable-src");
+        let mut source = EventLogBackend::open(&src).unwrap();
+        source.record(&r.drain_events()).unwrap();
+        source.flush_durable().unwrap();
+        // No checkpoint, so no manifest rename syncs the directory: only
+        // the flush of the converted records can, through the first sync
+        // of the file they created.
+        let bin = unique_dir("logconv-durable-bin");
+        let back = unique_dir("logconv-durable-back");
+        for (from, to, to_binary) in [(&src, &bin, true), (&bin, &back, false)] {
+            let before = crate::storage::dirs_synced();
+            convert_log_dir(from, to, to_binary).unwrap();
+            assert_eq!(
+                crate::storage::dirs_synced() - before,
+                1,
+                "records left staged"
+            );
+            assert_eq!(EventLogBackend::restore_dir(to).unwrap(), r.snapshot());
+        }
+        for dir in [src, bin, back] {
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

@@ -84,8 +84,8 @@ pub use replica::{
 pub use repo::{EntryId, Repository};
 pub use runtime::{ComponentHealth, HealthReport, PoolStats, Runtime, RuntimeHealth, SerialTask};
 pub use storage::{
-    AutoCompactingBinaryLog, AutoCompactingEventLog, CompactionPolicy, DurabilityMode,
-    EventLogBackend, GenerationLog, MemoryBackend, StorageBackend, TailRepaired,
+    AutoCompactingBinaryLog, AutoCompactingEventLog, CompactionPolicy, EventLogBackend,
+    GenerationLog, MemoryBackend, StorageBackend, TailRepaired,
 };
 pub use supervise::{RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus};
 pub use template::{

@@ -28,13 +28,13 @@
 //!   after one, subsequent events are discarded (counted in
 //!   [`PipelineStats::dropped`]) rather than blocking writers forever,
 //!   and every later `flush`/`shutdown` keeps returning the error.
-//! * **Group commit.** The writer always appends through the backend's
-//!   staged (`DurabilityMode::GroupCommit`) path and holds an fsync
-//!   window of [`PipelineConfig::group_commit_window`] open: it drains
-//!   *everything* concurrent producers queue and issues **one**
-//!   `flush_durable` when the window closes — on the window's deadline,
-//!   at [`PipelineConfig::max_group_events`], at shutdown, or early when
-//!   a `flush` caller is waiting. One fsync then acknowledges every
+//! * **Group commit.** The backend's `record` only stages, and
+//!   `StorageBackend::flush_durable` is its one fsync point. The writer
+//!   holds an fsync window of [`PipelineConfig::group_commit_window`]
+//!   open: it records *everything* concurrent producers queue and
+//!   issues **one** `flush_durable` when the window closes — on the
+//!   window's deadline, at [`PipelineConfig::max_group_events`], at
+//!   shutdown, or early when a `flush` caller is waiting. One fsync then acknowledges every
 //!   producer in the window ([`PipelineStats::durable`] over
 //!   [`PipelineStats::fsyncs`] is the amortisation). The default window
 //!   is zero: each pass closes the window it opened, one fsync per
@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 use crate::error::RepoError;
 use crate::event::{EventSink, RepoEvent};
 use crate::runtime::{HealthReport, Runtime, RuntimeHealth, SerialTask};
-use crate::storage::{DurabilityMode, StorageBackend};
+use crate::storage::StorageBackend;
 
 /// Default bound on the writer's input channel, in events.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
@@ -146,8 +146,8 @@ struct State {
     /// A `flush` caller is waiting: an open group-commit window should
     /// close at the next opportunity instead of running out its timer.
     flush_requested: bool,
-    /// Events staged on the backend (recorded in `GroupCommit` mode) but
-    /// not yet covered by a `flush_durable`.
+    /// Events recorded on the backend but not yet covered by a
+    /// `flush_durable`.
     staged: usize,
     /// When the open group-commit window times out; `None` when no
     /// window is open. The close is driven by the writer task arming
@@ -184,9 +184,7 @@ impl BackgroundWriter {
     /// Place a writer around `backend` on `runtime`: the writer becomes
     /// one serialized task among the runtime's tenants instead of owning
     /// a thread, and a failure publishes [`HealthReport::WriterFailed`]
-    /// under `component` on the runtime's health channel. The backend is
-    /// switched to `DurabilityMode::GroupCommit` before the task starts,
-    /// so staging and each window's single fsync line up. The writer
+    /// under `component` on the runtime's health channel. The writer
     /// holds its own `Arc` of the runtime.
     pub fn on_runtime<B: StorageBackend + Send + 'static>(
         mut backend: B,
@@ -194,7 +192,6 @@ impl BackgroundWriter {
         runtime: &Arc<Runtime>,
         component: &str,
     ) -> BackgroundWriter {
-        backend.set_durability(DurabilityMode::GroupCommit);
         // A backend that repaired a torn tail when it opened says so on
         // the health channel — the repair predates this writer, but this
         // is the first observer that can publish it.
@@ -323,12 +320,6 @@ impl BackgroundWriter {
     /// Current progress/backpressure counters.
     pub fn stats(&self) -> PipelineStats {
         lock(&self.shared).stats
-    }
-
-    /// Events accepted but not yet durably recorded.
-    pub fn lag(&self) -> u64 {
-        let state = lock(&self.shared);
-        state.stats.enqueued - state.stats.durable - state.stats.dropped
     }
 }
 
@@ -502,9 +493,6 @@ mod tests {
     struct SharedMemory(Arc<Mutex<MemoryBackend>>);
 
     impl StorageBackend for SharedMemory {
-        fn kind(&self) -> &'static str {
-            "shared-memory"
-        }
         fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
             self.0.lock().unwrap().record(events)
         }
@@ -523,9 +511,6 @@ mod tests {
     struct BrokenBackend;
 
     impl StorageBackend for BrokenBackend {
-        fn kind(&self) -> &'static str {
-            "broken"
-        }
         fn record(&mut self, _events: &[RepoEvent]) -> Result<(), RepoError> {
             Err(RepoError::Persist("disk on fire".to_string()))
         }
@@ -538,6 +523,12 @@ mod tests {
         fn restore(&self) -> Result<crate::repo::RepositorySnapshot, RepoError> {
             Err(RepoError::Persist("disk on fire".to_string()))
         }
+    }
+
+    /// Events accepted but not yet durably recorded.
+    fn lag(writer: &BackgroundWriter) -> u64 {
+        let stats = writer.stats();
+        stats.enqueued - stats.durable - stats.dropped
     }
 
     fn entry(title: &str) -> ExampleEntry {
@@ -582,7 +573,7 @@ mod tests {
         // A zero window: one commit point per batch, never more.
         assert!(stats.fsyncs >= 1);
         assert!(stats.fsyncs <= stats.durable);
-        assert_eq!(writer.lag(), 0);
+        assert_eq!(lag(&writer), 0);
         writer.shutdown().unwrap();
     }
 
@@ -818,10 +809,10 @@ mod tests {
         repo.contribute("alice", entry("COMPOSERS")).unwrap();
         let opened = Instant::now();
         writer.enqueue(&repo.drain_events());
-        while writer.lag() > 0 && opened.elapsed() < Duration::from_secs(30) {
+        while lag(&writer) > 0 && opened.elapsed() < Duration::from_secs(30) {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(writer.lag(), 0, "the second window never closed");
+        assert_eq!(lag(&writer), 0, "the second window never closed");
         assert!(
             opened.elapsed() < 5 * window,
             "the second window took {:?}",

@@ -889,13 +889,13 @@ impl Federation {
                             total.salvaged.push((source.clone(), report));
                         }
                         Err(e) => {
+                            // Still quarantined: no transition to report.
                             self.supervisors[i].record_failure(
                                 &policy,
                                 source.as_str(),
                                 e.clone(),
                                 now,
                             );
-                            reports.push(self.source_report(i, None, now));
                             total.errors.push((source, e));
                             total.per_source.push(CatchUp::default());
                             continue;
@@ -906,8 +906,18 @@ impl Federation {
             let progress = match self.sources[i].1.poll() {
                 Ok(progress) => progress,
                 Err(e) => {
-                    self.supervisors[i].record_failure(&policy, source.as_str(), e.clone(), now);
-                    reports.push(self.source_report(i, salvaged_bytes, now));
+                    let before = self.supervisors[i].health();
+                    let after = self.supervisors[i].record_failure(
+                        &policy,
+                        source.as_str(),
+                        e.clone(),
+                        now,
+                    );
+                    // Only transitions report: a change of health (each
+                    // degraded step counts), or a salvage.
+                    if after != before || salvaged_bytes.is_some() {
+                        reports.push(self.source_report(i, salvaged_bytes, now));
+                    }
                     total.errors.push((source, e));
                     total.per_source.push(CatchUp::default());
                     continue;

@@ -331,13 +331,9 @@ pub enum HealthReport {
     /// A durability writer failed; its error is now sticky and every
     /// later event is dropped. Published once per writer.
     WriterFailed { error: String },
-    /// A compaction pass on an auto-compacting log.
-    Compaction {
-        /// Which backend kind compacted (e.g. `"events"`, `"binlog"`).
-        kind: String,
-        checkpoints: u64,
-        pruned_files: u64,
-    },
+    /// A compaction pass on an auto-compacting log; the component
+    /// names the log.
+    Compaction { checkpoints: u64, pruned_files: u64 },
     /// A law check panicked on a pool worker: the entry's findings are
     /// stale until it is dirtied again. The checker's other entries are
     /// unaffected.
@@ -1134,7 +1130,6 @@ mod tests {
             health.report(
                 "storage",
                 HealthReport::Compaction {
-                    kind: "events".to_string(),
                     checkpoints: i,
                     pruned_files: 0,
                 },

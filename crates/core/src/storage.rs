@@ -7,8 +7,8 @@
 //!   [`RepoEvent`] records next to an optional checkpoint manifest;
 //!   recording a delta batch is O(batch), and recovery is checkpoint +
 //!   replay. This is the scaling backend. One engine owns generation
-//!   naming, the manifest commit, the appender and both durability
-//!   modes, segment rolls, torn-tail repair, pruning and the one reader;
+//!   naming, the manifest commit, the appender and its fsync point,
+//!   segment rolls, torn-tail repair, pruning and the one reader;
 //!   a [`Codec`] only says how a record is written and found. It comes in
 //!   two formats: [`EventLogBackend`] writes JSONL lines ([`JsonlCodec`]),
 //!   and [`crate::binlog::BinaryLogBackend`] writes CRC frames
@@ -20,18 +20,17 @@
 //! events (or `checkpoint`ing its snapshot), `restore` returns exactly
 //! [`crate::repo::Repository::snapshot`].
 //!
-//! ## Durability modes
+//! ## Durability
 //!
-//! Durability is two-phase: `record` appends, [`StorageBackend::flush_durable`]
-//! is the fsync point. In the default [`DurabilityMode::PerBatch`] the two
-//! are fused — `record` returns only after its own fsync, exactly the
-//! contract every pre-existing caller relies on, and `flush_durable` is a
-//! no-op. Switching a file-backed backend to
-//! [`DurabilityMode::GroupCommit`] decouples them: `record` stages bytes
-//! through a persistent appender (no open, no fsync), and one
-//! `flush_durable` makes *every* staged batch durable at once — which is
+//! Durability is two-phase, and there is one write contract: `record`
+//! stages a batch through a persistent appender (no open, no fsync; the
+//! bytes are already visible to readers), and
+//! [`StorageBackend::flush_durable`] is the only fsync point, making
+//! *every* batch staged since the last call durable at once. A batch is
+//! acknowledged only after a `flush_durable` that covers it. This is
 //! what lets [`crate::pipeline::BackgroundWriter`] amortise one fsync
-//! over an entire group-commit window of concurrent producers.
+//! over an entire group-commit window of concurrent producers; a
+//! one-shot caller records and then flushes.
 
 use std::cell::Cell;
 use std::fs::{File, OpenOptions};
@@ -49,31 +48,14 @@ use crate::event::{apply_event, replay, RepoEvent};
 use crate::repo::RepositorySnapshot;
 use crate::runtime::{HealthReport, RuntimeHealth};
 
-/// When a backend's `record` becomes durable; see the module docs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DurabilityMode {
-    /// `record` fsyncs before returning — one call, one durable batch.
-    /// The default, and the contract of every pre-group-commit caller.
-    #[default]
-    PerBatch,
-    /// `record` only stages (buffered append, no fsync);
-    /// [`StorageBackend::flush_durable`] is the explicit fsync point
-    /// covering everything staged since the last one.
-    GroupCommit,
-}
-
 /// Where a repository's state lives between processes (or merely between
 /// drops). Deltas arrive in batches via `record`; `checkpoint` compacts;
 /// `restore` recovers the latest state.
 pub trait StorageBackend {
-    /// A short human-readable backend name ("memory", "event-log", …).
-    fn kind(&self) -> &'static str;
-
     /// Append a batch of deltas (typically
-    /// [`crate::repo::Repository::drain_events`] output). In the default
-    /// [`DurabilityMode::PerBatch`] the batch is durable when this
-    /// returns; under [`DurabilityMode::GroupCommit`] it is merely staged
-    /// until the next [`StorageBackend::flush_durable`].
+    /// [`crate::repo::Repository::drain_events`] output). The batch is
+    /// staged: it is durable only once a later
+    /// [`StorageBackend::flush_durable`] returns.
     fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError>;
 
     /// Write a full checkpoint of `snapshot`, superseding recorded deltas.
@@ -82,19 +64,12 @@ pub trait StorageBackend {
     /// Recover the latest persisted state.
     fn restore(&self) -> Result<RepositorySnapshot, RepoError>;
 
-    /// The fsync point of the two-phase durability API: make every batch
-    /// staged since the last call durable. A no-op for backends whose
-    /// `record` is already durable (memory, or a file-backed backend in
-    /// [`DurabilityMode::PerBatch`] — the default implementation).
+    /// The one fsync point: make every batch staged since the last call
+    /// durable. The default is a no-op, for backends with nothing to
+    /// sync (memory).
     fn flush_durable(&mut self) -> Result<(), RepoError> {
         Ok(())
     }
-
-    /// Select when `record` becomes durable. Backends without a staging
-    /// buffer (memory; whole-file rewrites) ignore the request — their
-    /// `record` is as durable as it will ever be, and `flush_durable`
-    /// stays a no-op.
-    fn set_durability(&mut self, _mode: DurabilityMode) {}
 
     /// The torn-tail repair this backend performed when it was opened,
     /// if any. File-backed log backends truncate a crash fragment at
@@ -128,10 +103,6 @@ pub(crate) fn io_err(e: std::io::Error) -> RepoError {
 /// configurations (a federation driver mixing compacting and plain logs,
 /// say) can be held behind one type.
 impl StorageBackend for Box<dyn StorageBackend> {
-    fn kind(&self) -> &'static str {
-        (**self).kind()
-    }
-
     fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
         (**self).record(events)
     }
@@ -146,10 +117,6 @@ impl StorageBackend for Box<dyn StorageBackend> {
 
     fn flush_durable(&mut self) -> Result<(), RepoError> {
         (**self).flush_durable()
-    }
-
-    fn set_durability(&mut self, mode: DurabilityMode) {
-        (**self).set_durability(mode)
     }
 
     fn tail_repaired(&self) -> Option<TailRepaired> {
@@ -177,10 +144,6 @@ impl MemoryBackend {
 }
 
 impl StorageBackend for MemoryBackend {
-    fn kind(&self) -> &'static str {
-        "memory"
-    }
-
     fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
         self.log.extend_from_slice(events);
         Ok(())
@@ -229,7 +192,8 @@ thread_local! {
     /// Generation directories listed ([`segment_files`]): an idle poll
     /// stats paths its tail already knows and lists none.
     static DIRS_LISTED: Cell<u64> = const { Cell::new(0) };
-    /// Directories fsynced ([`sync_dir`]): one per new log file.
+    /// Directories fsynced ([`sync_dir`]): one per new log file,
+    /// manifest rename, or salvage that removed or renamed an entry.
     static DIRS_SYNCED: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -253,9 +217,9 @@ pub(crate) fn dirs_synced() -> u64 {
     DIRS_SYNCED.with(Cell::get)
 }
 
-/// Fsync `dir`, persisting the entries of files created or renamed in
-/// it.
-fn sync_dir(dir: &Path) -> std::io::Result<()> {
+/// Fsync `dir`, persisting the entries of files created, renamed or
+/// removed in it.
+pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
     DIRS_SYNCED.with(|c| c.set(c.get() + 1));
     std::fs::File::open(dir)?.sync_all()
 }
@@ -303,10 +267,6 @@ fn write_manifest_in(dir: &Path, manifest: &Manifest) -> Result<(), RepoError> {
 pub trait Codec: std::fmt::Debug + Send + Sync + 'static {
     /// The suffix of this format's generation names (`events-<n>` + suffix).
     const SUFFIX: &'static str;
-    /// [`StorageBackend::kind`] of the plain log.
-    const KIND: &'static str;
-    /// [`StorageBackend::kind`] of the log under [`AutoCompactingEventLog`].
-    const COMPACTED_KIND: &'static str;
     /// Whether a generation rolls into numbered segment files at the
     /// segment cap. Otherwise it is one file named after the generation.
     const SEGMENTED: bool;
@@ -333,8 +293,6 @@ pub struct JsonlCodec;
 
 impl Codec for JsonlCodec {
     const SUFFIX: &'static str = ".jsonl";
-    const KIND: &'static str = "event-log";
-    const COMPACTED_KIND: &'static str = "event-log+auto-compact";
     const SEGMENTED: bool = false;
 
     fn encode(event: &RepoEvent, out: &mut Vec<u8>) -> Result<(), RepoError> {
@@ -381,11 +339,9 @@ impl Codec for JsonlCodec {
 /// truncates a torn final record, which was never durable, and reports
 /// it as [`TailRepaired`].
 ///
-/// Durability is two-phase (see the module docs): in the default
-/// [`DurabilityMode::PerBatch`], `record` fsyncs before returning; in
-/// [`DurabilityMode::GroupCommit`] it only stages, and
-/// [`StorageBackend::flush_durable`] issues the one `sync_all` covering
-/// every staged batch.
+/// Durability is two-phase (see the module docs): `record` only
+/// stages, and [`StorageBackend::flush_durable`] issues the one
+/// `sync_all` covering every staged batch.
 ///
 /// The engine assumes a single writer per directory (the current
 /// generation is cached at `open` and only advanced by this instance's
@@ -402,7 +358,6 @@ pub struct SegmentedLog<C: Codec> {
     segment_len: u64,
     /// Roll to a new segment once the current one would exceed this.
     segment_bytes: u64,
-    durability: DurabilityMode,
     /// The persistent appender for the live segment, opened lazily and
     /// dropped when a roll or checkpoint moves the writer on.
     appender: Option<File>,
@@ -411,7 +366,7 @@ pub struct SegmentedLog<C: Codec> {
     /// durable as its bytes.
     dir_sync_owed: bool,
     /// Bytes staged (written but not fsynced) since the last
-    /// `flush_durable`; only ever true in [`DurabilityMode::GroupCommit`].
+    /// `flush_durable`.
     dirty: bool,
     /// Fsyncs this instance has issued, sealed-segment syncs included.
     fsyncs: u64,
@@ -425,29 +380,6 @@ pub type EventLogBackend = SegmentedLog<JsonlCodec>;
 
 /// Both formats' generation suffixes, for rules that span formats.
 const SUFFIXES: [&str; 2] = [JsonlCodec::SUFFIX, FrameCodec::SUFFIX];
-
-/// A clone is a fresh writer over the same directory and generation: it
-/// opens its own appender on first use and owes no fsync for bytes the
-/// original staged (those remain the original's to flush). It performed
-/// no open-time repair, so it carries no `tail_repaired` note.
-impl<C: Codec> Clone for SegmentedLog<C> {
-    fn clone(&self) -> SegmentedLog<C> {
-        SegmentedLog {
-            dir: self.dir.clone(),
-            generation: self.generation.clone(),
-            segment: self.segment,
-            segment_len: self.segment_len,
-            segment_bytes: self.segment_bytes,
-            durability: self.durability,
-            appender: None,
-            dir_sync_owed: false,
-            dirty: false,
-            fsyncs: 0,
-            tail_repaired: None,
-            codec: PhantomData,
-        }
-    }
-}
 
 impl<C: Codec> SegmentedLog<C> {
     /// Default segment size cap. Small enough that tailing re-reads at
@@ -476,9 +408,9 @@ impl<C: Codec> SegmentedLog<C> {
         let (_, generation) = Self::read_state_in(&dir)?;
         if !generation.ends_with(C::SUFFIX) {
             return Err(RepoError::Persist(format!(
-                "directory holds event log generation `{generation}`, which a {} backend \
+                "directory holds event log generation `{generation}`, which a `{}` backend \
                  cannot open; open it with the backend of its format or convert it with bx_logconv",
-                C::KIND
+                C::SUFFIX
             )));
         }
         let files = segment_files(&dir, &generation)?;
@@ -492,7 +424,6 @@ impl<C: Codec> SegmentedLog<C> {
             segment,
             segment_len: 0,
             segment_bytes: segment_bytes.max(1),
-            durability: DurabilityMode::default(),
             appender: None,
             dir_sync_owed: false,
             dirty: false,
@@ -533,22 +464,6 @@ impl<C: Codec> SegmentedLog<C> {
         }
         files.sort();
         Ok(files)
-    }
-
-    /// Remove every generation file, of either format, that is not the
-    /// current generation's. `checkpoint` already unlinks the generation
-    /// it supersedes; this sweeps up strays left by crashes in the
-    /// checkpoint window or by a conversion. Returns how many files were
-    /// removed.
-    pub fn prune_stale_generations(&self) -> Result<usize, RepoError> {
-        let mut removed = 0;
-        for name in self.generation_files()? {
-            if generation_of(&name) != self.generation {
-                std::fs::remove_file(self.dir.join(&name)).map_err(io_err)?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
     }
 
     /// How many events sit in the log beyond the last checkpoint,
@@ -744,10 +659,6 @@ impl<C: Codec> SegmentedLog<C> {
 }
 
 impl<C: Codec> StorageBackend for SegmentedLog<C> {
-    fn kind(&self) -> &'static str {
-        C::KIND
-    }
-
     fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
         if events.is_empty() {
             return Ok(());
@@ -774,10 +685,7 @@ impl<C: Codec> StorageBackend for SegmentedLog<C> {
             }
         }
         self.write(&chunk)?;
-        match self.durability {
-            DurabilityMode::PerBatch => self.sync()?,
-            DurabilityMode::GroupCommit => self.dirty = true,
-        }
+        self.dirty = true;
         Ok(())
     }
 
@@ -825,23 +733,14 @@ impl<C: Codec> StorageBackend for SegmentedLog<C> {
     }
 
     /// One fsync covering every batch staged since the last call. A no-op
-    /// when nothing is staged, including the whole
-    /// [`DurabilityMode::PerBatch`] regime, where `record` already synced.
-    /// Segments sealed mid-window were fsynced as they rolled, so only
-    /// the live segment needs syncing.
+    /// when nothing is staged. Segments sealed mid-window were fsynced as
+    /// they rolled, so only the live segment needs syncing.
     fn flush_durable(&mut self) -> Result<(), RepoError> {
         if self.dirty {
             self.sync()?;
             self.dirty = false;
         }
         Ok(())
-    }
-
-    /// Switching to [`DurabilityMode::PerBatch`] does not retroactively
-    /// sync staged bytes: call [`StorageBackend::flush_durable`] first
-    /// (the next per-batch `record`'s `sync_all` would cover them too).
-    fn set_durability(&mut self, mode: DurabilityMode) {
-        self.durability = mode;
     }
 
     fn tail_repaired(&self) -> Option<TailRepaired> {
@@ -1135,13 +1034,12 @@ pub trait GenerationLog: StorageBackend + std::fmt::Debug + Sized {
     /// not parse the pending tail twice).
     fn restore_with_pending(&self) -> Result<(RepositorySnapshot, usize), RepoError>;
 
-    /// Remove superseded generations (strays from crashes in the
-    /// checkpoint window). Returns how many files were removed.
+    /// Remove every generation file, of either format, that is not the
+    /// current generation's. `checkpoint` already unlinks the generation
+    /// it supersedes; this sweeps up strays left by crashes in the
+    /// checkpoint window or by a conversion. Returns how many files were
+    /// removed.
     fn prune_stale_generations(&self) -> Result<usize, RepoError>;
-
-    /// The [`StorageBackend::kind`] of the compacting wrapper around
-    /// this format.
-    fn compacted_kind() -> &'static str;
 }
 
 impl<C: Codec> GenerationLog for SegmentedLog<C> {
@@ -1159,11 +1057,14 @@ impl<C: Codec> GenerationLog for SegmentedLog<C> {
     }
 
     fn prune_stale_generations(&self) -> Result<usize, RepoError> {
-        SegmentedLog::prune_stale_generations(self)
-    }
-
-    fn compacted_kind() -> &'static str {
-        C::COMPACTED_KIND
+        let mut removed = 0;
+        for name in self.generation_files()? {
+            if generation_of(&name) != self.generation {
+                std::fs::remove_file(self.dir.join(&name)).map_err(io_err)?;
+                removed += 1;
+            }
+        }
+        Ok(removed)
     }
 }
 
@@ -1274,11 +1175,6 @@ impl<B: GenerationLog> AutoCompactingEventLog<B> {
         &self.inner
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> CompactionPolicy {
-        self.policy
-    }
-
     /// Events recorded since the last checkpoint (what a restore would
     /// have to replay).
     pub fn events_since_checkpoint(&self) -> usize {
@@ -1304,7 +1200,6 @@ impl<B: GenerationLog> AutoCompactingEventLog<B> {
             health.report(
                 component,
                 HealthReport::Compaction {
-                    kind: B::compacted_kind().to_string(),
                     checkpoints: self.checkpoints,
                     pruned_files: self.pruned_files,
                 },
@@ -1315,10 +1210,6 @@ impl<B: GenerationLog> AutoCompactingEventLog<B> {
 }
 
 impl<B: GenerationLog> StorageBackend for AutoCompactingEventLog<B> {
-    fn kind(&self) -> &'static str {
-        B::compacted_kind()
-    }
-
     fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
         self.inner.record(events)?;
         for event in events {
@@ -1339,10 +1230,6 @@ impl<B: GenerationLog> StorageBackend for AutoCompactingEventLog<B> {
 
     fn flush_durable(&mut self) -> Result<(), RepoError> {
         self.inner.flush_durable()
-    }
-
-    fn set_durability(&mut self, mode: DurabilityMode) {
-        self.inner.set_durability(mode)
     }
 
     fn tail_repaired(&self) -> Option<TailRepaired> {
@@ -1395,7 +1282,6 @@ mod tests {
         let r = busy_repository();
         let mut backend = MemoryBackend::new();
         backend.record(&r.drain_events()).unwrap();
-        assert_eq!(backend.kind(), "memory");
         assert!(backend.pending_events() > 0);
         assert_eq!(backend.restore().unwrap(), r.snapshot());
         // Checkpoint compacts without changing the restored state.
@@ -1511,7 +1397,6 @@ mod tests {
     for_both_codecs!(
         appends_and_recovers,
         group_commit_stages_until_one_flush,
-        a_clone_owes_no_fsync_for_the_originals_staged_bytes,
         torn_tail_is_dropped_by_reads_and_repaired_at_open,
         prune_removes_only_superseded_generations,
         pending_events_counts_records_without_decoding,
@@ -1531,13 +1416,13 @@ mod tests {
             let dir = dir::<C>("append");
             let r = busy_repository();
             let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
-            assert_eq!(backend.kind(), C::KIND);
 
             // Record in two batches, as a live system would.
             let events = r.drain_events();
             let (a, b) = events.split_at(events.len() / 2);
             backend.record(a).unwrap();
             backend.record(b).unwrap();
+            backend.flush_durable().unwrap();
             assert_eq!(backend.pending_events().unwrap(), events.len());
             assert_eq!(backend.restore().unwrap(), r.snapshot());
 
@@ -1568,25 +1453,19 @@ mod tests {
             let r = busy_repository();
             let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
 
-            // Per-batch, the default: every record fsyncs.
+            // Records only stage, yet are visible to readers before the
+            // fsync point; one flush covers them all.
             let events = r.drain_events();
             let (a, b) = events.split_at(events.len() / 2);
             backend.record(a).unwrap();
-            assert_eq!(backend.fsyncs(), 1);
-
-            // Group commit: records only stage, yet are visible to
-            // readers before the fsync point; one flush covers them all.
-            backend.set_durability(DurabilityMode::GroupCommit);
-            let (b1, b2) = b.split_at(b.len() / 2);
-            backend.record(b1).unwrap();
-            backend.record(b2).unwrap();
-            assert_eq!(backend.fsyncs(), 1, "record only stages");
+            backend.record(b).unwrap();
+            assert_eq!(backend.fsyncs(), 0, "record only stages");
             assert_eq!(backend.pending_events().unwrap(), events.len());
             backend.flush_durable().unwrap();
-            assert_eq!(backend.fsyncs(), 2);
+            assert_eq!(backend.fsyncs(), 1);
             // Idempotent: nothing staged, nothing to sync.
             backend.flush_durable().unwrap();
-            assert_eq!(backend.fsyncs(), 2, "clean flush is a no-op");
+            assert_eq!(backend.fsyncs(), 1, "clean flush is a no-op");
             assert_eq!(backend.restore().unwrap(), r.snapshot());
 
             // A fresh process over the directory sees the flushed state.
@@ -1598,26 +1477,8 @@ mod tests {
             comment(&r, "post-roll");
             backend.record(&r.drain_events()).unwrap();
             backend.flush_durable().unwrap();
-            assert_eq!(backend.fsyncs(), 3);
+            assert_eq!(backend.fsyncs(), 2);
             assert_eq!(backend.restore().unwrap(), r.snapshot());
-            std::fs::remove_dir_all(&dir).ok();
-        }
-
-        pub(super) fn a_clone_owes_no_fsync_for_the_originals_staged_bytes<C: Codec>() {
-            let dir = dir::<C>("clone-dirty");
-            let r = busy_repository();
-            let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
-            backend.set_durability(DurabilityMode::GroupCommit);
-            backend.record(&r.drain_events()).unwrap();
-            let mut clone = backend.clone();
-            // The clone starts clean (its flush is a no-op) but shares the
-            // directory, so reads agree; the original still flushes its
-            // own staged bytes.
-            clone.flush_durable().unwrap();
-            assert_eq!(clone.fsyncs(), 0, "clone owes no fsync");
-            backend.flush_durable().unwrap();
-            assert_eq!(backend.fsyncs(), 1);
-            assert_eq!(clone.restore().unwrap(), r.snapshot());
             std::fs::remove_dir_all(&dir).ok();
         }
 
@@ -1735,7 +1596,6 @@ mod tests {
             let dir = dir::<C>("appender-roll");
             let r = busy_repository();
             let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
-            backend.set_durability(DurabilityMode::GroupCommit);
             backend.record(&r.drain_events()).unwrap();
             // Checkpoint mid-stage: the manifest supersedes the staged
             // bytes, and the appender must re-open on the fresh generation.
@@ -1791,6 +1651,7 @@ mod tests {
             let synced = |backend: &mut SegmentedLog<C>, events: &[RepoEvent]| {
                 let before = dirs_synced();
                 backend.record(events).unwrap();
+                backend.flush_durable().unwrap();
                 dirs_synced() - before
             };
             let mut backend = SegmentedLog::<C>::open(&dir).unwrap();
@@ -1905,19 +1766,14 @@ mod tests {
             .latest("compaction:jsonl")
             .expect("every compaction pass publishes");
         match report.report {
-            HealthReport::Compaction {
-                ref kind,
-                checkpoints,
-                ..
-            } => {
-                assert_eq!(kind, "event-log+auto-compact");
+            HealthReport::Compaction { checkpoints, .. } => {
                 assert!(checkpoints >= 2, "auto passes plus the explicit one");
                 assert_eq!(checkpoints, backend.compactions());
             }
             ref other => panic!("expected a compaction report, got {other:?}"),
         }
 
-        // The binary instantiation reports its own kind.
+        // The binary instantiation publishes under its own component.
         let bin_dir = unique_dir("compact-observe-bin");
         let mut binary: AutoCompactingBinaryLog = AutoCompactingEventLog::open_with(
             &bin_dir,
@@ -1929,8 +1785,8 @@ mod tests {
         binary.set_observer(&health, "compaction:bin");
         binary.record(&events).unwrap();
         match health.latest("compaction:bin").unwrap().report {
-            HealthReport::Compaction { ref kind, .. } => {
-                assert_eq!(kind, "binary-log+auto-compact")
+            HealthReport::Compaction { checkpoints, .. } => {
+                assert_eq!(checkpoints, binary.compactions())
             }
             ref other => panic!("expected a compaction report, got {other:?}"),
         }

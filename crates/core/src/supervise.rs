@@ -343,6 +343,10 @@ pub(crate) fn is_salvageable(err: &RepoError) -> bool {
 ///   remain on disk (after compaction pruning that may be nothing — the
 ///   report says exactly how many bytes of manifest were dropped).
 ///
+/// A salvage that removed or renamed an entry fsyncs the directory
+/// before it returns, so a power loss cannot bring a removed segment
+/// back behind the truncated one.
+///
 /// Anything else is not salvage material and returns an error.
 pub(crate) fn salvage_prefix(dir: &Path, err: &RepoError) -> Result<SalvageReport, RepoError> {
     let io = |e: std::io::Error| RepoError::persist_io("salvage", e);
@@ -373,6 +377,9 @@ pub(crate) fn salvage_prefix(dir: &Path, err: &RepoError) -> Result<SalvageRepor
                 std::fs::remove_file(&path).map_err(io)?;
                 files_removed.push(later);
             }
+            if !files_removed.is_empty() {
+                crate::storage::sync_dir(dir).map_err(io)?;
+            }
             Ok(SalvageReport {
                 dir: dir.display().to_string(),
                 file: segment.clone(),
@@ -387,6 +394,7 @@ pub(crate) fn salvage_prefix(dir: &Path, err: &RepoError) -> Result<SalvageRepor
             let aside = dir.join("checkpoint.json.corrupt");
             std::fs::remove_file(&aside).ok();
             std::fs::rename(&manifest, &aside).map_err(io)?;
+            crate::storage::sync_dir(dir).map_err(io)?;
             Ok(SalvageReport {
                 dir: dir.display().to_string(),
                 file: "checkpoint.json".to_string(),
@@ -636,5 +644,53 @@ mod tests {
         assert!(!dir.join("checkpoint.json").exists());
         assert!(dir.join("checkpoint.json.corrupt").exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Removing later segments or setting the manifest aside changes the
+    /// directory, so the salvage fsyncs it once; a truncation alone
+    /// changes no entry and syncs none.
+    #[test]
+    fn salvage_fsyncs_the_directory_only_when_it_changes_an_entry() {
+        use crate::storage::dirs_synced;
+        let synced = |dir: &Path, err: RepoError| {
+            let before = dirs_synced();
+            salvage_prefix(dir, &err).unwrap();
+            dirs_synced() - before
+        };
+        let corrupt = |segment: &str| RepoError::CorruptFrame {
+            segment: segment.into(),
+            offset: 4,
+            reason: "r".into(),
+        };
+
+        let binary = crate::test_support::unique_dir("salvage-sync-bin");
+        std::fs::create_dir_all(&binary).unwrap();
+        for i in 0..3 {
+            std::fs::write(binary.join(format!("events-0.bin.{i:06}")), [0u8; 16]).unwrap();
+        }
+        assert_eq!(synced(&binary, corrupt("events-0.bin.000000")), 1);
+        assert_eq!(
+            crate::binlog::segment_files(&binary, "events-0.bin").unwrap(),
+            ["events-0.bin.000000"]
+        );
+
+        let manifest = crate::test_support::unique_dir("salvage-sync-manifest");
+        std::fs::create_dir_all(&manifest).unwrap();
+        std::fs::write(manifest.join("checkpoint.json"), b"{garbled}").unwrap();
+        let err = RepoError::CorruptManifest {
+            dir: manifest.display().to_string(),
+            stored: 1,
+            computed: 2,
+        };
+        assert_eq!(synced(&manifest, err), 1);
+
+        let jsonl = crate::test_support::unique_dir("salvage-sync-jsonl");
+        std::fs::create_dir_all(&jsonl).unwrap();
+        std::fs::write(jsonl.join("events-0.jsonl"), b"{}\nNOT JSON\n").unwrap();
+        assert_eq!(synced(&jsonl, corrupt("events-0.jsonl")), 0);
+
+        for dir in [binary, manifest, jsonl] {
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 }

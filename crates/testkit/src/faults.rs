@@ -74,10 +74,6 @@ impl<B: StorageBackend> CrashingBackend<B> {
 }
 
 impl<B: StorageBackend> StorageBackend for CrashingBackend<B> {
-    fn kind(&self) -> &'static str {
-        "crashing"
-    }
-
     fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
         if self.tripped {
             return Err(self.dead());
@@ -125,10 +121,6 @@ impl<B: StorageBackend> StorageBackend for CrashingBackend<B> {
             self.flush_fuse = Some(remaining - 1);
         }
         self.inner.flush_durable()
-    }
-
-    fn set_durability(&mut self, mode: bx_core::storage::DurabilityMode) {
-        self.inner.set_durability(mode)
     }
 
     fn tail_repaired(&self) -> Option<TailRepaired> {
@@ -196,10 +188,6 @@ impl<B: StorageBackend> FlakyBackend<B> {
 }
 
 impl<B: StorageBackend> StorageBackend for FlakyBackend<B> {
-    fn kind(&self) -> &'static str {
-        "flaky"
-    }
-
     fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
         match self.trip("record") {
             Some(err) => Err(err),
@@ -223,10 +211,6 @@ impl<B: StorageBackend> StorageBackend for FlakyBackend<B> {
             Some(err) => Err(err),
             None => self.inner.flush_durable(),
         }
-    }
-
-    fn set_durability(&mut self, mode: bx_core::storage::DurabilityMode) {
-        self.inner.set_durability(mode)
     }
 
     fn tail_repaired(&self) -> Option<TailRepaired> {
@@ -554,7 +538,7 @@ mod tests {
 
     #[test]
     fn flush_fuse_passes_records_and_dies_at_the_fsync_point() {
-        use bx_core::storage::{DurabilityMode, MemoryBackend};
+        use bx_core::storage::MemoryBackend;
         use bx_core::{Principal, Repository};
 
         let r = Repository::found("bx", vec![Principal::curator("c")]);
@@ -563,7 +547,6 @@ mod tests {
         let events = r.drain_events();
 
         let mut backend = CrashingBackend::fail_at_flush(MemoryBackend::new(), 1);
-        backend.set_durability(DurabilityMode::GroupCommit);
         // Window 1: records pass, the first fsync point succeeds.
         backend.record(&events[..2]).unwrap();
         backend.flush_durable().unwrap();

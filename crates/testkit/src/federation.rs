@@ -176,14 +176,15 @@ impl Driven {
         }
     }
 
-    /// Apply the next op and record its events; on a tripped fuse the
-    /// non-durable suffix is lost and a fresh writer reopens the
+    /// Apply the next op, then record and flush its events; on a tripped
+    /// fuse the non-durable suffix is lost and a fresh writer reopens the
     /// directory (fuse already burned — a kill fires once per plan).
     fn step(&mut self, dir: &Path, plan: &SourcePlan) {
         apply_op(&self.repo, &plan.ops[self.next_op]);
         self.next_op += 1;
         let events = self.repo.drain_events();
-        if self.writer.record(&events).is_err() {
+        let recorded = self.writer.record(&events);
+        if recorded.and_then(|()| self.writer.flush_durable()).is_err() {
             self.writer =
                 CrashingBackend::new(open_backend(dir, plan.compaction, self.binary), usize::MAX);
         }

@@ -105,10 +105,10 @@ fn main() {
     repo.comment("newcomer", &dates_id, "2014-04-03", "Julian or Gregorian?")
         .expect("members may comment");
     backend.record(&repo.drain_events()).expect("append deltas");
+    backend.flush_durable().expect("fsync deltas");
     let recovered = backend.restore().expect("snapshot+replay");
     println!(
-        "{} backend recovers the live state: {}",
-        backend.kind(),
+        "event-log backend recovers the live state: {}",
         recovered == repo.snapshot()
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -13,6 +13,7 @@
 //! * **backoff bounds the poll cost** of a permanently dead source.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bx::core::index::SearchIndex;
@@ -20,7 +21,9 @@ use bx::core::replica::{federate_snapshots, DaemonConfig, Federation, ReplicaDae
 use bx::core::repo::RepositorySnapshot;
 use bx::core::storage::{EventLogBackend, StorageBackend};
 use bx::core::wiki_bx::WikiBx;
-use bx::core::{HealthReport, RecoveryPolicy, RepoError, RetryPolicy, Runtime, SourceHealth};
+use bx::core::{
+    HealthReport, RecoveryPolicy, RepoError, RetryPolicy, Runtime, RuntimeHealth, SourceHealth,
+};
 use bx::theory::Bx;
 use bx_testkit::faults::{
     corrupt_append, corrupt_append_binary, restore_dir, vanish_dir, FlakyBackend,
@@ -364,6 +367,65 @@ fn backoff_bounds_the_poll_cost_of_a_dead_source() {
     );
     assert_eq!(status.failures, 1);
     assert_eq!(federation.query(&["midway"]).len(), 1, "degraded serving");
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// A source that keeps failing publishes only its transitions: each
+/// degraded step and the quarantine, however many passes poll it after
+/// that. Publishing every failed poll would let one dead source push
+/// every other transition out of the channel's backlog.
+#[test]
+fn a_failing_source_publishes_only_its_health_changes() {
+    let dirs = vec![unique_temp_dir("changes-a"), unique_temp_dir("changes-b")];
+    drive_federation(
+        &dirs,
+        &FederationScript {
+            sources: vec![
+                plain_plan(vec![contribute("COMPOSERS")]),
+                plain_plan(vec![contribute("DATES")]),
+            ],
+            schedule: Vec::new(),
+        },
+    );
+    let pairs = source_ids().into_iter().zip(dirs.iter().cloned()).collect();
+    let mut federation = Federation::open("fed", pairs).unwrap();
+    let policy = RetryPolicy::immediate();
+    federation.set_retry_policy(policy);
+    let health = Arc::new(RuntimeHealth::new());
+    federation.attach_runtime_health(&health, "fed");
+
+    let hidden = vanish_dir(&dirs[0]).unwrap();
+    for _ in 0..300 {
+        federation.catch_up().unwrap();
+    }
+    let published: Vec<(String, String, u32)> = health
+        .drain()
+        .into_iter()
+        .map(|entry| match entry.report {
+            HealthReport::Source {
+                source,
+                state,
+                consecutive_failures,
+                ..
+            } => (source, state, consecutive_failures),
+            other => panic!("only source transitions were expected: {other:?}"),
+        })
+        .collect();
+    let quarantine_after = policy.quarantine_after;
+    let expected: Vec<(String, String, u32)> = (1..=quarantine_after)
+        .map(|n| {
+            let state = if n < quarantine_after {
+                "degraded"
+            } else {
+                "quarantined"
+            };
+            ("a".to_string(), state.to_string(), n)
+        })
+        .collect();
+    assert_eq!(published, expected);
+    restore_dir(&hidden, &dirs[0]).unwrap();
     for dir in &dirs {
         std::fs::remove_dir_all(dir).ok();
     }

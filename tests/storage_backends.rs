@@ -10,8 +10,7 @@ use std::path::Path;
 
 use bx::core::binlog::{encode_frame, BinaryLogBackend};
 use bx::core::storage::{
-    AutoCompactingEventLog, CompactionPolicy, DurabilityMode, EventLogBackend, MemoryBackend,
-    StorageBackend,
+    AutoCompactingEventLog, CompactionPolicy, EventLogBackend, MemoryBackend, StorageBackend,
 };
 use bx::core::{persist, EntryId, Principal, RepoEvent, Repository};
 use bx::examples::standard_repository;
@@ -35,22 +34,21 @@ fn all_backends_roundtrip_the_standard_repository() {
         Box::new(EventLogBackend::open(&log_dir).unwrap()),
     ];
 
-    for backend in &mut backends {
+    for (i, backend) in backends.iter_mut().enumerate() {
         // Delta path: the standard collection's full construction history.
         backend.record(&events).unwrap();
+        backend.flush_durable().unwrap();
         assert_eq!(
             backend.restore().unwrap(),
             snapshot,
-            "{} restores the recorded deltas",
-            backend.kind()
+            "backend {i} restores the recorded deltas"
         );
         // Checkpoint path: compaction changes nothing observable.
         backend.checkpoint(&snapshot).unwrap();
         assert_eq!(
             backend.restore().unwrap(),
             snapshot,
-            "{} restores its checkpoint",
-            backend.kind()
+            "backend {i} restores its checkpoint"
         );
         // The restored state is a live repository again.
         let revived = Repository::from_snapshot(backend.restore().unwrap());
@@ -139,9 +137,8 @@ fn auto_compaction_matches_the_uncompacted_baseline() {
 
 /// The two-phase durability API holds behind `Box<dyn StorageBackend>`
 /// — the trait-object configuration the federation harness drives — for
-/// every backend: `set_durability` + staged `record`s + one
-/// `flush_durable` round-trips exactly like the fused default, and the
-/// no-staging backends treat the new calls as no-ops.
+/// every backend: staged `record`s + one `flush_durable` round-trip, and
+/// a backend with nothing to sync treats the flush as a no-op.
 #[test]
 fn two_phase_durability_roundtrips_through_trait_objects() {
     let repo = standard_repository();
@@ -164,8 +161,7 @@ fn two_phase_durability_roundtrips_through_trait_objects() {
             .unwrap(),
         ),
     ];
-    for backend in &mut backends {
-        backend.set_durability(DurabilityMode::GroupCommit);
+    for (i, backend) in backends.iter_mut().enumerate() {
         let (a, b) = events.split_at(events.len() / 2);
         backend.record(a).unwrap();
         backend.record(b).unwrap();
@@ -173,8 +169,7 @@ fn two_phase_durability_roundtrips_through_trait_objects() {
         assert_eq!(
             backend.restore().unwrap(),
             snapshot,
-            "{} diverged under two-phase durability",
-            backend.kind()
+            "backend {i} diverged under two-phase durability"
         );
         // Nothing staged: the fsync point is idempotent.
         backend.flush_durable().unwrap();
@@ -282,8 +277,7 @@ fn binary_files(generation: &str, events: &[RepoEvent], cap: usize) -> BTreeMap<
 }
 
 /// The on-disk formats do not move: a fixed script recorded through
-/// either log format, per-batch or group-commit, leaves exactly the
-/// files and bytes the format defines — before and after a checkpoint
+/// either log format leaves exactly the files and bytes the format defines — before and after a checkpoint
 /// in the middle of the script, with binary segments rolling at a small
 /// cap.
 #[test]
@@ -296,61 +290,55 @@ fn both_log_formats_are_pinned_byte_for_byte() {
     let (before, after) = events.split_at(mid);
     let checkpoint = bx::core::event::replay(bx::core::repo::RepositorySnapshot::empty(""), before);
     for binary in [false, true] {
-        for mode in [DurabilityMode::PerBatch, DurabilityMode::GroupCommit] {
-            let dir = unique_temp_dir("pinned-format");
-            let mut backend: Box<dyn StorageBackend> = if binary {
-                Box::new(BinaryLogBackend::open_with_segment_bytes(&dir, CAP as u64).unwrap())
-            } else {
-                Box::new(EventLogBackend::open(&dir).unwrap())
-            };
-            let expected = |generation: &str, events: &[RepoEvent]| {
-                if binary {
-                    binary_files(&format!("{generation}.bin"), events, CAP)
-                } else {
-                    jsonl_files(&format!("{generation}.jsonl"), events)
-                }
-            };
-            backend.set_durability(mode);
-            for batch in before.chunks(5) {
-                backend.record(batch).unwrap();
-            }
-            backend.flush_durable().unwrap();
-            let first = expected("events-0", before);
+        let dir = unique_temp_dir("pinned-format");
+        let mut backend: Box<dyn StorageBackend> = if binary {
+            Box::new(BinaryLogBackend::open_with_segment_bytes(&dir, CAP as u64).unwrap())
+        } else {
+            Box::new(EventLogBackend::open(&dir).unwrap())
+        };
+        let expected = |generation: &str, events: &[RepoEvent]| {
             if binary {
-                assert!(first.len() >= 3, "the cap must roll at least twice");
-            }
-            assert_eq!(dir_contents(&dir), first, "binary={binary} {mode:?}");
-
-            backend.checkpoint(&checkpoint).unwrap();
-            for batch in after.chunks(7) {
-                backend.record(batch).unwrap();
-            }
-            backend.flush_durable().unwrap();
-            let mut second = dir_contents(&dir);
-            assert!(second.remove("checkpoint.json").is_some());
-            assert_eq!(
-                second,
-                expected("events-1", after),
-                "binary={binary} {mode:?}"
-            );
-            let generation = if binary {
-                "events-1.bin"
+                binary_files(&format!("{generation}.bin"), events, CAP)
             } else {
-                "events-1.jsonl"
-            };
-            assert_eq!(
-                EventLogBackend::read_state_in(&dir).unwrap(),
-                (checkpoint.clone(), generation.to_string())
-            );
-            assert_eq!(backend.restore().unwrap(), snapshot);
-            std::fs::remove_dir_all(&dir).ok();
+                jsonl_files(&format!("{generation}.jsonl"), events)
+            }
+        };
+        for batch in before.chunks(5) {
+            backend.record(batch).unwrap();
         }
+        backend.flush_durable().unwrap();
+        let first = expected("events-0", before);
+        if binary {
+            assert!(first.len() >= 3, "the cap must roll at least twice");
+        }
+        assert_eq!(dir_contents(&dir), first, "binary={binary}");
+
+        backend.checkpoint(&checkpoint).unwrap();
+        for batch in after.chunks(7) {
+            backend.record(batch).unwrap();
+        }
+        backend.flush_durable().unwrap();
+        let mut second = dir_contents(&dir);
+        assert!(second.remove("checkpoint.json").is_some());
+        assert_eq!(second, expected("events-1", after), "binary={binary}");
+        let generation = if binary {
+            "events-1.bin"
+        } else {
+            "events-1.jsonl"
+        };
+        assert_eq!(
+            EventLogBackend::read_state_in(&dir).unwrap(),
+            (checkpoint.clone(), generation.to_string())
+        );
+        assert_eq!(backend.restore().unwrap(), snapshot);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
-/// A final line without its `\n` was never acknowledged (`record`
-/// returns only after the line and its newline are written and
-/// fsynced), so no reader may apply it — even when it parses.
+/// A final line without its `\n` was never acknowledged (a batch is
+/// acknowledged only after its lines and their newlines are written and
+/// `flush_durable` has fsynced them), so no reader may apply it — even
+/// when it parses.
 #[test]
 fn every_reader_drops_an_unterminated_final_line() {
     let dir = unique_temp_dir("unterminated-line");
