@@ -143,7 +143,7 @@ impl RepoError {
     /// A [`RepoError::Persist`] tagged with the operation that raised it,
     /// so an fsync failure reads differently from a failed open by the
     /// time it surfaces through a pipeline `flush` several layers up.
-    pub fn persist_io(op: &str, err: impl fmt::Display) -> RepoError {
+    pub(crate) fn persist_io(op: &str, err: impl fmt::Display) -> RepoError {
         RepoError::Persist(format!("{op}: {err}"))
     }
 
@@ -152,7 +152,7 @@ impl RepoError {
     /// corruption is eligible for `RecoveryPolicy::SalvagePrefix`:
     /// it comes with an exact boundary (the frame offset, or the whole
     /// manifest) below which the data is still trustworthy.
-    pub fn is_corruption(&self) -> bool {
+    pub(crate) fn is_corruption(&self) -> bool {
         matches!(
             self,
             RepoError::CorruptFrame { .. } | RepoError::CorruptManifest { .. }

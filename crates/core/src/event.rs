@@ -120,16 +120,6 @@ impl RepoEvent {
         }
     }
 
-    /// Does this event change the *indexed text* of its entry? Only
-    /// contributions and revisions do. Approvals append a version whose
-    /// indexed fields are identical (only version and reviewers change);
-    /// comments, status moves and account changes touch no indexed text.
-    /// The wiki renders versions, reviewers and comments too, so the wiki
-    /// dirty set uses [`RepoEvent::touched`], not this.
-    pub fn changes_entry_text(&self) -> bool {
-        matches!(self, RepoEvent::Contributed(_) | RepoEvent::Revised(_))
-    }
-
     /// Does this event change the *rendered wiki page* of its entry?
     /// Versions, reviewers and comments are all rendered, so approvals
     /// and comments count alongside contributions and revisions; workflow
@@ -493,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn touched_and_text_change_classification() {
+    fn dirty_set_holds_each_touched_entry_once() {
         let r = Repository::found("bx", vec![Principal::curator("c")]);
         r.register(Principal::member("alice")).unwrap();
         let id = r.contribute("alice", entry("COMPOSERS", "alice")).unwrap();
@@ -503,10 +493,6 @@ mod tests {
         let touched = dirty_set(&events);
         assert_eq!(touched.len(), 1);
         assert!(touched.contains(&id));
-
-        let text_changing: Vec<&RepoEvent> =
-            events.iter().filter(|e| e.changes_entry_text()).collect();
-        assert_eq!(text_changing.len(), 1, "only the contribution");
     }
 
     #[test]

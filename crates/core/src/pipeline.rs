@@ -11,7 +11,7 @@
 //! ([`BackgroundWriter::on_runtime`]): many writers share one bounded
 //! pool — a federation's per-source writers run as N serialized tasks
 //! on a handful of threads, each closing its group-commit window by
-//! arming its own task ([`SerialTask::notify_in`]) instead of sleeping.
+//! arming its own task (`SerialTask::notify_in`) instead of sleeping.
 //! Its counters live on [`BackgroundWriter::stats`]; the runtime's health
 //! channel hears from a writer only when it fails
 //! ([`HealthReport::WriterFailed`]) or repaired a torn tail at open. Four
@@ -60,12 +60,12 @@ use crate::runtime::{HealthReport, Runtime, RuntimeHealth, SerialTask};
 use crate::storage::StorageBackend;
 
 /// Default bound on the writer's input channel, in events.
-pub const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
 
 /// Default cap on how many events one group-commit window may cover
 /// before it is forced closed (bounds both ack latency and the clean
 /// suffix a crash inside the window can lose).
-pub const DEFAULT_MAX_GROUP_EVENTS: usize = 4096;
+pub(crate) const DEFAULT_MAX_GROUP_EVENTS: usize = 4096;
 
 /// Tuning knobs for a [`BackgroundWriter`].
 #[derive(Debug, Clone, Copy)]

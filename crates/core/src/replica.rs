@@ -502,7 +502,7 @@ impl SourceId {
     }
 
     /// Does a namespaced entry id belong to this source?
-    pub fn owns(&self, id: &EntryId) -> bool {
+    pub(crate) fn owns(&self, id: &EntryId) -> bool {
         id.as_str().starts_with(&self.0)
     }
 }
@@ -1000,20 +1000,10 @@ impl Federation {
         }
     }
 
-    /// The active per-source retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Replace the retry policy (takes effect from the next failure —
     /// already-armed deadlines keep their schedule).
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
-    }
-
-    /// The active corruption recovery policy.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.recovery
     }
 
     /// Opt a federation into (or back out of)

@@ -112,7 +112,7 @@ impl RepositorySnapshot {
 /// Default shard count: enough stripes that concurrent curation on
 /// distinct entries rarely contends, small enough that a full snapshot
 /// still just walks a handful of maps.
-pub const DEFAULT_SHARD_COUNT: usize = 16;
+pub(crate) const DEFAULT_SHARD_COUNT: usize = 16;
 
 #[derive(Debug, Default)]
 struct Shard {
@@ -134,7 +134,7 @@ fn shard_index(id: &EntryId, shard_count: usize) -> usize {
 /// workload which drains at any reasonable cadence never hits it, small
 /// enough that a repository whose owner *never* drains stops accumulating
 /// memory (and starts counting overflow) instead of growing forever.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
 
 /// The built-in bounded journal: the [`EventSink`] behind
 /// [`Repository::drain_events`]. When the buffer is full, incoming events
@@ -241,7 +241,7 @@ impl Repository {
     }
 
     /// Found a repository with an explicit shard count (`found` uses
-    /// [`DEFAULT_SHARD_COUNT`]). A count of 1 degenerates to the old
+    /// 16 shards). A count of 1 degenerates to the old
     /// single-lock layout; behaviour is identical for every count.
     pub fn with_shards(name: &str, curators: Vec<Principal>, shard_count: usize) -> Repository {
         let mut accounts = BTreeMap::new();
@@ -270,11 +270,6 @@ impl Repository {
         &self.name
     }
 
-    /// How many lock stripes the entry store uses.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard guarding `id`. Same id → same shard, so per-entry
     /// operations (including duplicate checks) need exactly one stripe.
     fn shard_for(&self, id: &EntryId) -> &RwLock<Shard> {
@@ -301,6 +296,9 @@ impl Repository {
     /// race-free step, use [`Repository::subscribe_with_backfill`]; to
     /// seed a durability sink with the *full* history instead, checkpoint
     /// [`Repository::snapshot`] into its backend before subscribing.
+    ///
+    /// A sink stays subscribed, and its `Arc` held, for the repository's
+    /// lifetime.
     pub fn subscribe(&self, sink: Arc<dyn EventSink>) {
         self.sinks.write().push(sink);
     }
@@ -328,31 +326,6 @@ impl Repository {
         pending.len()
     }
 
-    /// Remove a previously subscribed sink, releasing the bus's `Arc` so
-    /// a dropped subscriber is actually freed (sinks otherwise live as
-    /// long as the repository). Identity is by `Arc` pointer — pass a
-    /// clone of the same `Arc` that was handed to
-    /// [`Repository::subscribe`]. Returns whether a sink was removed;
-    /// events committed after the call are no longer delivered to it.
-    /// The built-in journal sink cannot be unsubscribed this way (its
-    /// `Arc` is never exposed); disable it with
-    /// [`Repository::set_journal_capacity`]`(0)` instead.
-    pub fn unsubscribe(&self, sink: &Arc<dyn EventSink>) -> bool {
-        let mut sinks = self.sinks.write();
-        let before = sinks.len();
-        // Compare data-pointer identity (`Arc::ptr_eq` on `dyn` fat
-        // pointers also compares vtables, which can differ spuriously
-        // across codegen units).
-        let target = Arc::as_ptr(sink) as *const ();
-        sinks.retain(|s| Arc::as_ptr(s) as *const () != target);
-        before != sinks.len()
-    }
-
-    /// How many sinks are subscribed (the built-in journal included).
-    pub fn sink_count(&self) -> usize {
-        self.sinks.read().len()
-    }
-
     /// Take all pending change events from the built-in journal sink,
     /// oldest first. Each event is delivered exactly once; feed them to
     /// `SearchIndex::apply`, `WikiBx::sync_changed` (via
@@ -362,8 +335,8 @@ impl Repository {
     /// ## The drain-or-subscribe contract
     ///
     /// Every consumer must choose one of two modes. **Drain**: call this
-    /// at a reasonable cadence; the journal buffers at most
-    /// [`DEFAULT_JOURNAL_CAPACITY`] events (tune with
+    /// at a reasonable cadence; the journal buffers at most 65,536
+    /// events by default (tune with
     /// [`Repository::set_journal_capacity`]) and *discards* newer events
     /// beyond that — so a forgotten drain costs bounded memory, not
     /// unbounded growth. Use [`Repository::drain_events_with_overflow`]
@@ -994,7 +967,7 @@ mod tests {
     fn shard_count_does_not_change_behaviour() {
         for shards in [1, 3, 16, 64] {
             let r = Repository::with_shards("bx", vec![Principal::curator("curator")], shards);
-            assert_eq!(r.shard_count(), shards);
+            assert_eq!(r.shards.len(), shards);
             r.register(Principal::member("alice")).unwrap();
             let mut ids = Vec::new();
             for i in 0..20 {
@@ -1031,9 +1004,7 @@ mod tests {
         let before = r.drain_events();
         assert!(before.len() >= 4, "founding + cast events were journaled");
         let tape = Arc::new(Tape(Mutex::new(Vec::new())));
-        assert_eq!(r.sink_count(), 1, "journal only");
         r.subscribe(tape.clone());
-        assert_eq!(r.sink_count(), 2);
 
         let id = r.contribute("alice", entry("COMPOSERS", "alice")).unwrap();
         r.comment("bob", &id, "2014-03-28", "pushed?").unwrap();
@@ -1044,38 +1015,6 @@ mod tests {
         let drained = r.drain_events();
         assert_eq!(pushed.len(), 2, "subscription is forward-only");
         assert_eq!(pushed, drained, "journal and push sink agree");
-    }
-
-    #[test]
-    fn unsubscribe_stops_delivery_and_releases_the_sink() {
-        let r = repo();
-        r.drain_events();
-        let tape = Arc::new(Tape(Mutex::new(Vec::new())));
-        let sink: Arc<dyn EventSink> = tape.clone();
-        r.subscribe(sink.clone());
-        assert_eq!(r.sink_count(), 2);
-        assert_eq!(Arc::strong_count(&tape), 3, "caller ×2 + bus");
-
-        let id = r.contribute("alice", entry("COMPOSERS", "alice")).unwrap();
-        assert_eq!(tape.0.lock().len(), 1);
-
-        assert!(r.unsubscribe(&sink), "the sink was subscribed");
-        assert_eq!(r.sink_count(), 1, "journal only");
-        assert_eq!(
-            Arc::strong_count(&tape),
-            2,
-            "the bus released its Arc — no leak"
-        );
-        // A dropped subscriber stops receiving events.
-        r.comment("bob", &id, "2014-03-28", "after unsubscribe")
-            .unwrap();
-        assert_eq!(tape.0.lock().len(), 1, "no delivery after unsubscribe");
-        // Unsubscribing again (or a never-subscribed sink) is a no-op.
-        assert!(!r.unsubscribe(&sink));
-        let stranger: Arc<dyn EventSink> = Arc::new(Tape(Mutex::new(Vec::new())));
-        assert!(!r.unsubscribe(&stranger));
-        drop(sink);
-        assert_eq!(Arc::strong_count(&tape), 1, "only the test holds it now");
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!
 //! * **[`SerialTask`]** — the one way a tenant is scheduled: a `FnMut`
 //!   that is never run concurrently with itself, woken now
-//!   ([`SerialTask::notify`]) or after a delay ([`SerialTask::notify_in`]).
+//!   ([`SerialTask::notify`]) or, for this crate's own tenants, after a
+//!   delay (the crate-private `SerialTask::notify_in`).
 //!   Wake-ups coalesce: a `notify()` while a run is in progress marks one
 //!   re-run instead of queueing a duplicate, and a task holds at most one
 //!   armed deadline, the earliest asked for. Deadlines live on a short
@@ -479,7 +480,7 @@ struct DeadlineState {
 
 /// The runtime's deadline list, drained by one lazy `bx-timer` thread
 /// that wakes due tasks onto the pool. Private to the runtime; reached
-/// through [`SerialTask::notify_in`].
+/// through `SerialTask::notify_in`.
 struct Deadlines {
     state: Mutex<DeadlineState>,
     /// Wakes the timer thread when a deadline moves earlier or shutdown
@@ -663,9 +664,10 @@ impl SerialInner {
 /// A serialized task on the runtime: a `FnMut` that is never run
 /// concurrently with itself, and the only way a tenant is scheduled.
 /// [`SerialTask::notify`] schedules a run now; notifies arriving while a
-/// run is in progress coalesce into exactly one follow-up run.
-/// [`SerialTask::notify_in`] schedules one after a delay. The work
-/// closure is handed its own task, so it can re-notify or re-arm itself.
+/// run is in progress coalesce into exactly one follow-up run. The
+/// crate-private `SerialTask::notify_in` schedules one after a delay.
+/// The work closure is handed its own task, so it can re-notify or
+/// re-arm itself.
 pub struct SerialTask {
     inner: Arc<SerialInner>,
 }
@@ -687,7 +689,7 @@ impl SerialTask {
     /// dropped, so a tenant that needs a later wake-up re-arms from the
     /// run the earlier one causes. Dropping the task lets its deadline
     /// lapse.
-    pub fn notify_in(&self, delay: Duration) {
+    pub(crate) fn notify_in(&self, delay: Duration) {
         Deadlines::arm(&self.inner.deadlines, &self.inner, Instant::now() + delay);
     }
 

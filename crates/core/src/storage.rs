@@ -193,7 +193,8 @@ thread_local! {
     /// stats paths its tail already knows and lists none.
     static DIRS_LISTED: Cell<u64> = const { Cell::new(0) };
     /// Directories fsynced ([`sync_dir`]): one per new log file,
-    /// manifest rename, or salvage that removed or renamed an entry.
+    /// manifest rename, salvage that removed or renamed an entry, or
+    /// directory a log's open created.
     static DIRS_SYNCED: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -222,6 +223,23 @@ pub(crate) fn dirs_synced() -> u64 {
 pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
     DIRS_SYNCED.with(|c| c.set(c.get() + 1));
     std::fs::File::open(dir)?.sync_all()
+}
+
+/// Create `dir` and its missing ancestors, then fsync the parent of
+/// each directory created, top-down, so the new path outlives a power
+/// loss. An existing `dir` syncs nothing.
+pub(crate) fn create_dir_durably(dir: &Path) -> std::io::Result<()> {
+    let missing: Vec<&Path> = dir
+        .ancestors()
+        .take_while(|path| !path.as_os_str().is_empty() && !path.exists())
+        .collect();
+    std::fs::create_dir_all(dir)?;
+    for new in missing.iter().rev() {
+        // A relative path's topmost component has the empty parent.
+        let parent = new.parent().filter(|p| !p.as_os_str().is_empty());
+        sync_dir(parent.unwrap_or(Path::new(".")))?;
+    }
+    Ok(())
 }
 
 /// The exact `checkpoint.json` bytes for `manifest`: the canonical body
@@ -385,7 +403,7 @@ impl<C: Codec> SegmentedLog<C> {
     /// Default segment size cap. Small enough that tailing re-reads at
     /// most this much on a partially-consumed segment, large enough that
     /// a million-event log stays in the tens of segments.
-    pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
+    pub(crate) const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
     /// Open (creating the directory if needed) a log under `dir` with the
     /// default segment cap.
@@ -404,7 +422,8 @@ impl<C: Codec> SegmentedLog<C> {
         segment_bytes: u64,
     ) -> Result<SegmentedLog<C>, RepoError> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(io_err)?;
+        create_dir_durably(&dir)
+            .map_err(|e| RepoError::persist_io("create event log directory", e))?;
         let (_, generation) = Self::read_state_in(&dir)?;
         if !generation.ends_with(C::SUFFIX) {
             return Err(RepoError::Persist(format!(
@@ -1403,6 +1422,7 @@ mod tests {
         checkpoint_rolls_the_persistent_appender,
         tail_reads_resume_at_record_boundaries_and_detect_rolls,
         a_new_log_file_fsyncs_its_directory_once,
+        opening_a_new_log_fsyncs_each_created_directorys_parent,
     );
 
     mod engine {
@@ -1680,6 +1700,21 @@ mod tests {
                 r.snapshot()
             );
             std::fs::remove_dir_all(&dir).ok();
+        }
+
+        pub(super) fn opening_a_new_log_fsyncs_each_created_directorys_parent<C: Codec>() {
+            let root = dir::<C>("dir-create");
+            let log = root.join("log");
+            let opened = || {
+                let before = dirs_synced();
+                SegmentedLog::<C>::open(&log).unwrap();
+                dirs_synced() - before
+            };
+            // Both levels are new: the temporary directory's entry for
+            // `root` and `root`'s entry for `log` are each synced once.
+            assert_eq!(opened(), 2, "a new two-level path");
+            assert_eq!(opened(), 0, "an existing directory");
+            std::fs::remove_dir_all(&root).ok();
         }
     }
 

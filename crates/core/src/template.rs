@@ -277,7 +277,7 @@ impl ExampleEntry {
 }
 
 /// Derive a stable slug from a title.
-pub fn slug_of(title: &str) -> String {
+pub(crate) fn slug_of(title: &str) -> String {
     let mut out = String::with_capacity(title.len());
     let mut dash_pending = false;
     for c in title.chars() {

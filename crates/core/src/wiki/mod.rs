@@ -59,11 +59,6 @@ impl WikiSite {
         self.pages.remove(page).is_some()
     }
 
-    /// Page names, sorted.
-    pub fn page_names(&self) -> Vec<&str> {
-        self.pages.keys().map(String::as_str).collect()
-    }
-
     /// Page names in the `examples:` namespace, sorted.
     pub fn example_pages(&self) -> Vec<&str> {
         self.pages

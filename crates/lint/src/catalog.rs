@@ -16,10 +16,10 @@ use bx_lens::{check_lens_law, FnLens, LensLaw, LensLawReport};
 use bx_theory::{check_all_laws, LawMatrix, Samples};
 
 /// Produces lens round-trip reports for one registered lens artefact.
-pub type LensCheckFn = Arc<dyn Fn() -> Vec<LensLawReport> + Send + Sync>;
+pub(crate) type LensCheckFn = Arc<dyn Fn() -> Vec<LensLawReport> + Send + Sync>;
 
 /// Produces the full law matrix for one registered bx artefact.
-pub type MatrixFn = Arc<dyn Fn() -> LawMatrix + Send + Sync>;
+pub(crate) type MatrixFn = Arc<dyn Fn() -> LawMatrix + Send + Sync>;
 
 /// Executable checks keyed by artefact location; see the module docs.
 #[derive(Clone, Default)]
@@ -53,7 +53,7 @@ impl CheckCatalog {
     }
 
     /// Register a law-matrix producer for the artefact at `location`.
-    pub fn register_matrix(
+    pub(crate) fn register_matrix(
         &mut self,
         location: impl Into<String>,
         matrix: impl Fn() -> LawMatrix + Send + Sync + 'static,
@@ -62,12 +62,12 @@ impl CheckCatalog {
     }
 
     /// The lens check registered at `location`, if any.
-    pub fn lens_check(&self, location: &str) -> Option<&LensCheckFn> {
+    pub(crate) fn lens_check(&self, location: &str) -> Option<&LensCheckFn> {
         self.lens_checks.get(location)
     }
 
     /// The matrix producer registered at `location`, if any.
-    pub fn matrix(&self, location: &str) -> Option<&MatrixFn> {
+    pub(crate) fn matrix(&self, location: &str) -> Option<&MatrixFn> {
         self.matrices.get(location)
     }
 

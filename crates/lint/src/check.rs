@@ -75,7 +75,7 @@ fn resolve_reference(
 /// Every law check for one entry, in catalogue order: template
 /// well-formedness, citation integrity, curation invariants, claim
 /// verification, lens round-trips. Pure in its inputs.
-pub fn check_entry(
+pub(crate) fn check_entry(
     snapshot: &RepositorySnapshot,
     id: &EntryId,
     record: &EntryRecord,

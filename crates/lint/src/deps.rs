@@ -16,7 +16,7 @@ use bx_core::repo::{EntryId, EntryRecord, RepositorySnapshot};
 
 /// Reverse dependencies of the lint checks; see the module docs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DepMap {
+pub(crate) struct DepMap {
     /// entry → the target ids its `entry:` references may resolve to
     /// (both the plain slug and, for namespaced referencers, the
     /// source-local candidate). Dangling targets are kept: the entry
@@ -49,7 +49,7 @@ fn ref_targets(id: &EntryId, record: &EntryRecord) -> BTreeSet<EntryId> {
 
 impl DepMap {
     /// Build the map for a whole snapshot.
-    pub fn build(snapshot: &RepositorySnapshot) -> DepMap {
+    pub(crate) fn build(snapshot: &RepositorySnapshot) -> DepMap {
         let mut map = DepMap::default();
         for (id, record) in &snapshot.records {
             map.update_entry(id, Some(record));
@@ -58,7 +58,7 @@ impl DepMap {
     }
 
     /// Re-derive one entry's outgoing edges (`None` removes the entry).
-    pub fn update_entry(&mut self, id: &EntryId, record: Option<&EntryRecord>) {
+    pub(crate) fn update_entry(&mut self, id: &EntryId, record: Option<&EntryRecord>) {
         // Retract the old edges.
         if let Some(old_targets) = self.refs_out.remove(id) {
             for target in old_targets {
@@ -126,7 +126,7 @@ impl DepMap {
     /// entry plus its reverse dependencies. Computed against the map's
     /// *current* edges, so the engine consults it both before and after
     /// folding the event in.
-    pub fn affected(&self, event: &RepoEvent) -> BTreeSet<EntryId> {
+    pub(crate) fn affected(&self, event: &RepoEvent) -> BTreeSet<EntryId> {
         match event {
             RepoEvent::Founded(f) => f
                 .curators

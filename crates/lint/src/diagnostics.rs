@@ -95,7 +95,7 @@ pub struct DiagnosticsIndex {
 
 impl DiagnosticsIndex {
     /// Replace the findings for one entry; an empty list clears it.
-    pub fn set_entry(&mut self, id: &EntryId, diagnostics: Vec<Diagnostic>) {
+    pub(crate) fn set_entry(&mut self, id: &EntryId, diagnostics: Vec<Diagnostic>) {
         if diagnostics.is_empty() {
             self.by_entry.remove(id);
         } else {
@@ -137,12 +137,12 @@ impl DiagnosticsIndex {
     }
 
     /// Current warning findings.
-    pub fn warning_count(&self) -> usize {
+    pub(crate) fn warning_count(&self) -> usize {
         self.count(Severity::Warning)
     }
 
     /// Current info findings.
-    pub fn info_count(&self) -> usize {
+    pub(crate) fn info_count(&self) -> usize {
         self.count(Severity::Info)
     }
 

@@ -1,10 +1,10 @@
 //! The incremental engines.
 //!
-//! [`Linter`] is the synchronous core: a mirrored snapshot, a [`DepMap`]
-//! and a [`DiagnosticsIndex`], advanced one event at a time on the
-//! caller's thread. It is the reference implementation the equivalence
-//! property pins (`Linter` over a script ≡ [`full_check`] over the final
-//! state) and what the benches measure.
+//! [`Linter`] is the synchronous core: a mirrored snapshot, a reverse
+//! dependency map and a [`DiagnosticsIndex`], advanced one event at a
+//! time on the caller's thread. It is the reference implementation the
+//! equivalence property pins (`Linter` over a script ≡ [`full_check`]
+//! over the final state) and what the benches measure.
 //!
 //! [`LawChecker`] wraps the same logic as a live service: an
 //! [`EventSink`] whose `accept` does only O(affected-set) bookkeeping
@@ -29,12 +29,6 @@ use crate::catalog::CheckCatalog;
 use crate::check::{check_entry, full_check};
 use crate::deps::DepMap;
 use crate::diagnostics::{Diagnostic, DiagnosticsIndex};
-
-/// Called with `(entry, its new findings)` every time the engine folds a
-/// fresh check result in — the push protocol for diagnostics deltas. A
-/// check that panics goes to the runtime's health channel instead
-/// ([`HealthReport::CheckPanicked`]).
-pub type DeltaSink = Arc<dyn Fn(&EntryId, &[Diagnostic]) + Send + Sync>;
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
@@ -123,7 +117,6 @@ struct Inner {
     /// Checks completed (panicking checks don't count).
     checks_run: AtomicU64,
     catalog: Arc<CheckCatalog>,
-    delta_sink: Mutex<Option<DeltaSink>>,
     /// A check that panics publishes [`HealthReport::CheckPanicked`]
     /// here under `component`.
     health: Arc<RuntimeHealth>,
@@ -169,12 +162,8 @@ impl Inner {
                 .map(|record| check_entry(&snapshot, &id, record, &self.catalog))
                 .unwrap_or_default();
             drop(guard);
-            lock(&self.index).set_entry(&id, diagnostics.clone());
+            lock(&self.index).set_entry(&id, diagnostics);
             self.checks_run.fetch_add(1, Ordering::Relaxed);
-            let sink = lock(&self.delta_sink).clone();
-            if let Some(sink) = sink {
-                sink(&id, &diagnostics);
-            }
         }
     }
 }
@@ -217,20 +206,12 @@ impl LawChecker {
             index: Mutex::new(DiagnosticsIndex::default()),
             checks_run: AtomicU64::new(0),
             catalog,
-            delta_sink: Mutex::new(None),
             health: Arc::clone(runtime.health()),
             component: component.to_string(),
         });
         let run_inner = Arc::clone(&inner);
         let task = runtime.serial_task(move |task| run_inner.run(task));
         LawChecker { inner, task }
-    }
-
-    /// Push `(entry, findings)` deltas to `sink` as checks fold in (the
-    /// LSP-style notification hook). Called on worker threads, outside
-    /// every engine lock; replaces any previous sink.
-    pub fn set_delta_sink(&self, sink: DeltaSink) {
-        *lock(&self.inner.delta_sink) = Some(sink);
     }
 
     /// Checks completed since construction (a check that panicked
@@ -308,7 +289,6 @@ mod tests {
     use bx_core::principal::{Principal, Role};
     use bx_core::repo::Repository;
     use bx_core::template::{ExampleEntry, ExampleType};
-    use std::sync::Mutex as StdMutex;
 
     fn entry(title: &str) -> ExampleEntry {
         ExampleEntry::builder(title)
@@ -364,17 +344,12 @@ mod tests {
     }
 
     #[test]
-    fn law_checker_subscribes_checks_and_pushes_deltas() {
+    fn law_checker_subscribes_and_checks() {
         let r = Repository::found("bx", vec![Principal::curator("c")]);
         r.register(Principal::member("alice")).unwrap();
         r.register(Principal::member("bob")).unwrap();
 
         let checker = Arc::new(LawChecker::on_runtime(catalog(), &Runtime::new(2), "lint"));
-        let deltas: Arc<StdMutex<Vec<EntryId>>> = Arc::default();
-        let seen = deltas.clone();
-        checker.set_delta_sink(Arc::new(move |id, _| {
-            seen.lock().unwrap().push(id.clone());
-        }));
         r.subscribe_with_backfill(checker.clone());
 
         // A reviewed entry whose reviewer lacks the role: inject the
@@ -395,10 +370,6 @@ mod tests {
         assert_eq!(
             checker.diagnostics(),
             full_check(&r.snapshot(), &CheckCatalog::new())
-        );
-        assert!(
-            deltas.lock().unwrap().iter().any(|d| d == &id),
-            "delta sink saw the entry"
         );
     }
 

@@ -8,27 +8,23 @@
 //! linter.
 //!
 //! ```text
-//!        RepoEvent                 affected set            findings
-//! bus ──────────────▶ [DepMap] ──────────────▶ worker pool ─────────▶ DiagnosticsIndex
-//!                      mirror                   check_entry            (entry → Vec<Diagnostic>)
-//!                      snapshot                 × CheckCatalog              │ delta sink
-//!                                                                          ▼
-//!                                                                    subscribers
+//!        RepoEvent              affected set               findings
+//! bus ──────────────▶ mirror ──────────────▶ serial task ─────────▶ DiagnosticsIndex
+//!                     snapshot +             on the caller's         (entry → Vec<Diagnostic>)
+//!                     reverse deps           Runtime × CheckCatalog
 //! ```
 //!
 //! * [`diagnostics`] — [`Diagnostic`], [`Severity`], [`LintLaw`] and the
 //!   queryable [`DiagnosticsIndex`];
-//! * [`check`] — the pure checkers: [`check_entry`] (template
-//!   well-formedness, citation integrity, curation invariants, claim
-//!   verification, lens round-trips) and the cold [`full_check`];
+//! * [`check`] — the pure per-entry checks (template well-formedness,
+//!   citation integrity, curation invariants, claim verification, lens
+//!   round-trips) and the cold [`full_check`] built from them;
 //! * [`catalog`] — [`CheckCatalog`]: executable law checks keyed by the
 //!   `Code` artefact locations entries carry, with the workspace's own
 //!   [`standard_catalog`];
-//! * [`deps`] — [`DepMap`], the reverse-dependency map that makes
-//!   re-checking O(affected), not O(repository);
-//! * [`engine`] — the synchronous [`Linter`] and the threaded
-//!   [`LawChecker`] event sink with its worker pool and
-//!   [`engine::DeltaSink`] push hook.
+//! * [`engine`] — the synchronous [`Linter`] and the live [`LawChecker`]
+//!   event sink. Both keep a reverse-dependency map, so an event
+//!   re-checks O(affected) entries, not O(repository).
 //!
 //! The engine's contract, pinned by `tests/lint_equivalence.rs`: after
 //! any event sequence — including replica re-bases, torn log tails and
@@ -37,12 +33,11 @@
 
 pub mod catalog;
 pub mod check;
-pub mod deps;
+mod deps;
 pub mod diagnostics;
 pub mod engine;
 
 pub use catalog::{standard_catalog, CheckCatalog};
-pub use check::{check_entry, full_check};
-pub use deps::DepMap;
+pub use check::full_check;
 pub use diagnostics::{Diagnostic, DiagnosticsIndex, LintLaw, Severity};
-pub use engine::{DeltaSink, LawChecker, Linter};
+pub use engine::{LawChecker, Linter};
