@@ -744,7 +744,7 @@ fn convert_log_dir_pooled(
         }
     }
     let (base, generation) = EventLogBackend::read_state_in(src)?;
-    let events = crate::storage::read_generation(src, &generation, 0, pool)?
+    let events = crate::storage::read_generation(src, &generation, 0, None, pool)?
         .unwrap_or_default()
         .events;
     let mut target: Box<dyn StorageBackend> = if to_binary {

@@ -15,9 +15,11 @@
 //! [`Federation::catch_up`] is cheap to call in a loop: within a log
 //! generation it applies only the events appended since the last call;
 //! when a primary has checkpointed (its manifest names a new
-//! generation), that source *re-bases* — the federation adopts the
-//! checkpoint state and patches the index and site for exactly the
-//! records that differ. The merged state it converges to is specified
+//! generation), that source crosses to the new generation. A source
+//! that had applied exactly what the checkpoint folds already holds its
+//! state and just switches; any other *re-bases* — the federation
+//! adopts the checkpoint state and patches the index and site for
+//! exactly the records that differ. The merged state it converges to is specified
 //! by the pure [`federate_snapshots`] fold, which the convergence
 //! property tests (`tests/federation_convergence.rs`) pin it against
 //! under interleaved writes, compaction, killed writers and torn
@@ -82,7 +84,7 @@ use crate::manuscript::{export_manuscript, ManuscriptOptions};
 use crate::principal::Principal;
 use crate::repo::{EntryId, EntryRecord, RepositorySnapshot};
 use crate::runtime::{HealthReport, Runtime, RuntimeHealth, SerialTask, WorkerPool};
-use crate::storage::{read_generation, EventLogBackend};
+use crate::storage::{read_generation, EventLogBackend, Follows, ManifestFile};
 use crate::supervise::{
     RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus, SourceSupervisor,
 };
@@ -96,7 +98,8 @@ use crate::wiki_bx::WikiBx;
 pub struct CatchUp {
     /// Events applied from the tailed generation.
     pub events_applied: usize,
-    /// Whether the source re-based onto a new checkpoint generation.
+    /// Whether the source crossed to a new checkpoint generation (or
+    /// recovered from a foreign truncation), re-based or not.
     pub rebased: bool,
 }
 
@@ -106,12 +109,14 @@ pub struct CatchUp {
 #[derive(Debug, Clone, Default)]
 pub struct TailProgress {
     /// When present, the caller must adopt this state before applying
-    /// `events` (the primary checkpointed, or the log shrank under us).
+    /// `events` (the primary checkpointed past what the tail had
+    /// applied, or the log shrank under us).
     pub new_base: Option<RepositorySnapshot>,
     /// Intact events appended since the last poll, in log order.
     pub events: Vec<RepoEvent>,
     /// Whether this poll crossed a checkpoint generation (or recovered
-    /// from a foreign truncation).
+    /// from a foreign truncation). A crossing without a `new_base` found
+    /// the checkpoint's state equal to what the tail had applied.
     pub rebased: bool,
 }
 
@@ -124,8 +129,19 @@ pub struct TailProgress {
 /// A tail remembers the file list its last read was planned from, so a
 /// poll of a log where nothing moved is a fixed handful of `stat`s: the
 /// manifest, each of the generation's files (one, for a log below its
-/// segment cap) and the name the writer's next segment would take. Only
-/// a poll that sees one of them move lists the directory and reads.
+/// segment cap) and the name the writer's next segment would take. A
+/// poll that finds only the live file grown costs those stats plus a
+/// read of the new bytes from the tail's offset, with no directory
+/// listing; a segment roll, a shrink, a missing file or a new format
+/// lists the directory and reads.
+///
+/// Crossing a checkpoint costs the manifest's bytes and their CRC when
+/// the tail has applied exactly the records the checkpoint folds (an
+/// automatic compaction's manifest names that position): the tail reads
+/// the fields before `state`, switches to the new generation and
+/// reports `rebased` with no `new_base`, so its caller re-bases, diffs
+/// and re-lints nothing. Any other crossing parses the state and hands
+/// it over as `new_base`.
 #[derive(Debug)]
 pub struct LogTail {
     dir: PathBuf,
@@ -137,10 +153,15 @@ pub struct LogTail {
     /// next poll starts reading, so a poll that finds new bytes decodes
     /// only those, not the whole file.
     offset: u64,
-    /// (mtime, len) of `checkpoint.json` when it was last parsed — the
-    /// manifest embeds a whole snapshot, so polls skip re-parsing it
+    /// (mtime, len) of `checkpoint.json` when it was last read — the
+    /// manifest embeds a whole snapshot, so polls skip re-reading it
     /// until this stamp moves.
     manifest_stamp: Option<(std::time::SystemTime, u64)>,
+    /// The CRC of the manifest that started the tailed generation
+    /// (`None` without one, or for a checksum-less one): with
+    /// `generation` and `offset`, the position a checkpoint's
+    /// [`Follows`] must name for this tail to cross it without its state.
+    manifest_crc: Option<u32>,
     /// The generation's files and their sizes as the last read listed
     /// them; `None` until a poll has read. [`LogTail::probe`] stats these
     /// instead of listing the directory.
@@ -153,6 +174,10 @@ enum Probe {
     /// listed size are unchanged and the writer has not rolled, so the
     /// generation is still `len` bytes long.
     Still { len: u64 },
+    /// Only the live file moved, by growing to `last` bytes: the listed
+    /// files, the last at that size, are still the whole generation, now
+    /// `len` bytes long.
+    Grown { len: u64, last: u64 },
     /// Something may have moved, so the poll reads. `file_seen`: one of
     /// the probed log files exists, so the directory does.
     Moved { file_seen: bool },
@@ -167,7 +192,7 @@ impl LogTail {
         // Stamp before parse: a checkpoint racing this open makes the
         // first poll conservatively re-parse, never go stale.
         let manifest_stamp = Self::stat_manifest(&dir);
-        let (base, generation) = EventLogBackend::read_state_in(&dir)?;
+        let (base, generation, manifest_crc) = EventLogBackend::read_base_in(&dir)?;
         Ok((
             LogTail {
                 dir,
@@ -175,6 +200,7 @@ impl LogTail {
                 applied: 0,
                 offset: 0,
                 manifest_stamp,
+                manifest_crc,
                 files: None,
             },
             base,
@@ -195,12 +221,13 @@ impl LogTail {
     /// applied — the replication lag in bytes (0 when fully caught up or
     /// the log is absent), measured now. A torn trailing fragment counts
     /// as lag until the writer's next durable append resolves it. It
-    /// costs what an idle poll costs, a few stats, while nothing has
-    /// moved since the last poll; once the log has moved it lists the
-    /// directory and stats every file of the generation.
+    /// costs what an idle poll costs, a few stats, while nothing but the
+    /// live file has grown since the last poll; once the log has moved
+    /// otherwise it lists the directory and stats every file of the
+    /// generation.
     pub fn lag_bytes(&self) -> u64 {
         let len = match self.probe(Self::stat_manifest(&self.dir)) {
-            Probe::Still { len } => len,
+            Probe::Still { len } | Probe::Grown { len, .. } => len,
             Probe::Moved { .. } => {
                 crate::binlog::generation_len(&self.dir, &self.generation).unwrap_or(0)
             }
@@ -227,10 +254,12 @@ impl LogTail {
     }
 
     /// Has anything moved since the last read, judged by stats alone?
-    /// `stamp` is the manifest's stamp now. The generation is still when
-    /// the stamp is the one last parsed, every listed file has the size
-    /// it was read at, and the name the writer would create next (see
-    /// [`crate::storage::successor_file`]) is absent. Every listed file
+    /// `stamp` is the manifest's stamp now. The listed files are still
+    /// the generation when the stamp is the one last read, every sealed
+    /// file has the size it was read at, the live (last) one has not
+    /// shrunk, and the name the writer would create next (see
+    /// [`crate::storage::successor_file`]) is absent; the generation is
+    /// still when the live file has not grown either. Every listed file
     /// is statted, not just the last, so a lost or truncated sealed
     /// segment still reads as a move.
     fn probe(&self, stamp: Option<(std::time::SystemTime, u64)>) -> Probe {
@@ -242,9 +271,14 @@ impl LogTail {
             return Probe::Moved { file_seen };
         }
         let mut len = 0;
-        for (name, size) in files {
+        let mut grown = None;
+        for (i, (name, size)) in files.iter().enumerate() {
             match std::fs::metadata(self.dir.join(name)) {
                 Ok(meta) if meta.len() == *size => len += size,
+                Ok(meta) if meta.len() > *size && i + 1 == files.len() => {
+                    len += meta.len();
+                    grown = Some(meta.len());
+                }
                 Ok(_) => return Probe::Moved { file_seen: true },
                 Err(_) => return Probe::Moved { file_seen },
             }
@@ -269,14 +303,18 @@ impl LogTail {
         {
             return Probe::Moved { file_seen: true };
         }
-        Probe::Still { len }
+        match grown {
+            Some(last) => Probe::Grown { len, last },
+            None => Probe::Still { len },
+        }
     }
 
     /// Observe the log's current durable end. Within a generation this
     /// reads only the bytes appended since the last poll; across a
-    /// checkpoint it reports the new base to re-base onto. When nothing
-    /// moved since the last poll it is a few stats and no directory
-    /// listing (see [`LogTail`]). Safe to call at any cadence.
+    /// checkpoint it reports the new base to re-base onto, unless the
+    /// tail already holds it. When nothing but the live file moved since
+    /// the last poll it lists no directory (see [`LogTail`]). Safe to
+    /// call at any cadence.
     pub fn poll(&mut self) -> Result<TailProgress, RepoError> {
         self.poll_with(None)
     }
@@ -289,12 +327,21 @@ impl LogTail {
     ) -> Result<TailProgress, RepoError> {
         let mut progress = TailProgress::default();
         let stamp = Self::stat_manifest(&self.dir);
-        let file_seen = match self.probe(stamp) {
+        let (file_seen, known) = match self.probe(stamp) {
             // Caught up and still: nothing to read. A pending torn tail
             // (a length beyond `offset`) is re-read until it heals.
             Probe::Still { len } if len == self.offset => return Ok(progress),
-            Probe::Still { .. } => true,
-            Probe::Moved { file_seen } => file_seen,
+            Probe::Still { .. } => (true, None),
+            // Only the live file grew: read it from `offset` over the
+            // files already known, without listing the directory.
+            Probe::Grown { last, .. } => {
+                let mut files = self.files.take().unwrap_or_default();
+                if let Some((_, size)) = files.last_mut() {
+                    *size = last;
+                }
+                (true, Some(files))
+            }
+            Probe::Moved { file_seen } => (file_seen, None),
         };
         // A present manifest or log file proves the directory exists;
         // only when both missed is it worth asking.
@@ -304,47 +351,57 @@ impl LogTail {
                 // gone — not a torn tail, not a slow primary. Surface it
                 // typed; the tail keeps its position so a restored
                 // directory can be polled again.
-                return Err(RepoError::SourceUnavailable {
-                    dir: self.dir.display().to_string(),
-                });
+                return Err(self.unavailable());
             }
             // The primary simply has not created its directory yet.
             return Ok(progress);
         }
-        // Only re-parse the manifest (it embeds a whole snapshot) when
-        // its stamp moved; the stamp is taken before the parse so a
-        // racing checkpoint costs one conservative re-parse, never a
-        // stale skip.
         if stamp.is_none() && self.manifest_stamp.is_some() {
-            // A manifest we had parsed is gone while the directory
+            // A manifest we had read is gone while the directory
             // remains (mid-rsync, a crashed compaction, a stray delete).
             // A healthy primary never removes its manifest, and falling
             // through would re-base onto the no-manifest default — an
             // empty snapshot. Surface it typed instead, keeping position
             // and state so a restored manifest resumes cleanly.
-            return Err(RepoError::SourceUnavailable {
-                dir: self.dir.display().to_string(),
-            });
+            return Err(self.unavailable());
         }
+        // Only re-read the manifest (it embeds a whole snapshot) when
+        // its stamp moved; the stamp is taken before the read so a
+        // racing checkpoint costs one conservative re-read, never a
+        // stale skip.
         if stamp != self.manifest_stamp {
-            let (base, generation) = EventLogBackend::read_state_in(&self.dir)?;
-            self.manifest_stamp = stamp;
-            if generation != self.generation {
-                // The primary checkpointed: the caller adopts the
-                // manifest state and we start tailing the new generation
-                // from its beginning.
-                self.generation = generation;
-                self.applied = 0;
-                self.offset = 0;
-                progress.new_base = Some(base);
-                progress.rebased = true;
+            let Some(file) = ManifestFile::read(&self.dir)? else {
+                // Gone between the stat and the read: as above.
+                return Err(self.unavailable());
+            };
+            match file.head() {
+                // A manifest naming the tailed generation changes nothing:
+                // the tail keeps the base, and the CRC, it started from.
+                Some((head, _)) if head.log == self.generation => {}
+                // A checkpoint that follows exactly this tail's position
+                // folds what the tail has applied: switch without the
+                // state.
+                Some((head, crc)) if self.stands_at(head.follows.as_ref()) => {
+                    self.cross(head.log, Some(crc), &mut progress);
+                }
+                _ => {
+                    let manifest = file.parse(&self.dir)?;
+                    if manifest.log != self.generation {
+                        // The primary checkpointed past what the tail
+                        // has applied: the caller adopts the manifest
+                        // state.
+                        self.cross(manifest.log, manifest.crc32, &mut progress);
+                        progress.new_base = Some(manifest.state);
+                    }
+                }
             }
+            self.manifest_stamp = stamp;
         } else if !self.observed() {
             // No manifest and nothing read yet: generation 0 is whichever
             // format the primary has started by now (see `probe`).
             self.generation = EventLogBackend::read_state_in(&self.dir)?.1;
         }
-        let read = match read_generation(&self.dir, &self.generation, self.offset, pool)? {
+        let read = match read_generation(&self.dir, &self.generation, self.offset, known, pool)? {
             Some(read) => {
                 self.applied += read.events.len();
                 read
@@ -354,9 +411,10 @@ impl LogTail {
                 // beyond torn-tail repair). Rolling individual events
                 // back is not possible; re-base onto what the directory
                 // actually holds.
-                let mut all =
-                    read_generation(&self.dir, &self.generation, 0, pool)?.unwrap_or_default();
-                let (base, _) = EventLogBackend::read_state_in(&self.dir)?;
+                let mut all = read_generation(&self.dir, &self.generation, 0, None, pool)?
+                    .unwrap_or_default();
+                let (base, _, manifest_crc) = EventLogBackend::read_base_in(&self.dir)?;
+                self.manifest_crc = manifest_crc;
                 self.applied = all.events.len();
                 progress.new_base = Some(replay(base, &std::mem::take(&mut all.events)));
                 progress.rebased = true;
@@ -367,6 +425,33 @@ impl LogTail {
         self.files = Some(read.files);
         progress.events = read.events;
         Ok(progress)
+    }
+
+    /// Whether a checkpoint that `follows` this position folds exactly
+    /// what the tail has applied: the tailed generation, up to the
+    /// tail's offset, after the manifest the tail started it from.
+    fn stands_at(&self, follows: Option<&Follows>) -> bool {
+        follows.is_some_and(|follows| {
+            follows.log == self.generation
+                && follows.bytes == self.offset
+                && follows.after == self.manifest_crc
+        })
+    }
+
+    /// Start tailing `generation`, begun by the manifest with CRC `crc`,
+    /// from its beginning.
+    fn cross(&mut self, generation: String, crc: Option<u32>, progress: &mut TailProgress) {
+        self.generation = generation;
+        self.manifest_crc = crc;
+        self.applied = 0;
+        self.offset = 0;
+        progress.rebased = true;
+    }
+
+    fn unavailable(&self) -> RepoError {
+        RepoError::SourceUnavailable {
+            dir: self.dir.display().to_string(),
+        }
     }
 }
 
@@ -653,7 +738,8 @@ pub struct Federation {
     index: SearchIndex,
     site: WikiSite,
     /// Sinks observing the merged stream: each gets
-    /// [`EventSink::rebased`] when any source re-bases and
+    /// [`EventSink::rebased`] when any source re-bases onto a new base
+    /// (not when a caught-up source crosses a checkpoint) and
     /// [`EventSink::accept`] for every *namespaced* event applied.
     observers: Vec<Arc<dyn EventSink>>,
 }
@@ -838,8 +924,10 @@ impl Federation {
     /// immediately with [`EventSink::rebased`] over the current merged
     /// snapshot, then receives [`EventSink::accept`] for every
     /// *namespaced* event each later [`Federation::catch_up`] applies,
-    /// and [`EventSink::rebased`] again whenever any source re-bases.
-    /// Sinks run on the catch-up caller's thread.
+    /// and [`EventSink::rebased`] again whenever any source re-bases onto
+    /// a new base; a source that crosses a checkpoint caught up adopts
+    /// nothing, so the sinks hear nothing. Sinks run on the catch-up
+    /// caller's thread.
     pub fn subscribe(&mut self, sink: Arc<dyn EventSink>) {
         sink.rebased(&self.snapshot);
         self.observers.push(sink);
@@ -2133,14 +2221,15 @@ mod tests {
             "an idle pass, and lag over an idle log, stat known paths only"
         );
 
-        // A write moves the probe: the next pass lists and applies it,
-        // and the pass after is idle again.
+        // A write that only grows the live file moves the probe: the
+        // next pass reads and applies it from the files it knows, without
+        // a listing, and the pass after is idle again.
         let mut backend = crate::storage::EventLogBackend::open(&sources[1].1).unwrap();
         b.contribute("alice", entry("LATER")).unwrap();
         backend.record(&b.drain_events()).unwrap();
         let before = crate::storage::dirs_listed();
         assert_eq!(federation.catch_up().unwrap().events_applied, 1);
-        assert!(crate::storage::dirs_listed() > before);
+        assert_eq!(crate::storage::dirs_listed() - before, 0);
         let before = crate::storage::dirs_listed();
         federation.catch_up().unwrap();
         assert_eq!(crate::storage::dirs_listed() - before, 0);
@@ -2724,5 +2813,347 @@ mod tests {
         daemon.stop();
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
+    }
+
+    /// A primary compacting automatically every 3 events and a tail over
+    /// its JSONL directory that folds what it polls: the crossing tests'
+    /// harness.
+    struct Crossing {
+        dir: PathBuf,
+        repo: Repository,
+        log: AutoCompactingEventLog,
+        tail: LogTail,
+        state: RepositorySnapshot,
+    }
+
+    /// What one [`Crossing::poll`] did.
+    #[derive(Debug, PartialEq)]
+    struct Crossed {
+        manifests_parsed: u64,
+        rebased: bool,
+        new_base: bool,
+        events: usize,
+    }
+
+    impl Crossing {
+        /// Founding, a registration and a contribution: a batch that
+        /// reaches the budget alone, checkpointed after it.
+        fn new(tag: &str) -> Crossing {
+            let dir = unique_dir(tag);
+            let repo = primary("alpha");
+            repo.contribute("alice", entry("COMPOSERS")).unwrap();
+            let policy = CompactionPolicy {
+                checkpoint_every: 3,
+            };
+            let mut log = AutoCompactingEventLog::open(&dir, policy).unwrap();
+            log.record(&repo.drain_events()).unwrap();
+            log.flush_durable().unwrap();
+            assert_eq!(log.compactions(), 1);
+            let (tail, state) = LogTail::open(&dir).unwrap();
+            let mut crossing = Crossing {
+                dir,
+                repo,
+                log,
+                tail,
+                state,
+            };
+            assert_eq!(crossing.poll().unwrap().events, 0);
+            crossing
+        }
+
+        /// One comment, recorded and made durable.
+        fn write(&mut self, text: &str) {
+            let id = EntryId::from_title("COMPOSERS");
+            self.repo.comment("alice", &id, "2014-05-01", text).unwrap();
+            self.log.record(&self.repo.drain_events()).unwrap();
+            self.log.flush_durable().unwrap();
+        }
+
+        fn poll(&mut self) -> Result<Crossed, RepoError> {
+            let before = crate::storage::manifests_parsed();
+            let progress = self.tail.poll()?;
+            let crossed = Crossed {
+                manifests_parsed: crate::storage::manifests_parsed() - before,
+                rebased: progress.rebased,
+                new_base: progress.new_base.is_some(),
+                events: progress.events.len(),
+            };
+            if let Some(base) = progress.new_base {
+                self.state = base;
+            }
+            for event in &progress.events {
+                apply_event(&mut self.state, event);
+            }
+            Ok(crossed)
+        }
+
+        /// Comments until one's batch checkpoints the fold before it is
+        /// appended. The tail applies each earlier batch, or all but the
+        /// last when it is to lag one batch behind.
+        fn cross(&mut self, caught_up: bool) {
+            let compactions = self.log.compactions();
+            // With one event per batch, the next batch crosses once two
+            // events wait since the last checkpoint.
+            let crosses = |log: &AutoCompactingEventLog| log.events_since_checkpoint() == 2;
+            while !crosses(&self.log) {
+                self.write("before");
+                if caught_up || !crosses(&self.log) {
+                    self.poll().unwrap();
+                }
+            }
+            self.write("crossing");
+            assert_eq!(self.log.compactions(), compactions + 1);
+        }
+
+        /// Rewrite the manifest's body through `edit` and seal it with a
+        /// fresh CRC, as its writer would have.
+        fn reseal(&self, edit: impl FnOnce(&str) -> String) {
+            let path = self.dir.join("checkpoint.json");
+            let json = std::fs::read_to_string(&path).unwrap();
+            let body = edit(json.rsplit_once(",\"crc32\":").unwrap().0);
+            let crc = crate::binlog::crc32_update(crate::binlog::crc32(body.as_bytes()), b"}");
+            std::fs::write(&path, format!("{body},\"crc32\":{crc}}}")).unwrap();
+        }
+
+        /// The next poll takes the full path: one parse and a new base,
+        /// folding to the primary's state.
+        fn assert_full_crossing(mut self) {
+            let full = Crossed {
+                manifests_parsed: 1,
+                rebased: true,
+                new_base: true,
+                events: 1,
+            };
+            assert_eq!(self.poll().unwrap(), full);
+            assert_eq!(self.state, self.repo.snapshot());
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_caught_up_tail_crosses_an_automatic_compaction_without_its_state() {
+        let mut c = Crossing::new("fast-crossing");
+        c.cross(true);
+        let fast = Crossed {
+            manifests_parsed: 0,
+            rebased: true,
+            new_base: false,
+            events: 1,
+        };
+        assert_eq!(c.poll().unwrap(), fast);
+        assert_eq!(c.state, c.repo.snapshot());
+        // The next crossing follows the manifest this one switched to.
+        c.cross(true);
+        assert_eq!(c.poll().unwrap(), fast);
+        assert_eq!(c.state, c.repo.snapshot());
+        std::fs::remove_dir_all(&c.dir).ok();
+    }
+
+    #[test]
+    fn a_tail_one_batch_behind_parses_the_state_and_re_bases() {
+        let mut c = Crossing::new("behind-crossing");
+        c.cross(false);
+        c.assert_full_crossing();
+    }
+
+    #[test]
+    fn a_flipped_byte_in_the_state_fails_the_crossing() {
+        let mut c = Crossing::new("flipped-crossing");
+        c.cross(true);
+        let path = c.dir.join("checkpoint.json");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let text = String::from_utf8(bytes.clone()).unwrap();
+        let title = text.find("\"title\":\"COMPOSERS\"").unwrap() + "\"title\":\"".len();
+        bytes[title] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        assert!(matches!(c.poll(), Err(RepoError::CorruptManifest { .. })));
+        std::fs::remove_dir_all(&c.dir).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_after_another_manifest_takes_the_full_path() {
+        let mut c = Crossing::new("after-crossing");
+        c.cross(true);
+        c.reseal(|body| {
+            let at = body.find("\"after\":").unwrap() + "\"after\":".len();
+            let end = at + body[at..].find('}').unwrap();
+            let crc: u32 = body[at..end].parse().unwrap();
+            format!("{}{}{}", &body[..at], crc.wrapping_add(1), &body[end..])
+        });
+        c.assert_full_crossing();
+    }
+
+    #[test]
+    fn explicit_legacy_and_unchecked_checkpoints_take_the_full_path() {
+        let mut c = Crossing::new("explicit-crossing");
+        c.write("one");
+        c.poll().unwrap();
+        let snapshot = c.repo.snapshot();
+        c.log.checkpoint(&snapshot).unwrap();
+        c.write("two");
+        c.assert_full_crossing();
+
+        // A manifest from before `follows` existed.
+        let mut c = Crossing::new("legacy-crossing");
+        c.cross(true);
+        c.reseal(|body| {
+            let from = body.find(",\"follows\":").unwrap();
+            let to = body.find(",\"state\":").unwrap();
+            format!("{}{}", &body[..from], &body[to..])
+        });
+        c.assert_full_crossing();
+
+        // A manifest from before the checksum existed.
+        let mut c = Crossing::new("unchecked-crossing");
+        c.cross(true);
+        let path = c.dir.join("checkpoint.json");
+        let json = std::fs::read_to_string(&path).unwrap();
+        let body = json.rsplit_once(",\"crc32\":").unwrap().0;
+        std::fs::write(&path, format!("{body}}}")).unwrap();
+        c.assert_full_crossing();
+    }
+
+    #[test]
+    fn a_binary_tail_lists_only_when_its_log_rolls() {
+        let dir = unique_dir("roll-listing");
+        let a = primary("alpha");
+        let mut log = crate::binlog::BinaryLogBackend::open_with_segment_bytes(&dir, 256).unwrap();
+        log.record(&a.drain_events()).unwrap();
+        let (mut tail, _) = LogTail::open(&dir).unwrap();
+        tail.poll().unwrap();
+        let segments = || {
+            (0..)
+                .take_while(|i| dir.join(format!("events-0.bin.{i:06}")).exists())
+                .count()
+        };
+        let mut rolls = 0;
+        for i in 0..24 {
+            let before = segments();
+            a.register(Principal::member(&format!("member{i}")))
+                .unwrap();
+            log.record(&a.drain_events()).unwrap();
+            let rolled = segments() > before;
+            rolls += usize::from(rolled);
+            let listed = crate::storage::dirs_listed();
+            assert_eq!(tail.poll().unwrap().events.len(), 1);
+            assert_eq!(
+                crate::storage::dirs_listed() - listed,
+                u64::from(rolled),
+                "write {i}: a grown live file reads without a listing, a roll lists once"
+            );
+        }
+        assert!(rolls >= 2, "the cap must roll the log ({rolls} rolls)");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_tail_that_re_based_after_a_foreign_truncation_takes_the_full_path() {
+        let mut c = Crossing::new("truncated-crossing");
+        c.write("one");
+        c.poll().unwrap();
+        let live = c.dir.join(c.log.inner().current_generation());
+        let boundary = std::fs::metadata(&live).unwrap().len();
+        c.write("two");
+        c.poll().unwrap();
+        // A foreign hand cuts "two" off; the tail re-bases onto what is
+        // left, and its offset is back at `boundary`.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&live)
+            .unwrap()
+            .set_len(boundary)
+            .unwrap();
+        assert!(c.poll().unwrap().new_base);
+        // The writer still counts "two" in the fold it checkpoints next,
+        // so the checkpoint names a position this tail never reached.
+        c.write("three");
+        let cold = EventLogBackend::restore_dir(&c.dir).unwrap();
+        assert_eq!(cold, c.repo.snapshot());
+        c.assert_full_crossing();
+    }
+
+    #[test]
+    fn a_manifest_rewritten_under_the_tailed_generation_is_never_adopted_unread() {
+        let mut c = Crossing::new("rewritten-crossing");
+        c.cross(true);
+        c.poll().unwrap();
+        // Another process rewrites the manifest of the tailed generation
+        // with a different state. The tail reads its head, sees its own
+        // generation, and keeps the base and CRC it started from.
+        c.reseal(|body| body.replacen("\"before\"", "\"edited!\"", 1));
+        assert_eq!(c.poll().unwrap().manifests_parsed, 0);
+        // A writer reopened on that manifest folds the rewritten state,
+        // and its next checkpoint names the rewritten manifest's CRC.
+        let policy = CompactionPolicy {
+            checkpoint_every: 3,
+        };
+        c.log = AutoCompactingEventLog::open(&c.dir, policy).unwrap();
+        c.cross(true);
+        let progress = c.poll().unwrap();
+        assert_eq!((progress.manifests_parsed, progress.new_base), (1, true));
+        assert_eq!(c.state, EventLogBackend::restore_dir(&c.dir).unwrap());
+        assert_ne!(c.state, c.repo.snapshot(), "the rewrite is in the state");
+        std::fs::remove_dir_all(&c.dir).ok();
+    }
+
+    #[test]
+    fn a_salvage_under_a_live_writer_is_followed_by_a_full_crossing() {
+        use std::io::Write as _;
+        let dir = unique_dir("salvage-live-writer");
+        let a = primary("alpha");
+        a.contribute("alice", entry("COMPOSERS")).unwrap();
+        let policy = CompactionPolicy {
+            checkpoint_every: 3,
+        };
+        let mut log = AutoCompactingEventLog::open(&dir, policy).unwrap();
+        let write = |log: &mut AutoCompactingEventLog, text: &str| {
+            let id = EntryId::from_title("COMPOSERS");
+            a.comment("alice", &id, "2014-05-01", text).unwrap();
+            log.record(&a.drain_events()).unwrap();
+            log.flush_durable().unwrap();
+        };
+        log.record(&a.drain_events()).unwrap();
+        log.flush_durable().unwrap();
+        let sources = vec![(SourceId::new("a"), dir.clone())];
+        let mut federation = Federation::open("fed", sources.clone()).unwrap();
+        federation.set_retry_policy(RetryPolicy {
+            quarantine_after: 1,
+            ..RetryPolicy::immediate()
+        });
+        federation.set_recovery_policy(RecoveryPolicy::SalvagePrefix);
+        write(&mut log, "kept");
+        assert_eq!(federation.catch_up().unwrap().events_applied, 1);
+
+        // Bytes a foreign hand appends, then a batch of the live writer
+        // behind them: the salvage cuts both off the file, but the
+        // writer's fold keeps its batch.
+        let live = dir.join(log.inner().current_generation());
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&live)
+            .unwrap();
+        file.write_all(b"{ rotted bits, not an event }\n").unwrap();
+        drop(file);
+        write(&mut log, "behind the rot");
+        assert_eq!(federation.catch_up().unwrap().errors.len(), 1);
+        assert_eq!(federation.catch_up().unwrap().salvaged.len(), 1);
+
+        // The next batch crosses a checkpoint of that fold, at a
+        // position the salvaged file never reaches: the federation
+        // re-bases onto it and ends where a cold open does.
+        let compactions = log.compactions();
+        write(&mut log, "crossing");
+        assert_eq!(log.compactions(), compactions + 1);
+        let outcome = federation.catch_up().unwrap();
+        assert!(outcome.errors.is_empty());
+        assert!(outcome.per_source[0].rebased);
+        let cold = Federation::open("fed", sources).unwrap();
+        assert_eq!(federation.snapshot(), cold.snapshot());
+        assert_eq!(
+            EventLogBackend::restore_dir(&dir).unwrap(),
+            a.snapshot(),
+            "the checkpoint holds the batch the salvage cut"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

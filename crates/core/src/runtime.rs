@@ -118,7 +118,7 @@ impl WorkerPool {
     /// A pool of `threads` workers (clamped to at least 1), named
     /// `{prefix}-0` … `{prefix}-{n-1}` so thread dumps say who owns each
     /// thread.
-    pub fn named(prefix: &str, threads: usize) -> WorkerPool {
+    pub(crate) fn named(prefix: &str, threads: usize) -> WorkerPool {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
@@ -140,12 +140,12 @@ impl WorkerPool {
     }
 
     /// Number of worker threads.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.workers.len()
     }
 
     /// Snapshot of the pool's own counters.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         PoolStats {
             threads: self.workers.len(),
             jobs_run: self.shared.jobs_run.load(Ordering::Relaxed),
@@ -172,7 +172,7 @@ impl WorkerPool {
     }
 
     /// Enqueue one fire-and-forget job.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+    pub(crate) fn execute(&self, job: impl FnOnce() + Send + 'static) {
         let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
         queue.push_back(Box::new(job));
         drop(queue);
@@ -194,7 +194,7 @@ impl WorkerPool {
     /// inline on the calling worker instead — same ordering and panic
     /// contract — because parking a worker in `scatter` while the
     /// nested jobs sit behind it in the queue can deadlock the pool.
-    pub fn scatter<T: Send + 'static>(
+    pub(crate) fn scatter<T: Send + 'static>(
         &self,
         jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
     ) -> Vec<T> {

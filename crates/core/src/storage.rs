@@ -31,6 +31,37 @@
 //! what lets [`crate::pipeline::BackgroundWriter`] amortise one fsync
 //! over an entire group-commit window of concurrent producers; a
 //! one-shot caller records and then flushes.
+//!
+//! ## The checkpoint manifest
+//!
+//! A [`SegmentedLog`] checkpoints by writing `checkpoint.json` and
+//! moving on to a fresh generation. The manifest holds, in this order:
+//!
+//! * `log`: the generation its deltas are appended to;
+//! * `follows`: the position its state was folded from, or `null`: the
+//!   previous generation, that generation's length in bytes (summed
+//!   across segments), and the CRC of the manifest that started it;
+//! * `state`: the base state;
+//! * `crc32`: a checksum of everything before it.
+//!
+//! Only an automatic compaction ([`AutoCompactingEventLog`]) writes
+//! `follows`, because only there is the state known to be the old base
+//! folded with exactly those bytes. An explicit
+//! [`StorageBackend::checkpoint`] of an arbitrary snapshot, and a
+//! conversion, write `null`; a manifest from before the field existed
+//! reads as `null`. A tail that has applied exactly the bytes `follows`
+//! names already holds the state: it checks the manifest's CRC, reads
+//! the fields before `state` and switches to the new generation without
+//! parsing the state (see [`crate::replica::LogTail`]).
+//!
+//! An automatic compaction fires when a batch would bring the events
+//! recorded since the last checkpoint to
+//! [`CompactionPolicy::checkpoint_every`]. It checkpoints the fold
+//! recorded *before* that batch, where a tail that kept up stands, and
+//! the batch opens the new generation. A batch that reaches the budget
+//! on its own is appended first and checkpointed after. Either way,
+//! fewer than `checkpoint_every` events are pending after every
+//! `record`.
 
 use std::cell::Cell;
 use std::fs::{File, OpenOptions};
@@ -160,28 +191,71 @@ impl StorageBackend for MemoryBackend {
     }
 }
 
-/// The checkpoint manifest a [`SegmentedLog`] persists: the base
-/// state plus the name of the generation log file its deltas live in.
-/// Keeping both in one file makes the manifest rename the single atomic
-/// commit point of a checkpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Manifest {
-    /// Log file (relative to the backend directory) this base replays.
-    log: String,
-    /// The checkpointed base state.
-    state: RepositorySnapshot,
+/// Where a checkpoint's state stands in the log it was folded from: the
+/// state is exactly the previous base folded with the records of
+/// generation `log`'s first `bytes` bytes. Only an automatic compaction
+/// ([`AutoCompactingEventLog`]) knows that of its state, so only it
+/// writes one; a tail that has applied exactly those bytes already holds
+/// the state, and crosses to the new generation without reading it (see
+/// [`crate::replica::LogTail`]).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct Follows {
+    /// The generation whose bytes the state folds.
+    pub(crate) log: String,
+    /// That generation's length as its writer appended it, summed
+    /// across its segments (the unit of a tail's offset). Bytes a
+    /// foreign hand appended or truncated are not in it, so a tail that
+    /// read the file after such a change never stands at this position.
+    pub(crate) bytes: u64,
+    /// The CRC of the manifest that started that generation; `None` for
+    /// generation 0 or a checksum-less manifest.
+    pub(crate) after: Option<u32>,
 }
 
-/// The on-disk shape of `checkpoint.json`: the [`Manifest`] body plus a
-/// trailing `crc32` of the body's bytes (see [`manifest_json`]). The checksum
-/// field is optional on read — manifests written before it existed are
-/// accepted as-is (legacy tolerance); a *present but wrong* checksum is
-/// real corruption and surfaces as [`RepoError::CorruptManifest`].
+/// The checkpoint manifest a [`SegmentedLog`] persists as
+/// `checkpoint.json`: the name of the generation log file its deltas
+/// live in, the position its base follows (when known), the base state,
+/// and a trailing `crc32` of the body's bytes (see [`manifest_json`]).
+/// Keeping all of it in one file makes the manifest rename the single
+/// atomic commit point of a checkpoint. Both optional fields tolerate
+/// legacy manifests written before they existed; a *present but wrong*
+/// checksum is real corruption and surfaces as
+/// [`RepoError::CorruptManifest`].
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+pub(crate) struct Manifest {
+    /// Log file (relative to the backend directory) this base replays.
+    pub(crate) log: String,
+    pub(crate) follows: Option<Follows>,
+    /// The checkpointed base state.
+    pub(crate) state: RepositorySnapshot,
+    pub(crate) crc32: Option<u32>,
+}
+
+/// The fields a manifest serialises before `state`: all a tail needs to
+/// tell whether it holds the state already.
 #[derive(Debug, Deserialize)]
-struct ManifestDisk {
-    log: String,
-    state: RepositorySnapshot,
-    crc32: Option<u32>,
+pub(crate) struct ManifestHead {
+    pub(crate) log: String,
+    pub(crate) follows: Option<Follows>,
+}
+
+/// The manifest body [`manifest_json`] serialises, borrowing its parts
+/// (the derive takes no lifetimes, and a `Value` built by hand would be
+/// cloned whole on its way out).
+struct ManifestBody<'a> {
+    log: &'a str,
+    follows: Option<&'a Follows>,
+    state: &'a RepositorySnapshot,
+}
+
+impl Serialize for ManifestBody<'_> {
+    fn serialize_value(&self) -> serde::value::Value {
+        serde::value::Value::Object(vec![
+            ("log".to_string(), self.log.serialize_value()),
+            ("follows".to_string(), self.follows.serialize_value()),
+            ("state".to_string(), self.state.serialize_value()),
+        ])
+    }
 }
 
 thread_local! {
@@ -242,26 +316,42 @@ pub(crate) fn create_dir_durably(dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The exact `checkpoint.json` bytes for `manifest`: the canonical body
-/// JSON with a `crc32` field over the body bytes spliced in as the
-/// trailing key, so the file is `body[..len - 1]` followed by
-/// `,"crc32":<crc>}`. Readers check the CRC over the bytes they read
-/// (everything before that tail, plus the body's closing `}`), so any
-/// flipped byte that survives JSON parsing fails the comparison.
-fn manifest_json(manifest: &Manifest) -> Result<String, RepoError> {
-    let body = serde_json::to_string(manifest)
-        .map_err(|e| RepoError::Persist(format!("cannot serialise manifest: {e}")))?;
+/// The exact `checkpoint.json` bytes for a manifest naming `log`, and
+/// their CRC: the canonical body JSON (`log`, `follows`, then `state`),
+/// serialised from borrowed parts, with a `crc32` field over the body
+/// bytes spliced in as the trailing key, so the file is
+/// `body[..len - 1]` followed by `,"crc32":<crc>}`. Readers check the
+/// CRC over the bytes they read (everything before that tail, plus the
+/// body's closing `}`), so any flipped byte that survives JSON parsing
+/// fails the comparison.
+fn manifest_json(
+    log: &str,
+    follows: Option<&Follows>,
+    state: &RepositorySnapshot,
+) -> Result<(String, u32), RepoError> {
+    let body = serde_json::to_string(&ManifestBody {
+        log,
+        follows,
+        state,
+    })
+    .map_err(|e| RepoError::Persist(format!("cannot serialise manifest: {e}")))?;
     let crc = crate::binlog::crc32(body.as_bytes());
     debug_assert!(body.ends_with('}'));
-    Ok(format!("{},\"crc32\":{crc}}}", &body[..body.len() - 1]))
+    let json = format!("{},\"crc32\":{crc}}}", &body[..body.len() - 1]);
+    Ok((json, crc))
 }
 
-/// Write `manifest` to `dir/checkpoint.json` with the atomic
-/// write-fsync-rename protocol: the rename is
-/// the single commit point of a checkpoint, so a crash at any step
-/// leaves either the old manifest or the new one, never a torn mix.
-fn write_manifest_in(dir: &Path, manifest: &Manifest) -> Result<(), RepoError> {
-    let json = manifest_json(manifest)?;
+/// Write a manifest to `dir/checkpoint.json` with the atomic
+/// write-fsync-rename protocol, returning its CRC: the rename is the
+/// single commit point of a checkpoint, so a crash at any step leaves
+/// either the old manifest or the new one, never a torn mix.
+fn write_manifest_in(
+    dir: &Path,
+    log: &str,
+    follows: Option<&Follows>,
+    state: &RepositorySnapshot,
+) -> Result<u32, RepoError> {
+    let (json, crc) = manifest_json(log, follows, state)?;
     let tmp = dir.join("checkpoint.json.tmp");
     {
         let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
@@ -275,7 +365,97 @@ fn write_manifest_in(dir: &Path, manifest: &Manifest) -> Result<(), RepoError> {
     // rename is the commit point, so an error now must not send the
     // writer back to the generation the new manifest superseded.
     sync_dir(dir).ok();
-    Ok(())
+    Ok(crc)
+}
+
+/// The CRC of a manifest body, as [`manifest_json`] computes it: over
+/// the bytes before the `crc32` trailer, closed by the `}` it displaced.
+fn body_crc(body: &str) -> u32 {
+    crate::binlog::crc32_update(crate::binlog::crc32(body.as_bytes()), b"}")
+}
+
+/// The CRC a manifest's trailer stores, when the file ends in exactly
+/// the trailer [`manifest_json`] writes and the body bytes match it.
+/// `None` otherwise, which leaves the verdict to the full parse.
+fn verified_crc(json: &str) -> Option<u32> {
+    let (body, tail) = json.rsplit_once(",\"crc32\":")?;
+    let stored: u32 = tail.strip_suffix('}')?.parse().ok()?;
+    (tail == format!("{stored}}}") && body_crc(body) == stored).then_some(stored)
+}
+
+/// A `checkpoint.json` as read from disk, its CRC checked but its body
+/// not yet parsed: a reader that needs only the fields before `state`
+/// takes [`ManifestFile::head`], any other [`ManifestFile::parse`].
+pub(crate) struct ManifestFile {
+    json: String,
+    /// The CRC the trailer stores, when the body bytes match it (see
+    /// [`verified_crc`]).
+    verified: Option<u32>,
+}
+
+impl ManifestFile {
+    /// Read `dir/checkpoint.json`: `Ok(None)` when no checkpoint exists
+    /// yet.
+    pub(crate) fn read(dir: &Path) -> Result<Option<ManifestFile>, RepoError> {
+        let path = dir.join("checkpoint.json");
+        if !path.exists() {
+            return Ok(None);
+        }
+        let json = std::fs::read_to_string(path).map_err(io_err)?;
+        let verified = verified_crc(&json);
+        Ok(Some(ManifestFile { json, verified }))
+    }
+
+    /// The fields before `state`, and the manifest's CRC, when that CRC
+    /// checks out: those bytes are then the writer's own, so the head can
+    /// be trusted without the state. `None` for a checksum-less or
+    /// corrupt manifest, whose verdict [`ManifestFile::parse`] gives.
+    pub(crate) fn head(&self) -> Option<(ManifestHead, u32)> {
+        let crc = self.verified?;
+        let at = self.json.find(",\"state\":")?;
+        let head = serde_json::from_str(&format!("{}}}", &self.json[..at])).ok()?;
+        Some((head, crc))
+    }
+
+    /// Parse the whole manifest read from `dir`, checking its integrity:
+    /// [`RepoError::CorruptManifest`] when it carries a `crc32` that does
+    /// not match the body bytes, or does not end in exactly the tail
+    /// [`manifest_json`] writes. A checksum-less manifest from an older
+    /// writer is accepted as-is.
+    pub(crate) fn parse(&self, dir: &Path) -> Result<Manifest, RepoError> {
+        let manifest: Manifest = serde_json::from_str(&self.json)
+            .map_err(|e| RepoError::Persist(format!("corrupt checkpoint manifest: {e}")))?;
+        MANIFESTS_PARSED.with(|c| c.set(c.get() + 1));
+        // A CRC `read` already checked spares the second pass.
+        if let Some(stored) = manifest
+            .crc32
+            .filter(|stored| self.verified != Some(*stored))
+        {
+            // The writer's body is the text before its trailing
+            // `,"crc32":` key, closed by the `}` that key displaced.
+            let (body, tail) = self
+                .json
+                .rsplit_once(",\"crc32\":")
+                .unwrap_or((&self.json, ""));
+            let computed = body_crc(body);
+            if computed != stored || tail != format!("{stored}}}") {
+                return Err(RepoError::CorruptManifest {
+                    dir: dir.display().to_string(),
+                    stored,
+                    computed,
+                });
+            }
+        }
+        Ok(manifest)
+    }
+}
+
+/// `dir`'s manifest, read and parsed in full: `Ok(None)` when no
+/// checkpoint exists yet.
+pub(crate) fn read_manifest(dir: &Path) -> Result<Option<Manifest>, RepoError> {
+    ManifestFile::read(dir)?
+        .map(|file| file.parse(dir))
+        .transpose()
 }
 
 /// An on-disk record format of a [`SegmentedLog`]: how one event is
@@ -369,6 +549,9 @@ pub struct SegmentedLog<C: Codec> {
     dir: PathBuf,
     /// The current generation's name, relative to `dir`.
     generation: String,
+    /// The CRC of the manifest that started the current generation;
+    /// `None` for generation 0 or a checksum-less manifest.
+    manifest_crc: Option<u32>,
     /// Index of the segment being appended to (0 unless segmented).
     segment: u32,
     /// Byte length of that segment, re-derived whenever the appender
@@ -376,6 +559,12 @@ pub struct SegmentedLog<C: Codec> {
     segment_len: u64,
     /// Roll to a new segment once the current one would exceed this.
     segment_bytes: u64,
+    /// The current generation's length as this writer knows it: its
+    /// length at open (after the torn-tail repair) plus every byte
+    /// appended since, never re-statted. A checkpoint's [`Follows`]
+    /// names this position, which a tail cannot reach after bytes a
+    /// foreign hand truncated or appended.
+    generation_bytes: u64,
     /// The persistent appender for the live segment, opened lazily and
     /// dropped when a roll or checkpoint moves the writer on.
     appender: Option<File>,
@@ -424,7 +613,18 @@ impl<C: Codec> SegmentedLog<C> {
         let dir = dir.into();
         create_dir_durably(&dir)
             .map_err(|e| RepoError::persist_io("create event log directory", e))?;
-        let (_, generation) = Self::read_state_in(&dir)?;
+        // The writer needs the generation, not the base state: a
+        // manifest whose CRC checks out is read no further than its head.
+        let (generation, manifest_crc) = match ManifestFile::read(&dir)? {
+            Some(file) => match file.head() {
+                Some((head, crc)) => (head.log, Some(crc)),
+                None => {
+                    let manifest = file.parse(&dir)?;
+                    (manifest.log, manifest.crc32)
+                }
+            },
+            None => (Self::first_generation_in(&dir), None),
+        };
         if !generation.ends_with(C::SUFFIX) {
             return Err(RepoError::Persist(format!(
                 "directory holds event log generation `{generation}`, which a `{}` backend \
@@ -440,9 +640,11 @@ impl<C: Codec> SegmentedLog<C> {
         let mut log = SegmentedLog {
             dir,
             generation,
+            manifest_crc,
             segment,
             segment_len: 0,
             segment_bytes: segment_bytes.max(1),
+            generation_bytes: 0,
             appender: None,
             dir_sync_owed: false,
             dirty: false,
@@ -452,6 +654,9 @@ impl<C: Codec> SegmentedLog<C> {
         };
         if let Some(last) = files.last() {
             log.tail_repaired = log.repair_torn_tail(last)?;
+        }
+        for name in &files {
+            log.generation_bytes += len_or_absent(&log.dir.join(name))?;
         }
         Ok(log)
     }
@@ -507,13 +712,31 @@ impl<C: Codec> SegmentedLog<C> {
     /// `events-0.bin` segments are, and in this type's format otherwise.
     /// This is the read-side entry point replicas tail from.
     pub fn read_state_in(dir: &Path) -> Result<(RepositorySnapshot, String), RepoError> {
-        if let Some(manifest) = Self::read_manifest_in(dir)? {
-            return Ok((manifest.state, manifest.log));
+        let (state, generation, _) = Self::read_base_in(dir)?;
+        Ok((state, generation))
+    }
+
+    /// [`SegmentedLog::read_state_in`] plus the CRC of the manifest read
+    /// (`None` without one, or for a checksum-less one).
+    pub(crate) fn read_base_in(
+        dir: &Path,
+    ) -> Result<(RepositorySnapshot, String, Option<u32>), RepoError> {
+        match read_manifest(dir)? {
+            Some(manifest) => Ok((manifest.state, manifest.log, manifest.crc32)),
+            None => Ok((
+                RepositorySnapshot::empty(""),
+                Self::first_generation_in(dir),
+                None,
+            )),
         }
-        let generation = first_generations()
+    }
+
+    /// Generation 0 of a directory without a manifest: see
+    /// [`SegmentedLog::read_state_in`].
+    fn first_generation_in(dir: &Path) -> String {
+        first_generations()
             .find(|generation| segment_files(dir, generation).is_ok_and(|files| !files.is_empty()))
-            .unwrap_or_else(|| format!("events-0{}", C::SUFFIX));
-        Ok((RepositorySnapshot::empty(""), generation))
+            .unwrap_or_else(|| format!("events-0{}", C::SUFFIX))
     }
 
     /// The events of one log generation in `dir`, whichever format the
@@ -525,7 +748,7 @@ impl<C: Codec> SegmentedLog<C> {
         dir: &Path,
         generation: &str,
     ) -> Result<Vec<RepoEvent>, RepoError> {
-        Ok(read_generation(dir, generation, 0, None)?
+        Ok(read_generation(dir, generation, 0, None, None)?
             .unwrap_or_default()
             .events)
     }
@@ -560,43 +783,10 @@ impl<C: Codec> SegmentedLog<C> {
     ) -> Result<RepositorySnapshot, RepoError> {
         let pool = runtime.pool();
         let (base, generation) = Self::read_state_in(dir)?;
-        let events = read_generation(dir, &generation, 0, Some(pool))?
+        let events = read_generation(dir, &generation, 0, None, Some(pool))?
             .unwrap_or_default()
             .events;
         Ok(crate::event::replay_parallel(base, events, pool))
-    }
-
-    /// Parse (and integrity-check) `dir/checkpoint.json`. `Ok(None)` when
-    /// no checkpoint exists yet; [`RepoError::CorruptManifest`] when the
-    /// manifest carries a `crc32` that does not match the body bytes read,
-    /// or does not end in exactly the tail [`manifest_json`] writes (a
-    /// checksum-less manifest from an older writer is accepted as-is).
-    fn read_manifest_in(dir: &Path) -> Result<Option<Manifest>, RepoError> {
-        let path = dir.join("checkpoint.json");
-        if !path.exists() {
-            return Ok(None);
-        }
-        let json = std::fs::read_to_string(path).map_err(io_err)?;
-        let disk: ManifestDisk = serde_json::from_str(&json)
-            .map_err(|e| RepoError::Persist(format!("corrupt checkpoint manifest: {e}")))?;
-        MANIFESTS_PARSED.with(|c| c.set(c.get() + 1));
-        if let Some(stored) = disk.crc32 {
-            // The writer's body is the text before its trailing
-            // `,"crc32":` key, closed by the `}` that key displaced.
-            let (body, tail) = json.rsplit_once(",\"crc32\":").unwrap_or((&json, ""));
-            let computed = crate::binlog::crc32_update(crate::binlog::crc32(body.as_bytes()), b"}");
-            if computed != stored || tail != format!("{stored}}}") {
-                return Err(RepoError::CorruptManifest {
-                    dir: dir.display().to_string(),
-                    stored,
-                    computed,
-                });
-            }
-        }
-        Ok(Some(Manifest {
-            log: disk.log,
-            state: disk.state,
-        }))
     }
 
     /// Truncate a torn final record off `last`, the generation's last
@@ -645,6 +835,7 @@ impl<C: Codec> SegmentedLog<C> {
             .write_all(bytes)
             .map_err(|e| RepoError::persist_io("append event log", e))?;
         self.segment_len += bytes.len() as u64;
+        self.generation_bytes += bytes.len() as u64;
         Ok(())
     }
 
@@ -673,6 +864,42 @@ impl<C: Codec> SegmentedLog<C> {
         self.appender = None;
         self.segment += 1;
         self.segment_len = 0;
+        Ok(())
+    }
+
+    /// Crash-safe compaction onto `state`. The new manifest names a
+    /// *fresh* generation, so the manifest rename is the single commit
+    /// point: dying before it leaves the old manifest + old log (the
+    /// pre-checkpoint state, fully replayable); dying after it leaves the
+    /// new manifest whose log is empty or absent (exactly the
+    /// checkpointed state). The superseded generation's files are removed
+    /// opportunistically afterwards.
+    fn start_generation(
+        &mut self,
+        follows: Option<&Follows>,
+        state: &RepositorySnapshot,
+    ) -> Result<(), RepoError> {
+        let n: u64 = self
+            .generation
+            .strip_prefix("events-")
+            .and_then(|s| s.strip_suffix(C::SUFFIX))
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0);
+        let next = format!("events-{}{}", n + 1, C::SUFFIX);
+        let crc = write_manifest_in(&self.dir, &next, follows, state)?;
+        // Past the commit point: the writer moves to the fresh
+        // generation. Staged bytes are superseded by the manifest's
+        // snapshot, so they need no fsync of their own.
+        let old = std::mem::replace(&mut self.generation, next);
+        self.manifest_crc = Some(crc);
+        self.segment = 0;
+        self.segment_len = 0;
+        self.generation_bytes = 0;
+        self.appender = None;
+        self.dirty = false;
+        for name in segment_files(&self.dir, &old).unwrap_or_default() {
+            std::fs::remove_file(self.dir.join(name)).ok();
+        }
         Ok(())
     }
 }
@@ -708,40 +935,11 @@ impl<C: Codec> StorageBackend for SegmentedLog<C> {
         Ok(())
     }
 
-    /// Crash-safe compaction. The new manifest names a *fresh*
-    /// generation, so the manifest rename is the single commit point:
-    /// dying before it leaves the old manifest + old log (the
-    /// pre-checkpoint state, fully replayable); dying after it leaves the
-    /// new manifest whose log is empty or absent (exactly the
-    /// checkpointed state). The superseded generation's files are removed
-    /// opportunistically afterwards.
+    /// Crash-safe compaction onto `snapshot`, an arbitrary state: the
+    /// manifest records no position it follows (see
+    /// `SegmentedLog::start_generation`).
     fn checkpoint(&mut self, snapshot: &RepositorySnapshot) -> Result<(), RepoError> {
-        let n: u64 = self
-            .generation
-            .strip_prefix("events-")
-            .and_then(|s| s.strip_suffix(C::SUFFIX))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        let next = format!("events-{}{}", n + 1, C::SUFFIX);
-        write_manifest_in(
-            &self.dir,
-            &Manifest {
-                log: next.clone(),
-                state: snapshot.clone(),
-            },
-        )?;
-        // Past the commit point: the writer moves to the fresh
-        // generation. Staged bytes are superseded by the manifest's
-        // snapshot, so they need no fsync of their own.
-        let old = std::mem::replace(&mut self.generation, next);
-        self.segment = 0;
-        self.segment_len = 0;
-        self.appender = None;
-        self.dirty = false;
-        for name in segment_files(&self.dir, &old).unwrap_or_default() {
-            std::fs::remove_file(self.dir.join(name)).ok();
-        }
-        Ok(())
+        self.start_generation(None, snapshot)
     }
 
     /// Recover from the on-disk manifest, replaying the generation *the
@@ -909,9 +1107,10 @@ pub(crate) struct GenerationRead {
 /// rolled or truncated by a foreign hand) and the caller must re-base.
 /// Otherwise the result holds the intact events at or after `offset`,
 /// the offset consumed, and the file list the read was planned from; a
-/// torn tail stays unconsumed for a later read. Every read lists the
-/// directory and stats each file, so a caller that polls keeps the list
-/// and probes it instead (see [`crate::replica::LogTail`]).
+/// torn tail stays unconsumed for a later read. Without `known` files
+/// the read lists the directory and stats each file. A caller that
+/// polls keeps the list and probes it instead, and passes it as `known`
+/// when only the last file grew (see [`crate::replica::LogTail`]).
 ///
 /// With a `pool`, files split into record-aligned ranges decoded on its
 /// workers and spliced back in log order, so which corrupt offset
@@ -920,18 +1119,30 @@ pub(crate) fn read_generation(
     dir: &Path,
     generation: &str,
     offset: u64,
+    known: Option<Vec<(String, u64)>>,
     pool: Option<&crate::runtime::WorkerPool>,
 ) -> Result<Option<GenerationRead>, RepoError> {
+    let files = match known {
+        Some(files) => files,
+        None => {
+            let mut files = Vec::new();
+            for name in segment_files(dir, generation)? {
+                let size = len_or_absent(&dir.join(&name))?;
+                files.push((name, size));
+            }
+            files
+        }
+    };
     if crate::binlog::is_binary_generation(generation) {
-        read_generation_as::<FrameCodec>(dir, generation, offset, pool)
+        read_generation_as::<FrameCodec>(dir, files, offset, pool)
     } else {
-        read_generation_as::<JsonlCodec>(dir, generation, offset, pool)
+        read_generation_as::<JsonlCodec>(dir, files, offset, pool)
     }
 }
 
 fn read_generation_as<C: Codec>(
     dir: &Path,
-    generation: &str,
+    files: Vec<(String, u64)>,
     offset: u64,
     pool: Option<&crate::runtime::WorkerPool>,
 ) -> Result<Option<GenerationRead>, RepoError> {
@@ -939,11 +1150,6 @@ fn read_generation_as<C: Codec>(
     // A one-worker pool has nothing to fan out to: read as without one,
     // so no file is walked twice to cut ranges for a single worker.
     let pool = pool.filter(|pool| pool.threads() > 1);
-    let mut files = Vec::new();
-    for name in segment_files(dir, generation)? {
-        let size = len_or_absent(&dir.join(&name))?;
-        files.push((name, size));
-    }
     let total: u64 = files.iter().map(|(_, size)| size).sum();
     if total <= offset {
         return Ok((total == offset).then(|| GenerationRead {
@@ -1053,6 +1259,14 @@ pub trait GenerationLog: StorageBackend + std::fmt::Debug + Sized {
     /// not parse the pending tail twice).
     fn restore_with_pending(&self) -> Result<(RepositorySnapshot, usize), RepoError>;
 
+    /// Checkpoint `state`, which must be the current base folded with
+    /// every record of the current generation. Unlike
+    /// [`StorageBackend::checkpoint`], the manifest then records the
+    /// position that fold follows, so a tail that has applied exactly
+    /// those records crosses to the new generation without reading the
+    /// state.
+    fn checkpoint_fold(&mut self, state: &RepositorySnapshot) -> Result<(), RepoError>;
+
     /// Remove every generation file, of either format, that is not the
     /// current generation's. `checkpoint` already unlinks the generation
     /// it supersedes; this sweeps up strays left by crashes in the
@@ -1067,12 +1281,21 @@ impl<C: Codec> GenerationLog for SegmentedLog<C> {
     }
 
     fn restore_with_pending(&self) -> Result<(RepositorySnapshot, usize), RepoError> {
-        let (base, generation) = match Self::read_manifest_in(&self.dir)? {
+        let (base, generation) = match read_manifest(&self.dir)? {
             Some(manifest) => (manifest.state, manifest.log),
             None => (RepositorySnapshot::empty(""), self.generation.clone()),
         };
         let events = Self::read_generation_events(&self.dir, &generation)?;
         Ok((replay(base, &events), events.len()))
+    }
+
+    fn checkpoint_fold(&mut self, state: &RepositorySnapshot) -> Result<(), RepoError> {
+        let follows = Follows {
+            log: self.generation.clone(),
+            bytes: self.generation_bytes,
+            after: self.manifest_crc,
+        };
+        self.start_generation(Some(&follows), state)
     }
 
     fn prune_stale_generations(&self) -> Result<usize, RepoError> {
@@ -1087,11 +1310,12 @@ impl<C: Codec> GenerationLog for SegmentedLog<C> {
     }
 }
 
-/// When an [`AutoCompactingEventLog`] checkpoints: after at least
-/// `checkpoint_every` events have been recorded since the last
-/// checkpoint. Restores therefore replay at most `checkpoint_every - 1 +
-/// max_group_events` events, and the directory holds O(1) generations no
-/// matter how long the repository lives.
+/// When an [`AutoCompactingEventLog`] checkpoints: once a batch would
+/// bring the events recorded since the last checkpoint to
+/// `checkpoint_every` (see the module docs for where it cuts). Restores
+/// therefore replay at most `checkpoint_every - 1 + max_group_events`
+/// events, and the directory holds O(1) generations no matter how long
+/// the repository lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
     /// Checkpoint threshold, in events since the last checkpoint (≥ 1;
@@ -1113,7 +1337,9 @@ impl Default for CompactionPolicy {
 /// recorded batch) and checkpoints it every
 /// [`CompactionPolicy::checkpoint_every`] events — so checkpointing never
 /// needs the live [`crate::repo::Repository`], which is what lets the
-/// background durability pipeline compact off-thread. Superseded
+/// background durability pipeline compact off-thread. Each automatic
+/// checkpoint records the position its fold follows, so caught-up tails
+/// cross it without reading its state (see the module docs). Superseded
 /// generations (including strays from crashes mid-checkpoint) are pruned
 /// after every checkpoint.
 ///
@@ -1128,6 +1354,11 @@ pub struct AutoCompactingEventLog<B: GenerationLog = EventLogBackend> {
     /// `restore` would return.
     state: RepositorySnapshot,
     since_checkpoint: usize,
+    /// Whether `state` is known to be the base folded with every record
+    /// of the current generation, so a compaction may record the
+    /// position it follows. A failed `record` may have left bytes the
+    /// fold lacks, so it clears this until the next checkpoint.
+    fold_exact: bool,
     /// Cumulative compaction accounting since open.
     checkpoints: u64,
     pruned_files: u64,
@@ -1168,6 +1399,7 @@ impl<B: GenerationLog> AutoCompactingEventLog<B> {
             policy,
             state,
             since_checkpoint,
+            fold_exact: true,
             checkpoints: 0,
             pruned_files: 0,
             observer: None,
@@ -1200,17 +1432,32 @@ impl<B: GenerationLog> AutoCompactingEventLog<B> {
         self.since_checkpoint
     }
 
+    fn budget(&self) -> usize {
+        self.policy.checkpoint_every.max(1)
+    }
+
     fn maybe_checkpoint(&mut self) -> Result<(), RepoError> {
-        if self.since_checkpoint >= self.policy.checkpoint_every.max(1) {
+        if self.since_checkpoint >= self.budget() {
             self.compact_now()?;
         }
         Ok(())
     }
 
-    /// One compaction pass: checkpoint the folded state, prune stale
-    /// generations, publish to the observer if one is installed.
+    /// One automatic compaction pass: checkpoint the folded state,
+    /// recording the position it follows when the fold is exact, prune
+    /// stale generations, publish to the observer if one is installed.
     fn compact_now(&mut self) -> Result<(), RepoError> {
-        self.inner.checkpoint(&self.state)?;
+        if self.fold_exact {
+            self.inner.checkpoint_fold(&self.state)?;
+        } else {
+            self.inner.checkpoint(&self.state)?;
+        }
+        self.compacted()
+    }
+
+    /// The accounting after a checkpoint of `state` committed.
+    fn compacted(&mut self) -> Result<(), RepoError> {
+        self.fold_exact = true;
         let pruned = self.inner.prune_stale_generations()?;
         self.since_checkpoint = 0;
         self.checkpoints += 1;
@@ -1229,8 +1476,19 @@ impl<B: GenerationLog> AutoCompactingEventLog<B> {
 }
 
 impl<B: GenerationLog> StorageBackend for AutoCompactingEventLog<B> {
+    /// A batch that would bring the events since the last checkpoint to
+    /// the budget first checkpoints the fold already recorded, where a
+    /// caught-up tail stands, then opens the new generation; a batch
+    /// that reaches the budget alone is checkpointed after it. Either
+    /// way fewer than the budget stay pending.
     fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
-        self.inner.record(events)?;
+        if events.len() < self.budget() && self.since_checkpoint + events.len() >= self.budget() {
+            self.compact_now()?;
+        }
+        if let Err(e) = self.inner.record(events) {
+            self.fold_exact = false;
+            return Err(e);
+        }
         for event in events {
             apply_event(&mut self.state, event);
         }
@@ -1239,8 +1497,9 @@ impl<B: GenerationLog> StorageBackend for AutoCompactingEventLog<B> {
     }
 
     fn checkpoint(&mut self, snapshot: &RepositorySnapshot) -> Result<(), RepoError> {
+        self.inner.checkpoint(snapshot)?;
         self.state = snapshot.clone();
-        self.compact_now()
+        self.compacted()
     }
 
     fn restore(&self) -> Result<RepositorySnapshot, RepoError> {
@@ -1338,15 +1597,23 @@ mod tests {
         backend.checkpoint(&r.snapshot()).unwrap();
         let path = dir.join("checkpoint.json");
         let written = std::fs::read_to_string(&path).unwrap();
-        let manifest = EventLogBackend::read_manifest_in(&dir).unwrap().unwrap();
+        let manifest = read_manifest(&dir).unwrap().unwrap();
         assert_eq!(manifest.state, r.snapshot());
-        assert_eq!(manifest_json(&manifest).unwrap(), written);
+        let rewritten = manifest_json(&manifest.log, manifest.follows.as_ref(), &manifest.state);
+        assert_eq!(
+            rewritten.unwrap(),
+            (written.clone(), manifest.crc32.unwrap())
+        );
 
         // A manifest from before the checksum existed is accepted as-is.
-        std::fs::write(&path, serde_json::to_string(&manifest).unwrap()).unwrap();
+        let (unchecked, _) = written.rsplit_once(",\"crc32\":").unwrap();
+        std::fs::write(&path, format!("{unchecked}}}")).unwrap();
         assert_eq!(
-            EventLogBackend::read_manifest_in(&dir).unwrap(),
-            Some(manifest.clone())
+            read_manifest(&dir).unwrap(),
+            Some(Manifest {
+                crc32: None,
+                ..manifest.clone()
+            })
         );
 
         // Each of these parses to the same manifest, but its tail is not
@@ -1359,17 +1626,107 @@ mod tests {
             format!("{body},\"crc32\":{stored} }}"),
         ] {
             std::fs::write(&path, &tampered).unwrap();
-            match EventLogBackend::read_manifest_in(&dir) {
+            match read_manifest(&dir) {
                 Err(RepoError::CorruptManifest { .. }) => {}
                 other => panic!("{tampered:?} gave {other:?}, not CorruptManifest"),
             }
         }
         // A leading zero is outside the JSON grammar: a parse error.
         std::fs::write(&path, format!("{body},\"crc32\":0{crc}")).unwrap();
-        assert!(matches!(
-            EventLogBackend::read_manifest_in(&dir),
-            Err(RepoError::Persist(_))
-        ));
+        assert!(matches!(read_manifest(&dir), Err(RepoError::Persist(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_manifest_serialises_follows_before_the_state() {
+        let dir = unique_dir("manifest-shape");
+        let r = busy_repository();
+        let mut backend = EventLogBackend::open(&dir).unwrap();
+        backend.record(&r.drain_events()).unwrap();
+        backend.checkpoint(&r.snapshot()).unwrap();
+        let written = std::fs::read_to_string(dir.join("checkpoint.json")).unwrap();
+        let (body, _) = written.rsplit_once(",\"crc32\":").unwrap();
+
+        // The shape before `follows` existed, serialised as it was.
+        #[derive(Serialize)]
+        struct Legacy {
+            log: String,
+            state: RepositorySnapshot,
+        }
+        let legacy = serde_json::to_string(&Legacy {
+            log: "events-1.jsonl".to_string(),
+            state: r.snapshot(),
+        })
+        .unwrap();
+        let with_follows = legacy.replacen(",\"state\":", ",\"follows\":null,\"state\":", 1);
+        assert_eq!(format!("{body}}}"), with_follows);
+        let manifest = read_manifest(&dir).unwrap().unwrap();
+        assert_eq!(
+            manifest.follows, None,
+            "an explicit checkpoint follows nothing"
+        );
+
+        // A legacy manifest, sealed as the writer sealed it, reads back
+        // without a position.
+        let sealed = format!(
+            "{},\"crc32\":{}}}",
+            &legacy[..legacy.len() - 1],
+            crate::binlog::crc32(legacy.as_bytes())
+        );
+        std::fs::write(dir.join("checkpoint.json"), sealed).unwrap();
+        let manifest = read_manifest(&dir).unwrap().unwrap();
+        assert_eq!((manifest.follows, manifest.state), (None, r.snapshot()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_automatic_compaction_records_the_position_its_fold_follows() {
+        let dir = unique_dir("manifest-follows");
+        let r = busy_repository();
+        let events = r.drain_events();
+        let mut backend = AutoCompactingEventLog::open(
+            &dir,
+            CompactionPolicy {
+                checkpoint_every: 2,
+            },
+        )
+        .unwrap();
+        let len = |event: &RepoEvent| {
+            let mut bytes = Vec::new();
+            JsonlCodec::encode(event, &mut bytes).unwrap();
+            bytes.len() as u64
+        };
+        // The second event would reach the budget: the first is
+        // checkpointed before it, at the end of generation 0.
+        backend.record(&events[..1]).unwrap();
+        backend.record(&events[1..2]).unwrap();
+        let first = read_manifest(&dir).unwrap().unwrap();
+        let follows = Follows {
+            log: "events-0.jsonl".to_string(),
+            bytes: len(&events[0]),
+            after: None,
+        };
+        assert_eq!(
+            (first.log.as_str(), first.follows),
+            ("events-1.jsonl", Some(follows))
+        );
+        backend.record(&events[2..3]).unwrap();
+        let second = read_manifest(&dir).unwrap().unwrap();
+        let follows = Follows {
+            log: "events-1.jsonl".to_string(),
+            bytes: len(&events[1]),
+            after: first.crc32,
+        };
+        assert_eq!(second.follows, Some(follows));
+        assert_eq!(backend.events_since_checkpoint(), 1);
+
+        // A batch that reaches the budget alone is checkpointed after it.
+        backend.record(&events[3..]).unwrap();
+        assert_eq!(backend.events_since_checkpoint(), 0);
+        let third = read_manifest(&dir).unwrap().unwrap();
+        assert_eq!(third.state, r.snapshot());
+        let bytes = events[2..].iter().map(len).sum();
+        assert_eq!(third.follows.map(|follows| follows.bytes), Some(bytes));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1641,7 +1998,7 @@ mod tests {
             backend.record(a).unwrap();
             let generation = backend.current_generation().to_string();
             let read = |offset| {
-                read_generation(&dir, &generation, offset, None)
+                read_generation(&dir, &generation, offset, None, None)
                     .unwrap()
                     .map(|read| (read.events, read.end))
             };
@@ -1661,7 +2018,10 @@ mod tests {
             // the (now empty) new generation: the re-base signal.
             backend.checkpoint(&r.snapshot()).unwrap();
             let rolled = backend.current_generation();
-            assert_eq!(read_generation(&dir, rolled, end, None).unwrap(), None);
+            assert_eq!(
+                read_generation(&dir, rolled, end, None, None).unwrap(),
+                None
+            );
             std::fs::remove_dir_all(&dir).ok();
         }
 

@@ -122,6 +122,12 @@ impl DepMap {
         affected
     }
 
+    /// The entries whose `entry:` references may resolve to `target`,
+    /// so whose diagnostics change when its record does.
+    pub(crate) fn referencers(&self, target: &EntryId) -> impl Iterator<Item = &EntryId> {
+        self.refs_in.get(target).into_iter().flatten()
+    }
+
     /// The entries whose diagnostics `event` can change: the touched
     /// entry plus its reverse dependencies. Computed against the map's
     /// *current* edges, so the engine consults it both before and after
@@ -139,9 +145,7 @@ impl DepMap {
                 let mut affected = BTreeSet::new();
                 if let Some(id) = other.touched() {
                     affected.insert(id.clone());
-                    if let Some(referencers) = self.refs_in.get(id) {
-                        affected.extend(referencers.iter().cloned());
-                    }
+                    affected.extend(self.referencers(id).cloned());
                 }
                 affected
             }

@@ -171,8 +171,8 @@ impl Inner {
 /// The live law-checking service; see the module docs. Implements
 /// [`EventSink`], so it plugs into `Repository::subscribe(_with_backfill)`,
 /// and `Federation::subscribe` unchanged; the `rebased` notification
-/// (a source's checkpoint crossing, initial backfill) triggers a full
-/// re-check.
+/// (a source's full checkpoint crossing, initial backfill) re-checks the
+/// records that differ from its mirror and the entries that read them.
 pub struct LawChecker {
     inner: Arc<Inner>,
     task: SerialTask,
@@ -259,17 +259,58 @@ impl EventSink for LawChecker {
         self.task.notify();
     }
 
+    /// Diff `base` against the mirror: the records that changed or went,
+    /// and the entries whose checks read them, are re-checked. Only a
+    /// change of the accounts (checks look principals up in them) or of the
+    /// repository's name re-checks everything.
     fn rebased(&self, base: &RepositorySnapshot) {
         {
-            let mut state = lock(&self.inner.state);
-            state.snapshot = Arc::new(base.clone());
-            state.deps = DepMap::build(base);
-            state.dirty.extend(base.records.keys().cloned());
+            let mut guard = lock(&self.inner.state);
+            let state = &mut *guard;
+            if state.snapshot.accounts != base.accounts || state.snapshot.name != base.name {
+                state.snapshot = Arc::new(base.clone());
+                state.deps = DepMap::build(base);
+                state.dirty.extend(base.records.keys().cloned());
+            } else {
+                let mirror = &state.snapshot.records;
+                let mut changed: Vec<EntryId> = mirror
+                    .keys()
+                    .filter(|id| !base.records.contains_key(*id))
+                    .cloned()
+                    .collect();
+                changed.extend(
+                    base.records
+                        .iter()
+                        .filter(|(id, record)| mirror.get(*id) != Some(*record))
+                        .map(|(id, _)| id.clone()),
+                );
+                // Only a real change unshares the mirror a running check
+                // may hold.
+                if !changed.is_empty() {
+                    let snapshot = Arc::make_mut(&mut state.snapshot);
+                    for id in changed {
+                        // Referencers before and after the edges move, as
+                        // in `accept`.
+                        state.dirty.extend(state.deps.referencers(&id).cloned());
+                        let record = base.records.get(&id);
+                        match record {
+                            Some(record) => snapshot.records.insert(id.clone(), record.clone()),
+                            None => snapshot.records.remove(&id),
+                        };
+                        state.deps.update_entry(&id, record);
+                        state.dirty.extend(state.deps.referencers(&id).cloned());
+                        state.dirty.insert(id);
+                    }
+                }
+            }
             // Entries the new base no longer has must have their stale
             // findings cleared; a check that finds no record removes them.
-            state
-                .dirty
-                .extend(lock(&self.inner.index).entries().cloned());
+            let index = lock(&self.inner.index);
+            let stale = index.entries().filter(|id| !base.records.contains_key(*id));
+            state.dirty.extend(stale.cloned());
+            if state.dirty.is_empty() {
+                return;
+            }
         }
         self.task.notify();
     }
@@ -405,5 +446,48 @@ mod tests {
         checker.wait_idle();
         assert!(checker.diagnostics().is_clean());
         assert_eq!(checker.diagnostics(), DiagnosticsIndex::default());
+    }
+
+    #[test]
+    fn law_checker_rebase_re_checks_only_what_changed() {
+        let r = Repository::found("bx", vec![Principal::curator("c")]);
+        r.register(Principal::member("alice")).unwrap();
+        let alpha = r.contribute("alice", entry("ALPHA")).unwrap();
+        let mut citing = entry("CITING");
+        citing.references = vec![bx_core::template::Reference {
+            citation: format!("entry:{}", alpha.as_str()),
+            doi: None,
+        }];
+        r.contribute("alice", citing).unwrap();
+        r.contribute("alice", entry("ALONE")).unwrap();
+        let base = r.snapshot();
+
+        let checker = LawChecker::on_runtime(catalog(), &Runtime::new(2), "lint");
+        checker.rebased(&base);
+        checker.wait_idle();
+        assert_eq!(
+            checker.checks_run(),
+            3,
+            "the first re-base checks everything"
+        );
+
+        checker.rebased(&base);
+        checker.wait_idle();
+        assert_eq!(checker.checks_run(), 3, "an identical base checks nothing");
+
+        let mut changed = base.clone();
+        let record = changed.records.get_mut(&alpha).unwrap();
+        record.history.last_mut().unwrap().overview = "Changed.".to_string();
+        checker.rebased(&changed);
+        checker.wait_idle();
+        assert_eq!(
+            checker.checks_run(),
+            5,
+            "one changed record checks itself and its referencer"
+        );
+        assert_eq!(
+            checker.diagnostics(),
+            full_check(&changed, &CheckCatalog::new())
+        );
     }
 }

@@ -14,7 +14,9 @@ use bx::core::curation::EntryStatus;
 use bx::core::event::{apply_event, EntryDelta, EventSink, RepoEvent};
 use bx::core::replica::{Federation, SourceId};
 use bx::core::repo::{EntryRecord, RepositorySnapshot};
-use bx::core::storage::{EventLogBackend, StorageBackend};
+use bx::core::storage::{
+    AutoCompactingEventLog, CompactionPolicy, EventLogBackend, StorageBackend,
+};
 use bx::core::template::{Artefact, ArtefactKind};
 use bx::core::{EntryId, ExampleEntry, ExampleType, HealthReport, Principal, Repository, Runtime};
 use bx::lint::{full_check, CheckCatalog, LawChecker, LintLaw, Linter, Severity};
@@ -118,6 +120,43 @@ proptest! {
             checker.diagnostics(),
             full_check(replica.snapshot(), &CheckCatalog::new())
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checker riding a replica of an automatically compacting
+    /// primary equals the full check after every catch-up, whether the
+    /// replica crossed a checkpoint caught up (no `rebased` at all) or
+    /// one catch-up behind (a `rebased` that re-checks what changed).
+    #[test]
+    fn replica_lint_equals_full_check_across_fast_and_full_crossings(
+        ops in arb_ops(24),
+        checkpoint_every in 2usize..5,
+        sync_every in 1usize..4,
+    ) {
+        let dir = unique_temp_dir("lint-crossings");
+        let repo = scripted_repository();
+        let policy = CompactionPolicy { checkpoint_every };
+        let mut backend = AutoCompactingEventLog::open(&dir, policy).unwrap();
+        backend.record(&repo.drain_events()).unwrap();
+        backend.flush_durable().unwrap();
+
+        let mut replica = open_replica(&dir).unwrap();
+        let checker = Arc::new(LawChecker::on_runtime(empty_catalog(), &Runtime::new(2), "lint"));
+        replica.subscribe(checker.clone());
+        for (i, op) in ops.iter().enumerate() {
+            apply_op(&repo, op);
+            backend.record(&repo.drain_events()).unwrap();
+            backend.flush_durable().unwrap();
+            if i % sync_every == 0 || i + 1 == ops.len() {
+                catch_up_clean(&mut replica);
+                checker.wait_idle();
+                prop_assert_eq!(replica.snapshot(), &repo.snapshot());
+                prop_assert_eq!(
+                    checker.diagnostics(),
+                    full_check(replica.snapshot(), &CheckCatalog::new())
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

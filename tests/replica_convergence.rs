@@ -4,13 +4,18 @@
 //! background durability pipeline under an auto-compaction policy —
 //! converges with the primary after `flush()`: snapshot, search results
 //! and rendered wiki pages all agree, at every intermediate sync point
-//! and across a writer restart.
+//! and across a writer restart. A replica caught up at every checkpoint
+//! crosses each one without reading the checkpoint's state, and
+//! converges just the same.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use bx::core::event::{EventSink, RepoEvent};
 use bx::core::index::SearchIndex;
 use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
 use bx::core::replica::Federation;
+use bx::core::repo::RepositorySnapshot;
 use bx::core::storage::{AutoCompactingEventLog, CompactionPolicy};
 use bx::core::wiki_bx::WikiBx;
 use bx::core::Runtime;
@@ -33,6 +38,18 @@ fn assert_query_parity(replica: &Federation, primary_index: &SearchIndex) {
             primary_index.query(terms),
             "terms {terms:?}"
         );
+    }
+}
+
+/// Counts the re-bases a federation delivers to its observers.
+#[derive(Default)]
+struct Rebases(AtomicUsize);
+
+impl EventSink for Rebases {
+    fn accept(&self, _event: &RepoEvent) {}
+
+    fn rebased(&self, _base: &RepositorySnapshot) {
+        self.0.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -92,6 +109,58 @@ proptest! {
         prop_assert_eq!(cold.index(), replica.index());
         prop_assert!(bx.consistent(&snap, cold.site()));
 
+        writer.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Catch-up after every op (`sync_every == 1`): each op is one
+    /// event, so with a budget of two or more every checkpoint lands
+    /// where the replica stands, and every crossing skips the state.
+    /// The replica's observers then hear no re-base beyond the
+    /// subscription's backfill, and its snapshot, index and site still
+    /// equal the primary's and a cold open's.
+    #[test]
+    fn a_replica_caught_up_at_every_checkpoint_crosses_without_its_state(
+        ops in arb_ops(24),
+        checkpoint_every in 2usize..6,
+    ) {
+        let dir = unique_temp_dir("replica-caught-up");
+        let repo = scripted_repository();
+        let backend = AutoCompactingEventLog::open(
+            &dir,
+            CompactionPolicy { checkpoint_every },
+        ).unwrap();
+        let writer = Arc::new(BackgroundWriter::on_runtime(backend, PipelineConfig::default(), &Runtime::new(1), "writer"));
+        writer.enqueue(&repo.drain_events());
+        repo.subscribe(writer.clone());
+        writer.flush().unwrap();
+        let mut replica = open_replica(&dir).unwrap();
+        let rebases = Arc::new(Rebases::default());
+        replica.subscribe(rebases.clone());
+
+        let mut crossings = 0;
+        for op in &ops {
+            apply_op(&repo, op);
+            writer.flush().unwrap();
+            crossings += catch_up_clean(&mut replica).rebases;
+            prop_assert_eq!(replica.snapshot(), &repo.snapshot());
+        }
+        prop_assert_eq!(
+            rebases.0.load(Ordering::Relaxed),
+            1,
+            "only the backfill, over {} crossings",
+            crossings
+        );
+
+        let snap = repo.snapshot();
+        let primary_index = SearchIndex::build(&snap);
+        let bx = WikiBx::new();
+        prop_assert_eq!(replica.index(), &primary_index);
+        prop_assert!(bx.consistent(&snap, replica.site()));
+        let cold = open_replica(&dir).unwrap();
+        prop_assert_eq!(cold.snapshot(), replica.snapshot());
+        prop_assert_eq!(cold.index(), replica.index());
+        prop_assert!(bx.consistent(&snap, cold.site()));
         writer.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
