@@ -10,10 +10,14 @@
 //!   4-event batch: the seed's "every durable append pays a `sync_all`"
 //!   regime.
 //! * `group-commit/<producers>` — a 1 ms group-commit window: the writer
-//!   stages every batch concurrent producers queue and issues one fsync
-//!   per window ([`bx_core::pipeline::PipelineStats::fsyncs`]).
+//!   task leaves queued batches for up to 1 ms before it commits them,
+//!   and every batch queued during one commit joins the next, one fsync
+//!   each ([`bx_core::pipeline::PipelineStats::fsyncs`]).
+//! * `default/<producers>` — `PipelineConfig::default()`: a zero window,
+//!   so the task commits as soon as producers queue, and the groups are
+//!   whatever queued during the commit before.
 //!
-//! Both rows pay the same serialisation and append work; the gap is
+//! Every row pays the same serialisation and append work; the gap is
 //! purely the fsync schedule, which is the point. `restore/cold` checks
 //! the read side is unharmed: a cold open + full replay over the same
 //! 1024-event log that the staged appends produced.
@@ -123,6 +127,24 @@ fn bench_append(c: &mut Criterion) {
             BenchmarkId::new("group-commit", producers),
             &producers,
             |b, &producers| b.iter(|| run(open_jsonl, grouped, producers, &events, &dir)),
+        );
+        std::fs::remove_dir_all(&dir).ok();
+
+        let dir = bench_dir(&format!("default-{producers}"));
+        group.bench_with_input(
+            BenchmarkId::new("default", producers),
+            &producers,
+            |b, &producers| {
+                b.iter(|| {
+                    run(
+                        open_jsonl,
+                        PipelineConfig::default(),
+                        producers,
+                        &events,
+                        &dir,
+                    )
+                })
+            },
         );
         std::fs::remove_dir_all(&dir).ok();
 

@@ -1,85 +1,85 @@
-//! The background durability pipeline: a writer task fed by a bounded
-//! channel, draining committed [`RepoEvent`]s into any
-//! [`StorageBackend`].
+//! The background durability pipeline: a bounded queue of committed
+//! [`RepoEvent`]s and one commit that hands a group of them to any
+//! [`StorageBackend`] and makes it durable.
 //!
 //! [`BackgroundWriter`] is an [`EventSink`]: subscribe it to a
 //! [`crate::repo::Repository`] and persistence leaves the mutating
-//! caller's thread — `contribute`/`revise`/… return as soon as the event
-//! is *enqueued*; the writer batches queued events and calls
-//! `StorageBackend::record` off to the side. The writer is a
-//! [`crate::runtime::SerialTask`] tenant on a caller's [`Runtime`]
-//! ([`BackgroundWriter::on_runtime`]): many writers share one bounded
-//! pool — a federation's per-source writers run as N serialized tasks
-//! on a handful of threads, each closing its group-commit window by
-//! arming its own task (`SerialTask::notify_in`) instead of sleeping.
-//! Its counters live on [`BackgroundWriter::stats`]; the runtime's health
-//! channel hears from a writer only when it fails
-//! ([`HealthReport::WriterFailed`]) or repaired a torn tail at open. Four
-//! properties define the pipeline:
+//! call — `contribute`/`revise`/… return as soon as the event is
+//! *enqueued*. The thread that needs events durable commits them: a
+//! [`BackgroundWriter::flush`] caller that finds no commit in flight
+//! runs one on its own thread, and so does `shutdown`. The writer's
+//! [`crate::runtime::SerialTask`] on a caller's [`Runtime`]
+//! ([`BackgroundWriter::on_runtime`]) commits only what no flush took,
+//! for producers that never flush; many writers share one bounded pool
+//! as serialized tasks, never a thread each. Its counters live on
+//! [`BackgroundWriter::stats`]; the runtime's health channel hears from
+//! a writer only when it fails ([`HealthReport::WriterFailed`]) or
+//! repaired a torn tail at open. Four properties define the pipeline:
 //!
-//! * **Bounded, with backpressure.** The channel holds at most
+//! * **Bounded, with backpressure.** The queue holds at most
 //!   [`PipelineConfig::channel_capacity`] events. When it is full,
-//!   `accept` blocks the mutating caller until the writer catches up —
-//!   durability lag is bounded by the channel, never unbounded memory.
+//!   `accept` blocks the mutating caller until a commit takes a group —
+//!   durability lag is bounded by the queue, never unbounded memory.
 //!   Every such stall is counted ([`PipelineStats::backpressure_waits`]).
 //! * **Explicit flush.** [`BackgroundWriter::flush`] blocks until every
 //!   event enqueued before the call is durably recorded (or the writer
 //!   has failed), surfacing any backend error. Write errors are sticky:
 //!   after one, subsequent events are discarded (counted in
 //!   [`PipelineStats::dropped`]) rather than blocking writers forever,
-//!   and every later `flush`/`shutdown` keeps returning the error.
+//!   and every later `flush`/`shutdown` keeps returning the error. A
+//!   backend that panics fails the writer the same way.
 //! * **Group commit.** The backend's `record` only stages, and
-//!   `StorageBackend::flush_durable` is its one fsync point. The writer
-//!   holds an fsync window of [`PipelineConfig::group_commit_window`]
-//!   open: it records *everything* concurrent producers queue and
-//!   issues **one** `flush_durable` when the window closes — on the
-//!   window's deadline, at [`PipelineConfig::max_group_events`], at
-//!   shutdown, or early when a `flush` caller is waiting. One fsync then acknowledges every
-//!   producer in the window ([`PipelineStats::durable`] over
-//!   [`PipelineStats::fsyncs`] is the amortisation). The default window
-//!   is zero: each pass closes the window it opened, one fsync per
-//!   batch.
+//!   `StorageBackend::flush_durable` is its one fsync point. A commit
+//!   calls both for up to [`PipelineConfig::max_group_events`] queued
+//!   events, and at most one commit runs per writer, so events that
+//!   queue while one runs form the next group: **one** fsync then
+//!   acknowledges every producer that queued meanwhile
+//!   ([`PipelineStats::durable`] over [`PipelineStats::fsyncs`] is the
+//!   amortisation). Events that no flush takes are committed by the
+//!   task within [`PipelineConfig::group_commit_window`] — at once with
+//!   the default zero window.
 //! * **Drop-shutdown.** Dropping the writer (or calling
-//!   [`BackgroundWriter::shutdown`]) drains the queue to the backend —
-//!   closing any open group-commit window with its fsync — and waits for
-//!   the writer task to confirm, so a scope exit cannot lose
-//!   acknowledged events.
+//!   [`BackgroundWriter::shutdown`]) commits everything still queued on
+//!   the calling thread and waits out any task pass, so a scope exit
+//!   cannot lose acknowledged events.
 //!
-//! The backend is moved into the writer task. For the scaling backend
+//! The backend is moved into the writer. For the scaling backend
 //! ([`crate::storage::EventLogBackend`]), wrap it in
 //! [`crate::storage::AutoCompactingEventLog`] first and the pipeline
 //! checkpoints/prunes as it writes.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use crate::error::RepoError;
 use crate::event::{EventSink, RepoEvent};
 use crate::runtime::{HealthReport, Runtime, RuntimeHealth, SerialTask};
 use crate::storage::StorageBackend;
 
-/// Default bound on the writer's input channel, in events.
+/// Default bound on the writer's input queue, in events.
 pub(crate) const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
 
-/// Default cap on how many events one group-commit window may cover
-/// before it is forced closed (bounds both ack latency and the clean
-/// suffix a crash inside the window can lose).
+/// Default cap on how many events one commit may cover (bounds both ack
+/// latency and the clean suffix a crash inside the commit can lose).
 pub(crate) const DEFAULT_MAX_GROUP_EVENTS: usize = 4096;
 
 /// Tuning knobs for a [`BackgroundWriter`].
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// Channel bound: how many events may sit between the writers and the
-    /// backend before `accept` applies backpressure.
+    /// Queue bound: how many events may sit between the producers and
+    /// the backend before `accept` applies backpressure.
     pub channel_capacity: usize,
-    /// How long a group-commit window stays open after its first staged
-    /// event before its one fsync. Zero (the default) closes every window
-    /// in the pass that opened it: one fsync per batch.
+    /// How long the writer task leaves queued events for a `flush`
+    /// caller to commit before it commits them itself: an upper bound on
+    /// the durability lag of events nobody flushes (an earlier wake-up
+    /// may commit them sooner). Zero (the default) wakes the task at
+    /// once. A full group wakes it at once whatever the window.
     pub group_commit_window: Duration,
-    /// Most events one window may cover before its fsync is forced (≥ 1):
-    /// bounds ack latency, the batch handed to one `record` call and the
-    /// clean suffix a crash inside the window can lose.
+    /// Most events one commit may cover (≥ 1): bounds ack latency, the
+    /// batch handed to one `record` call and the clean suffix a crash
+    /// inside the commit can lose.
     pub max_group_events: usize,
 }
 
@@ -107,29 +107,36 @@ impl PipelineConfig {
 /// [`BackgroundWriter::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Events accepted into the channel.
+    /// Events accepted into the queue.
     pub enqueued: u64,
     /// Events durably recorded by the backend (past its fsync point).
     pub durable: u64,
     /// Events discarded because the writer had already failed.
     pub dropped: u64,
-    /// How many times an `accept` blocked on a full channel.
+    /// How many times an `accept` blocked on a full queue.
     pub backpressure_waits: u64,
-    /// Durability commit points the writer has issued, one per closed
-    /// window; `durable / fsyncs` is the realised amortisation factor.
-    /// (Real `sync_all` calls on file-backed backends; commit points on
-    /// memory ones.)
+    /// Durability commit points the writer has issued, one per commit;
+    /// `durable / fsyncs` is the realised amortisation factor. (Real
+    /// `sync_all` calls on file-backed backends; commit points on memory
+    /// ones.)
     pub fsyncs: u64,
 }
 
-/// Everything the producer side and the writer task share.
+/// Everything the producers, the flush callers and the writer task
+/// share.
 struct Shared {
     state: Mutex<State>,
+    /// Locked only by the one commit in flight (`State::committing`);
+    /// poisoned only by a backend panic, after which nothing is queued.
+    backend: Mutex<Box<dyn StorageBackend + Send>>,
     /// Signalled when queue space frees up.
     not_full: Condvar,
-    /// Signalled when `durable` advances, the writer fails, or the
-    /// shutdown drain completes (`State::closed`).
+    /// Signalled when a commit ends or an event is dropped.
     progress: Condvar,
+    capacity: usize,
+    /// How long `accept` lets the task wait before it commits.
+    window: Duration,
+    group_max: usize,
     /// A failure publishes [`HealthReport::WriterFailed`] here under
     /// `component`.
     health: Arc<RuntimeHealth>,
@@ -138,21 +145,10 @@ struct Shared {
 
 struct State {
     queue: VecDeque<RepoEvent>,
-    capacity: usize,
     shutdown: bool,
-    /// The shutdown drain has completed: every accepted event is durable
-    /// (or the error is sticky) and the writer task will do no more work.
-    closed: bool,
-    /// A `flush` caller is waiting: an open group-commit window should
-    /// close at the next opportunity instead of running out its timer.
-    flush_requested: bool,
-    /// Events recorded on the backend but not yet covered by a
-    /// `flush_durable`.
-    staged: usize,
-    /// When the open group-commit window times out; `None` when no
-    /// window is open. The close is driven by the writer task arming
-    /// itself for this instant, not by a sleeping thread.
-    window_deadline: Option<Instant>,
+    /// A commit is in flight: its group has left `queue` and is not yet
+    /// counted in `stats`.
+    committing: bool,
     /// First backend error, stringified; sticky once set.
     error: Option<String>,
     stats: PipelineStats,
@@ -162,8 +158,8 @@ struct State {
 pub struct BackgroundWriter {
     shared: Arc<Shared>,
     task: SerialTask,
-    /// Keeps the runtime (whose timer closes windows) alive for as long
-    /// as the writer, so a caller may drop its own handle.
+    /// Keeps the runtime (whose pool and timer run the task) alive for
+    /// as long as the writer, so a caller may drop its own handle.
     _runtime: Arc<Runtime>,
 }
 
@@ -176,8 +172,20 @@ impl std::fmt::Debug for BackgroundWriter {
     }
 }
 
-fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, State> {
+fn lock(shared: &Shared) -> MutexGuard<'_, State> {
     shared.state.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn wait<'a>(condvar: &Condvar, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+    condvar.wait(state).unwrap_or_else(|e| e.into_inner())
+}
+
+/// The sticky error, if any, as a flush or shutdown result.
+fn sticky(state: &State) -> Result<(), RepoError> {
+    match &state.error {
+        Some(e) => Err(RepoError::Persist(e.clone())),
+        None => Ok(()),
+    }
 }
 
 impl BackgroundWriter {
@@ -187,7 +195,7 @@ impl BackgroundWriter {
     /// under `component` on the runtime's health channel. The writer
     /// holds its own `Arc` of the runtime.
     pub fn on_runtime<B: StorageBackend + Send + 'static>(
-        mut backend: B,
+        backend: B,
         config: PipelineConfig,
         runtime: &Arc<Runtime>,
         component: &str,
@@ -204,28 +212,25 @@ impl BackgroundWriter {
                 },
             );
         }
-        let window = config.group_commit_window;
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                capacity: config.channel_capacity.max(1),
                 shutdown: false,
-                closed: false,
-                flush_requested: false,
-                staged: 0,
-                window_deadline: None,
+                committing: false,
                 error: None,
                 stats: PipelineStats::default(),
             }),
+            backend: Mutex::new(Box::new(backend)),
             not_full: Condvar::new(),
             progress: Condvar::new(),
+            capacity: config.channel_capacity.max(1),
+            window: config.group_commit_window,
+            group_max: config.max_group_events.max(1),
             health: Arc::clone(runtime.health()),
             component: component.to_string(),
         });
-        let group_max = config.max_group_events.max(1);
         let drive_shared = Arc::clone(&shared);
-        let task = runtime
-            .serial_task(move |task| drive(task, &drive_shared, &mut backend, window, group_max));
+        let task = runtime.serial_task(move |task| drive(task, &drive_shared));
         BackgroundWriter {
             shared,
             task,
@@ -244,74 +249,49 @@ impl BackgroundWriter {
     }
 
     /// Block until every event enqueued before this call is durably
-    /// recorded, then report the writer's health. An open group-commit
-    /// window closes early for a waiting flush, so acknowledgement
-    /// latency is bounded by the in-flight fsync, not the window timer.
+    /// recorded, then report the writer's health. The caller leads: with
+    /// no commit in flight it commits the queue on its own thread, group
+    /// by group, and otherwise waits for the one in flight to end, so
+    /// acknowledgement never waits for the window or for a pool worker.
     /// Any discarded event fails the flush: a backend error and a
     /// post-shutdown delivery both plant a sticky error, so `Ok(())`
     /// really means "everything accepted so far is on the backend".
     pub fn flush(&self) -> Result<(), RepoError> {
-        let target = lock(&self.shared).stats.enqueued;
         let mut state = lock(&self.shared);
+        let target = state.stats.enqueued;
+        // `durable + dropped` only grows, so no wake-up can be lost.
         while state.error.is_none() && state.stats.durable + state.stats.dropped < target {
-            if state.flush_requested {
-                // A pass that sees the flag closes its window, clearing
-                // the flag and signalling `progress` under this lock.
-                state = self
-                    .shared
-                    .progress
-                    .wait(state)
-                    .unwrap_or_else(|e| e.into_inner());
-                continue;
-            }
-            // Re-asserted whenever a window close cleared the flag, not
-            // just once: a window that closed on its group budget (or
-            // covered only events enqueued before ours) may leave this
-            // flusher unacknowledged, and that close may have cleared the
-            // flag while this thread was not yet waiting. Waiting on a
-            // cleared flag would leave the next window to its timer.
-            state.flush_requested = true;
-            drop(state);
+            state = if state.committing {
+                wait(&self.shared.progress, state)
+            } else {
+                commit(&self.shared, state)
+            };
+        }
+        // The task skips its pass while another thread commits; events
+        // queued behind this flush's target are handed back to it.
+        if !state.committing && !state.queue.is_empty() {
             self.task.notify();
-            state = lock(&self.shared);
         }
-        match &state.error {
-            Some(e) => Err(RepoError::Persist(e.clone())),
-            None => Ok(()),
-        }
+        sticky(&state)
     }
 
-    /// Drain the queue, close any open window with its fsync, and wait
-    /// for the writer task to confirm it is done, returning the sticky
-    /// error, if any. Idempotent; also run (result ignored) by `Drop`.
+    /// Commit everything still queued on the calling thread, then wait
+    /// out any task pass, returning the sticky error, if any. Idempotent;
+    /// also run (result ignored) by `Drop`.
     pub fn shutdown(&self) -> Result<(), RepoError> {
-        {
-            let mut state = lock(&self.shared);
-            state.shutdown = true;
-            self.shared.not_full.notify_all();
-        }
-        self.task.notify();
         let mut state = lock(&self.shared);
-        while !state.closed && state.error.is_none() {
-            state = self
-                .shared
-                .progress
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-            if !state.closed && state.error.is_none() {
-                // A pass may have gone idle between our notify and the
-                // shutdown flag landing; make sure another one runs.
-                drop(state);
-                self.task.notify();
-                state = lock(&self.shared);
-            }
+        state.shutdown = true;
+        self.shared.not_full.notify_all();
+        while state.committing || !state.queue.is_empty() {
+            state = if state.committing {
+                wait(&self.shared.progress, state)
+            } else {
+                commit(&self.shared, state)
+            };
         }
-        let result = match &state.error {
-            Some(e) => Err(RepoError::Persist(e.clone())),
-            None => Ok(()),
-        };
+        let result = sticky(&state);
         drop(state);
-        // Wait out any in-flight pass so a failure report has landed on
+        // A pass in flight may still be publishing a failure report on
         // the runtime's channel.
         self.task.wait_idle();
         result
@@ -325,20 +305,21 @@ impl BackgroundWriter {
 
 impl EventSink for BackgroundWriter {
     fn accept(&self, event: &RepoEvent) {
-        {
+        let due = {
             let mut state = lock(&self.shared);
             // One stall = one count, however many condvar wake-ups it
             // takes (notify_all wakes every blocked producer; most loop
             // again).
-            if state.queue.len() >= state.capacity && state.error.is_none() && !state.shutdown {
+            let full = |state: &State| {
+                state.queue.len() >= self.shared.capacity
+                    && state.error.is_none()
+                    && !state.shutdown
+            };
+            if full(&state) {
                 state.stats.backpressure_waits += 1;
             }
-            while state.queue.len() >= state.capacity && state.error.is_none() && !state.shutdown {
-                state = self
-                    .shared
-                    .not_full
-                    .wait(state)
-                    .unwrap_or_else(|e| e.into_inner());
+            while full(&state) {
+                state = wait(&self.shared.not_full, state);
             }
             state.stats.enqueued += 1;
             if state.error.is_some() || state.shutdown {
@@ -354,8 +335,13 @@ impl EventSink for BackgroundWriter {
                 return;
             }
             state.queue.push_back(event.clone());
+            state.queue.len() >= self.shared.group_max.min(self.shared.capacity)
+        };
+        if due || self.shared.window.is_zero() {
+            self.task.notify();
+        } else {
+            self.task.notify_in(self.shared.window);
         }
-        self.task.notify();
     }
 }
 
@@ -365,123 +351,87 @@ impl Drop for BackgroundWriter {
     }
 }
 
-/// Mark the shutdown drain complete (nothing queued, nothing staged)
-/// and wake shutdown waiters. Caller holds the state lock.
-fn confirm_closed(shared: &Shared, state: &mut State) {
-    if state.shutdown && !state.closed {
-        state.closed = true;
-        shared.progress.notify_all();
+/// One pass of the writer task: commit one group of what no flush took,
+/// and re-notify itself while events remain, so sibling tenants on a
+/// shared runtime are never starved. Returns at once if a commit is in
+/// flight (its owner hands leftovers back), the error is sticky or the
+/// queue is empty. Never blocks waiting for work: producers re-notify
+/// it, at once or after the window.
+fn drive(task: &SerialTask, shared: &Shared) {
+    let state = lock(shared);
+    if state.committing || state.error.is_some() || state.queue.is_empty() {
+        return;
     }
-}
-
-/// One pass of the writer task: stage whatever is queued (up to the
-/// group budget), open a window if none is, and close it — with the one
-/// `flush_durable` that makes every staged batch durable at once — when
-/// the budget fills, the deadline passes, shutdown begins, or a flush
-/// caller is waiting on a drained queue. A zero window's deadline has
-/// passed as it opens. Never blocks waiting for work or for the
-/// deadline: producers (`accept`), flush/shutdown callers and the task's
-/// own deadline re-notify it, and it re-notifies itself while work
-/// remains, so sibling tenants on a shared runtime are never starved.
-fn drive<B: StorageBackend>(
-    task: &SerialTask,
-    shared: &Shared,
-    backend: &mut B,
-    window: Duration,
-    group_max: usize,
-) {
-    let (batch, staged_before) = {
-        let mut state = lock(shared);
-        if state.error.is_some() || (state.queue.is_empty() && state.staged == 0) {
-            confirm_closed(shared, &mut state);
-            return;
-        }
-        let n = state.queue.len().min(group_max - state.staged);
-        let batch: Vec<RepoEvent> = state.queue.drain(..n).collect();
-        if n > 0 {
-            shared.not_full.notify_all();
-        }
-        (batch, state.staged)
-    };
-    if !batch.is_empty() {
-        // Staged, not yet durable: `durable` only advances at the fsync
-        // below, so flush waiters cannot be acknowledged early.
-        if let Err(e) = backend.record(&batch) {
-            fail(shared, staged_before + batch.len(), e);
-            return;
-        }
-    }
-    let mut state = lock(shared);
-    state.staged += batch.len();
-    let now = Instant::now();
-    let deadline = *state.window_deadline.get_or_insert(now + window);
-    let close = state.staged >= group_max
-        || state.shutdown
-        || (state.flush_requested && state.queue.is_empty())
-        || now >= deadline;
-    if close {
-        let staged = state.staged;
-        drop(state);
-        // The window's single fsync point, covering every staged batch.
-        if let Err(e) = backend.flush_durable() {
-            fail(shared, staged, e);
-            return;
-        }
-        let mut state = lock(shared);
-        state.stats.durable += staged as u64;
-        state.stats.fsyncs += 1;
-        state.staged = 0;
-        state.window_deadline = None;
-        state.flush_requested = false;
-        shared.progress.notify_all();
-    } else {
-        drop(state);
-        // Re-armed on every pass that leaves the window open: the task
-        // keeps only its earliest deadline, which may be a stale one from
-        // a window a flush closed early, so the pass it wakes re-arms
-        // the rest of this window's time.
-        task.notify_in(deadline - now);
-    }
-    let more = {
-        let state = lock(shared);
-        state.error.is_none() && (!state.queue.is_empty() || (state.shutdown && !state.closed))
-    };
-    if more {
+    if !commit(shared, state).queue.is_empty() {
         task.notify();
     }
 }
 
-/// The writer failed with `in_flight` events handed to the backend but
-/// not durable (a durable *prefix* of them may exist on disk; recovery
-/// reconciles via the primary's journal). They and everything still
-/// queued are lost and counted; the error turns sticky and is published
-/// as [`HealthReport::WriterFailed`]. Runs at most once per writer: every
-/// later pass sees the sticky error and returns.
-fn fail(shared: &Shared, in_flight: usize, e: RepoError) {
-    let error = e.to_string();
-    {
-        let mut state = lock(shared);
-        state.stats.dropped += in_flight as u64;
-        state.stats.dropped += state.queue.len() as u64;
-        state.queue.clear();
-        if state.error.is_none() {
-            state.error = Some(error.clone());
+/// The one commit, and the only caller of `record` and `flush_durable`:
+/// take up to `group_max` queued events, stage them and make them
+/// durable with one fsync, then count them and wake every waiter. The
+/// caller holds the state lock with no commit in flight; the lock is
+/// released while the backend works, so producers keep queueing the
+/// next group.
+fn commit<'a>(shared: &'a Shared, mut state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+    let n = state.queue.len().min(shared.group_max);
+    let group: Vec<RepoEvent> = state.queue.drain(..n).collect();
+    state.committing = true;
+    shared.not_full.notify_all();
+    drop(state);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut backend = shared.backend.lock().unwrap_or_else(|e| e.into_inner());
+        backend.record(&group)?;
+        backend.flush_durable()
+    }));
+    let mut state = lock(shared);
+    state.committing = false;
+    let error = match &outcome {
+        Ok(Ok(())) => None,
+        Ok(Err(e)) => Some(e.to_string()),
+        Err(_) => Some("storage backend panicked".to_string()),
+    };
+    let failed = match error {
+        None => {
+            state.stats.durable += n as u64;
+            state.stats.fsyncs += 1;
+            None
         }
-        state.flush_requested = false;
-        state.staged = 0;
-        state.window_deadline = None;
-        shared.not_full.notify_all();
-        shared.progress.notify_all();
+        // A backend error or panic loses the group and everything still
+        // queued, counted (a durable *prefix* of the group may be on
+        // disk; recovery reconciles via the primary's journal). The
+        // first error turns sticky and is published once.
+        Some(error) => {
+            state.stats.dropped += (n + state.queue.len()) as u64;
+            state.queue.clear();
+            shared.not_full.notify_all();
+            let first = state.error.is_none().then(|| error.clone());
+            state.error.get_or_insert(error);
+            first
+        }
+    };
+    shared.progress.notify_all();
+    if let Some(error) = failed {
+        // Outside the lock: an observer may call back into the writer.
+        drop(state);
+        let report = HealthReport::WriterFailed { error };
+        shared.health.report(&shared.component, report);
+        state = lock(shared);
     }
-    // Outside the lock: an observer may call back into the writer.
-    shared
-        .health
-        .report(&shared.component, HealthReport::WriterFailed { error });
+    if let Err(panic) = outcome {
+        // The panic goes on to the caller, leaving the lock unpoisoned.
+        drop(state);
+        resume_unwind(panic);
+    }
+    state
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Instant;
+
     use crate::principal::Principal;
     use crate::repo::Repository;
     use crate::storage::MemoryBackend;
@@ -744,9 +694,8 @@ mod tests {
     fn flush_spanning_multiple_group_budgets_is_not_stranded() {
         let storage = SharedMemory::default();
         // A tiny group budget forces the flusher's events across several
-        // windows; each window fsync clears `flush_requested`, so the
-        // flusher must re-arm it or the last window waits out the 600 s
-        // timer and this test hangs.
+        // commits; the flusher must lead every one of them, or the last
+        // group waits out the 600 s window and this test hangs.
         let writer = Arc::new(BackgroundWriter::on_runtime(
             storage.clone(),
             PipelineConfig {
@@ -786,11 +735,12 @@ mod tests {
 
     #[test]
     fn a_window_after_one_a_flush_closed_early_still_times_out() {
-        // The first window's deadline stays armed after the flush closes
-        // it; the second window, opened before that deadline, cannot arm
-        // its own (the earliest deadline wins). The pass the stale one
-        // wakes must re-arm the rest of the second window, or it stays
-        // open until the next producer or flush.
+        // The first event arms the task's window; the flush commits it
+        // on its own thread, but that deadline stays armed. The second
+        // batch, queued before that deadline, cannot arm its own (the
+        // earliest deadline wins), so the pass the first one wakes must
+        // commit it: the window is an upper bound on the lag of events
+        // nobody flushes, not a fixed delay.
         let window = Duration::from_millis(200);
         let storage = SharedMemory::default();
         let writer = BackgroundWriter::on_runtime(
@@ -801,8 +751,8 @@ mod tests {
         );
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
-        // Let the pass open the first window and arm its deadline before
-        // the flush closes it.
+        // Let the first deadline run part of its course before the flush
+        // commits what it was armed for.
         std::thread::sleep(window / 4);
         writer.flush().unwrap();
         repo.register(Principal::member("alice")).unwrap();
@@ -818,7 +768,7 @@ mod tests {
             "the second window took {:?}",
             opened.elapsed()
         );
-        assert_eq!(writer.stats().fsyncs, 2, "one flush close, one timeout");
+        assert_eq!(writer.stats().fsyncs, 2, "one flush commit, one timeout");
         assert_eq!(
             storage.0.lock().unwrap().restore().unwrap(),
             repo.snapshot()
@@ -995,5 +945,179 @@ mod tests {
         let failures = failures(&runtime, "writer");
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("disk on fire"));
+    }
+
+    /// A backend whose every `record` panics: a bug, not an I/O error.
+    struct PanickingBackend;
+
+    impl StorageBackend for PanickingBackend {
+        fn record(&mut self, _events: &[RepoEvent]) -> Result<(), RepoError> {
+            panic!("backend bug");
+        }
+        fn checkpoint(
+            &mut self,
+            _snapshot: &crate::repo::RepositorySnapshot,
+        ) -> Result<(), RepoError> {
+            Ok(())
+        }
+        fn restore(&self) -> Result<crate::repo::RepositorySnapshot, RepoError> {
+            Ok(crate::repo::RepositorySnapshot::empty(""))
+        }
+    }
+
+    /// Run `body` on a helper thread and wait at most 5 s for its result:
+    /// a call that hangs comes back as `Err` instead of hanging the test
+    /// (the thread is left detached, since a hung one cannot be joined).
+    fn within<T: Send + 'static>(
+        body: impl FnOnce() -> T + Send + 'static,
+    ) -> Result<T, mpsc::RecvTimeoutError> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(body()));
+        rx.recv_timeout(Duration::from_secs(5))
+    }
+
+    #[test]
+    fn a_panicking_backend_fails_the_writer_instead_of_hanging_every_flush() {
+        let runtime = Runtime::new(1);
+        let events = Repository::found("bx", vec![Principal::curator("c")]).drain_events();
+
+        // The task commits and panics: the pool survives the unwind, and
+        // the writer must count the loss and fail rather than strand
+        // every later flush on a group that is never counted.
+        let writer = Arc::new(BackgroundWriter::on_runtime(
+            PanickingBackend,
+            PipelineConfig::default(),
+            &runtime,
+            "task",
+        ));
+        writer.enqueue(&events);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while runtime.pool_stats().panics_caught == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(runtime.pool_stats().panics_caught, 1, "the task committed");
+        let flusher = Arc::clone(&writer);
+        let flushed = within(move || flusher.flush()).expect("a flush after a task panic hung");
+        assert!(matches!(flushed, Err(RepoError::Persist(ref m)) if m.contains("panicked")));
+        assert_eq!(writer.stats().dropped, writer.stats().enqueued);
+        let failed = failures(&runtime, "task");
+        assert!(
+            failed.len() == 1 && failed[0].contains("panicked"),
+            "{failed:?}"
+        );
+
+        // A flush leads its own commit and the panic unwinds on its own
+        // thread; the writer is failed, not wedged in a commit that
+        // never ends, so every later flush and the shutdown return.
+        let leader = Arc::new(BackgroundWriter::on_runtime(
+            PanickingBackend,
+            PipelineConfig::group_commit(Duration::from_secs(600)),
+            &runtime,
+            "leader",
+        ));
+        leader.enqueue(&events);
+        let first = Arc::clone(&leader);
+        let unwound =
+            within(move || std::panic::catch_unwind(AssertUnwindSafe(|| first.flush())).is_err());
+        assert!(
+            unwound.expect("the leading flush hung"),
+            "the panic reaches the leader"
+        );
+        let second = Arc::clone(&leader);
+        assert!(within(move || second.flush())
+            .expect("a later flush hung")
+            .is_err());
+        let closer = Arc::clone(&leader);
+        assert!(within(move || closer.shutdown())
+            .expect("shutdown hung")
+            .is_err());
+
+        let failed = failures(&runtime, "leader");
+        assert!(
+            failed.len() == 1 && failed[0].contains("panicked"),
+            "{failed:?}"
+        );
+    }
+
+    #[test]
+    fn a_flush_commits_on_its_own_thread() {
+        // Park the runtime's only worker: the writer task cannot run, so
+        // only a flush that commits on its caller's thread returns.
+        let runtime = Runtime::new(1);
+        let (release, parked) = mpsc::channel::<()>();
+        let (started, worker_busy) = mpsc::channel::<()>();
+        let pool = Arc::clone(&runtime);
+        let blocker = std::thread::spawn(move || {
+            pool.scatter(vec![Box::new(move || {
+                started.send(()).unwrap();
+                parked.recv().ok();
+            }) as Box<dyn FnOnce() + Send>]);
+        });
+        worker_busy.recv().unwrap();
+
+        let storage = SharedMemory::default();
+        let writer = Arc::new(BackgroundWriter::on_runtime(
+            storage.clone(),
+            PipelineConfig::default(),
+            &runtime,
+            "writer",
+        ));
+        let repo = Repository::found("bx", vec![Principal::curator("c")]);
+        writer.enqueue(&repo.drain_events());
+        let flusher = Arc::clone(&writer);
+        let flushed = within(move || flusher.flush());
+        let recorded = storage.0.lock().unwrap().restore().unwrap();
+        // Free the worker before asserting, so a failure cannot wedge
+        // the writer's shutdown on it.
+        release.send(()).unwrap();
+        blocker.join().unwrap();
+        assert!(flushed.expect("the flush waited for a worker").is_ok());
+        assert_eq!(recorded, repo.snapshot());
+        writer.shutdown().unwrap();
+    }
+
+    #[test]
+    fn concurrent_flushers_share_commits_and_converge_on_disk() {
+        let dir = crate::test_support::unique_dir("pipe-leaders");
+        let runtime = Runtime::new(2);
+        let backend = crate::storage::EventLogBackend::open(&dir).unwrap();
+        let writer = Arc::new(BackgroundWriter::on_runtime(
+            backend,
+            PipelineConfig::default(),
+            &runtime,
+            "writer",
+        ));
+        let repo = Arc::new(Repository::found("bx", vec![Principal::curator("c")]));
+        writer.enqueue(&repo.drain_events());
+        repo.subscribe(writer.clone());
+        repo.register(Principal::member("alice")).unwrap();
+        let id = repo.contribute("alice", entry("COMPOSERS")).unwrap();
+        let threads: Vec<_> = (0..8)
+            .map(|t| {
+                let (repo, writer, id) = (Arc::clone(&repo), Arc::clone(&writer), id.clone());
+                std::thread::spawn(move || {
+                    for step in 0..50 {
+                        repo.comment("alice", &id, "2014-03-28", &format!("t{t} s{step}"))
+                            .unwrap();
+                        writer.flush().unwrap();
+                    }
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        let stats = writer.stats();
+        assert_eq!(stats.durable, stats.enqueued);
+        assert!(
+            stats.fsyncs < stats.durable,
+            "concurrent flushers share commits: {} fsyncs for {} events",
+            stats.fsyncs,
+            stats.durable
+        );
+        writer.shutdown().unwrap();
+        let cold = crate::storage::EventLogBackend::open(&dir).unwrap();
+        assert_eq!(cold.restore().unwrap(), repo.snapshot());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -29,7 +29,7 @@
 //!   crate-private list that one lazy `bx-timer` thread drains, waking
 //!   the task *onto the pool*; the timer thread never runs tenant work.
 //!   The work closure receives its own task, so a tenant re-arms itself
-//!   (the writer's window close, the daemon's next pass, the law
+//!   (the writer's next group, the daemon's next pass, the law
 //!   checker's next bounded batch) without holding a handle to itself.
 //!
 //! * **[`RuntimeHealth`]** — the unified health channel. It carries only

@@ -29,8 +29,8 @@
 //! *every* batch staged since the last call durable at once. A batch is
 //! acknowledged only after a `flush_durable` that covers it. This is
 //! what lets [`crate::pipeline::BackgroundWriter`] amortise one fsync
-//! over an entire group-commit window of concurrent producers; a
-//! one-shot caller records and then flushes.
+//! over every event concurrent producers queued while the commit before
+//! it ran; a one-shot caller records and then flushes.
 //!
 //! ## The checkpoint manifest
 //!
@@ -950,8 +950,8 @@ impl<C: Codec> StorageBackend for SegmentedLog<C> {
     }
 
     /// One fsync covering every batch staged since the last call. A no-op
-    /// when nothing is staged. Segments sealed mid-window were fsynced as
-    /// they rolled, so only the live segment needs syncing.
+    /// when nothing is staged. Segments sealed since the last call were
+    /// fsynced as they rolled, so only the live segment needs syncing.
     fn flush_durable(&mut self) -> Result<(), RepoError> {
         if self.dirty {
             self.sync()?;

@@ -45,10 +45,10 @@ fn main() {
         },
     )
     .expect("event log opens");
-    // Group-commit durability: the writer task holds a 2 ms fsync
-    // window open, so concurrent commits share one `sync_all` instead of
-    // paying one each; `flush()` still blocks until *our* events are
-    // durable (a waiting flush closes the window early).
+    // Group-commit durability: events queued while one commit runs
+    // share the next `sync_all` instead of paying one each. `flush()`
+    // commits *our* events on this thread and blocks until they are
+    // durable; the writer task commits what no flush takes within 2 ms.
     let writer = Arc::new(BackgroundWriter::on_runtime(
         backend,
         PipelineConfig::group_commit(Duration::from_millis(2)),

@@ -1,6 +1,6 @@
 //! The group-commit durability pipeline end to end over real files:
-//! concurrent producers converge through one fsync per window (the
-//! writer's own counters show the amortisation), the window composes
+//! concurrent producers converge through shared fsyncs (the writer's
+//! own counters show the amortisation), group commit composes
 //! with auto-compaction's generation rolls, and the per-batch default
 //! stays exactly as durable as it always was.
 
@@ -151,8 +151,8 @@ fn per_batch_default_remains_one_call_durable() {
         stats.fsyncs <= stats.durable,
         "never more than one per batch"
     );
-    // A batch flushed on its own costs exactly one fsync: the default
-    // window is zero, so the pass that stages a batch also makes it
+    // A batch flushed on its own costs exactly one fsync: one commit,
+    // by the flush or by the task it woke, stages it and makes it
     // durable.
     for i in 0..4 {
         let before = writer.stats().fsyncs;

@@ -129,9 +129,9 @@ fn mid_window_kill_keeps_acknowledged_events_and_loses_a_clean_suffix() {
     let repo = scripted_repository();
     let mut all_events = repo.drain_events();
 
-    // Window timer far beyond the test: only flush/shutdown close
-    // windows, so the window boundaries are deterministic. The fsync
-    // fuse burns at the *second* window's commit point.
+    // Window timer far beyond the test: only flush/shutdown commit, each
+    // on its own thread, so the group boundaries are deterministic. The
+    // fsync fuse burns at the *second* commit's fsync point.
     let backend = CrashingBackend::fail_at_flush(EventLogBackend::open(&dir).unwrap(), 1);
     let writer = Arc::new(BackgroundWriter::on_runtime(
         backend,
