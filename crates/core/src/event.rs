@@ -193,42 +193,53 @@ pub fn apply_event(state: &mut RepositorySnapshot, event: &RepoEvent) {
             }
         }
         RepoEvent::Contributed(d) => {
-            state.records.insert(
-                d.id.clone(),
-                EntryRecord {
-                    status: EntryStatus::Provisional,
-                    history: vec![d.entry.clone()],
-                },
-            );
+            state.records.insert(d.id.clone(), contributed(d));
         }
-        RepoEvent::Revised(d) => {
-            if let Some(record) = state.records.get_mut(&d.id) {
-                record.history.push(d.entry.clone());
-                record.status = EntryStatus::Provisional;
+        RepoEvent::Revised(_)
+        | RepoEvent::Approved(_)
+        | RepoEvent::Commented(_)
+        | RepoEvent::ReviewRequested(_)
+        | RepoEvent::ChangesRequested(_) => {
+            if let Some(record) = event.touched().and_then(|id| state.records.get_mut(id)) {
+                advance(record, event);
             }
+        }
+    }
+}
+
+/// The record a `Contributed` event starts.
+fn contributed(d: &EntryDelta) -> EntryRecord {
+    EntryRecord {
+        status: EntryStatus::Provisional,
+        history: vec![d.entry.clone()],
+    }
+}
+
+/// Advance an existing record by one of the five per-entry events that
+/// follow its `Contributed`: the one statement of those transitions, for
+/// the sequential fold and the sharded one alike.
+fn advance(record: &mut EntryRecord, event: &RepoEvent) {
+    match event {
+        RepoEvent::Revised(d) => {
+            record.history.push(d.entry.clone());
+            record.status = EntryStatus::Provisional;
         }
         RepoEvent::Approved(d) => {
-            if let Some(record) = state.records.get_mut(&d.id) {
-                record.history.push(d.entry.clone());
-                record.status = EntryStatus::Approved;
-            }
+            record.history.push(d.entry.clone());
+            record.status = EntryStatus::Approved;
         }
         RepoEvent::Commented(c) => {
-            if let Some(record) = state.records.get_mut(&c.id) {
-                if let Some(latest) = record.history.last_mut() {
-                    latest.comments.push(c.comment.clone());
-                }
+            if let Some(latest) = record.history.last_mut() {
+                latest.comments.push(c.comment.clone());
             }
         }
-        RepoEvent::ReviewRequested(r) => {
-            if let Some(record) = state.records.get_mut(&r.id) {
-                record.status = EntryStatus::UnderReview;
-            }
-        }
-        RepoEvent::ChangesRequested(r) => {
-            if let Some(record) = state.records.get_mut(&r.id) {
-                record.status = EntryStatus::Provisional;
-            }
+        RepoEvent::ReviewRequested(_) => record.status = EntryStatus::UnderReview,
+        RepoEvent::ChangesRequested(_) => record.status = EntryStatus::Provisional,
+        RepoEvent::Founded(_)
+        | RepoEvent::Registered(_)
+        | RepoEvent::RoleGranted(_)
+        | RepoEvent::Contributed(_) => {
+            unreachable!("only events on an existing entry advance its record")
         }
     }
 }
@@ -254,45 +265,10 @@ pub fn replay(mut base: RepositorySnapshot, events: &[RepoEvent]) -> RepositoryS
 /// (`Founded`/`Registered`/`RoleGranted`) are not per-entry and must not
 /// reach this function.
 fn apply_to_record(slot: &mut Option<EntryRecord>, event: &RepoEvent) {
-    match event {
-        RepoEvent::Contributed(d) => {
-            *slot = Some(EntryRecord {
-                status: EntryStatus::Provisional,
-                history: vec![d.entry.clone()],
-            });
-        }
-        RepoEvent::Revised(d) => {
-            if let Some(record) = slot {
-                record.history.push(d.entry.clone());
-                record.status = EntryStatus::Provisional;
-            }
-        }
-        RepoEvent::Approved(d) => {
-            if let Some(record) = slot {
-                record.history.push(d.entry.clone());
-                record.status = EntryStatus::Approved;
-            }
-        }
-        RepoEvent::Commented(c) => {
-            if let Some(record) = slot {
-                if let Some(latest) = record.history.last_mut() {
-                    latest.comments.push(c.comment.clone());
-                }
-            }
-        }
-        RepoEvent::ReviewRequested(_) => {
-            if let Some(record) = slot {
-                record.status = EntryStatus::UnderReview;
-            }
-        }
-        RepoEvent::ChangesRequested(_) => {
-            if let Some(record) = slot {
-                record.status = EntryStatus::Provisional;
-            }
-        }
-        RepoEvent::Founded(_) | RepoEvent::Registered(_) | RepoEvent::RoleGranted(_) => {
-            unreachable!("account events are barriers, never sharded")
-        }
+    if let RepoEvent::Contributed(d) = event {
+        *slot = Some(contributed(d));
+    } else if let Some(record) = slot {
+        advance(record, event);
     }
 }
 

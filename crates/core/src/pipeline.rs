@@ -158,9 +158,6 @@ struct State {
 pub struct BackgroundWriter {
     shared: Arc<Shared>,
     task: SerialTask,
-    /// Keeps the runtime (whose pool and timer run the task) alive for
-    /// as long as the writer, so a caller may drop its own handle.
-    _runtime: Arc<Runtime>,
 }
 
 impl std::fmt::Debug for BackgroundWriter {
@@ -193,7 +190,8 @@ impl BackgroundWriter {
     /// one serialized task among the runtime's tenants instead of owning
     /// a thread, and a failure publishes [`HealthReport::WriterFailed`]
     /// under `component` on the runtime's health channel. The writer
-    /// holds its own `Arc` of the runtime.
+    /// keeps the runtime's pool and health channel alive, so a caller
+    /// may drop its own runtime handle.
     pub fn on_runtime<B: StorageBackend + Send + 'static>(
         backend: B,
         config: PipelineConfig,
@@ -231,11 +229,7 @@ impl BackgroundWriter {
         });
         let drive_shared = Arc::clone(&shared);
         let task = runtime.serial_task(move |task| drive(task, &drive_shared));
-        BackgroundWriter {
-            shared,
-            task,
-            _runtime: Arc::clone(runtime),
-        }
+        BackgroundWriter { shared, task }
     }
 
     /// Enqueue a batch directly — the backfill path for events that

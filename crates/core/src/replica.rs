@@ -1349,9 +1349,6 @@ impl DaemonShared {
 pub struct ReplicaDaemon {
     shared: Arc<DaemonShared>,
     task: Option<SerialTask>,
-    /// Keeps the runtime alive for as long as the daemon, so a caller may
-    /// drop its own handle. Dropped after the task is.
-    _runtime: Arc<Runtime>,
 }
 
 impl std::fmt::Debug for ReplicaDaemon {
@@ -1401,7 +1398,6 @@ impl ReplicaDaemon {
         ReplicaDaemon {
             shared,
             task: Some(task),
-            _runtime: Arc::clone(runtime),
         }
     }
 

@@ -25,9 +25,10 @@
 //!   delay (the crate-private `SerialTask::notify_in`).
 //!   Wake-ups coalesce: a `notify()` while a run is in progress marks one
 //!   re-run instead of queueing a duplicate, and a task holds at most one
-//!   armed deadline, the earliest asked for. Deadlines live on a short
-//!   crate-private list that one lazy `bx-timer` thread drains, waking
-//!   the task *onto the pool*; the timer thread never runs tenant work.
+//!   armed deadline, the earliest asked for. Deadlines wait in the
+//!   pool's queue beside its jobs: an idle worker sleeps until the
+//!   earliest one and wakes the due tasks onto the pool itself, so the
+//!   runtime has no thread but its workers.
 //!   The work closure receives its own task, so a tenant re-arms itself
 //!   (the writer's next group, the daemon's next pass, the law
 //!   checker's next bounded batch) without holding a handle to itself.
@@ -54,7 +55,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -82,10 +83,20 @@ pub struct PoolStats {
     pub panics_caught: u64,
 }
 
+/// What the workers wait on: jobs to run and deadlines to fire.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Armed wake-ups, at most one per task; a handful of tenants, so a
+    /// plain list. Weak: a deadline never keeps its task alive, so a
+    /// wake for a dropped task lapses.
+    deadlines: Vec<(Instant, Weak<SerialInner>)>,
+}
+
 /// State shared between the pool handle and its workers.
 struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
-    /// Signalled when a job is enqueued or shutdown begins.
+    queue: Mutex<Queue>,
+    /// Signalled when a job is enqueued, a deadline becomes the earliest
+    /// or shutdown begins.
     available: Condvar,
     shutdown: AtomicBool,
     jobs_run: AtomicU64,
@@ -98,9 +109,10 @@ struct PoolShared {
 /// Dropping the pool signals shutdown and joins every worker: jobs
 /// already dequeued run to completion, queued-but-unstarted jobs are
 /// still drained (the queue is emptied before workers exit), so no
-/// submitted work is silently lost. A panicking job never kills its
-/// worker: the unwind is caught in the worker loop, counted, and the
-/// thread returns to draining the queue.
+/// submitted work is silently lost; armed deadlines lapse. Every task
+/// holds the pool, so by then no task that could be woken is left. A
+/// panicking job never kills its worker: the unwind is caught in the
+/// worker loop, counted, and the thread returns to draining the queue.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -121,7 +133,10 @@ impl WorkerPool {
     pub(crate) fn named(prefix: &str, threads: usize) -> WorkerPool {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                deadlines: Vec::new(),
+            }),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             jobs_run: AtomicU64::new(0),
@@ -130,10 +145,13 @@ impl WorkerPool {
         let workers = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                Self::spawn_named(&format!("{prefix}-{i}"), move || {
-                    IN_POOL_WORKER.with(|f| f.set(true));
-                    Self::work(&shared)
-                })
+                std::thread::Builder::new()
+                    .name(format!("{prefix}-{i}"))
+                    .spawn(move || {
+                        IN_POOL_WORKER.with(|f| f.set(true));
+                        Self::work(&shared)
+                    })
+                    .expect("spawning a worker thread succeeds")
             })
             .collect();
         WorkerPool { shared, workers }
@@ -159,24 +177,28 @@ impl WorkerPool {
         IN_POOL_WORKER.with(|f| f.get())
     }
 
-    /// Spawn one named OS thread (the naming discipline every bx-core
-    /// background thread follows: the workers and the timer thread).
-    fn spawn_named<T: Send + 'static>(
-        name: &str,
-        f: impl FnOnce() -> T + Send + 'static,
-    ) -> JoinHandle<T> {
-        std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(f)
-            .expect("spawning a worker thread succeeds")
-    }
-
     /// Enqueue one fire-and-forget job.
     pub(crate) fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-        queue.push_back(Box::new(job));
-        drop(queue);
+        self.shared.lock().jobs.push_back(Box::new(job));
         self.shared.available.notify_one();
+    }
+
+    /// Arm `task` for `at`, unless it already holds an earlier deadline.
+    /// Idle workers all sleep until the earliest deadline, so only a new
+    /// earliest one has to wake them to re-time their sleep.
+    fn arm(&self, task: &Arc<SerialInner>, at: Instant) {
+        let mut queue = self.shared.lock();
+        let earliest = queue.deadlines.iter().map(|(armed, _)| *armed).min();
+        let mine = Arc::as_ptr(task);
+        match queue.deadlines.iter_mut().find(|(_, t)| t.as_ptr() == mine) {
+            Some((armed, _)) if *armed <= at => return,
+            Some((armed, _)) => *armed = at,
+            None => queue.deadlines.push((at, Arc::downgrade(task))),
+        }
+        drop(queue);
+        if earliest.is_none_or(|earliest| at < earliest) {
+            self.shared.available.notify_all();
+        }
     }
 
     /// Run a batch of jobs to completion and return their results **in
@@ -258,31 +280,69 @@ impl WorkerPool {
         results
     }
 
-    /// The worker loop: drain jobs until shutdown *and* the queue is
-    /// empty (queued work is never dropped). A panicking job is caught
-    /// and counted; the worker stays alive.
+    /// The worker loop. Each pass, under the queue lock: fire the due
+    /// deadlines, else run one job, else return at shutdown (queued jobs
+    /// always drain first), else sleep until a job, the earliest
+    /// deadline or shutdown. Deadlines come before jobs, so a worker
+    /// kept busy by a stream of jobs still fires them. A panicking job
+    /// is caught and counted; the worker stays alive.
     fn work(shared: &PoolShared) {
+        let mut queue = shared.lock();
         loop {
-            let job = {
-                let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if let Some(job) = queue.pop_front() {
-                        break job;
-                    }
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    queue = shared
+            let now = Instant::now();
+            let due: Vec<Weak<SerialInner>> = queue
+                .deadlines
+                .extract_if(.., |(at, _)| *at <= now)
+                .map(|(_, task)| task)
+                .collect();
+            if !due.is_empty() {
+                // Unlock first: `notify` takes the task's state lock,
+                // then this one to enqueue the run. Nothing takes this
+                // lock and then a task's state lock, so that order
+                // cannot deadlock.
+                drop(queue);
+                for task in due.iter().filter_map(Weak::upgrade) {
+                    SerialInner::notify(&task);
+                }
+            } else if let Some(job) = queue.jobs.pop_front() {
+                drop(queue);
+                if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                    shared.panics_caught.fetch_add(1, Ordering::Relaxed);
+                }
+                shared.jobs_run.fetch_add(1, Ordering::Relaxed);
+            } else if shared.shutdown.load(Ordering::Acquire) {
+                return;
+            } else {
+                // No lost wake-up: this worker has held the lock since
+                // it looked for deadlines, jobs and shutdown, and
+                // `execute`, `arm` and the pool's `drop` change those
+                // under the same lock before they notify, so each change either
+                // came before the look or finds this worker waiting.
+                // Every idle worker waits for the earliest deadline,
+                // and `arm` wakes them all when that moves earlier.
+                queue = match queue.deadlines.iter().map(|(at, _)| *at).min() {
+                    None => shared
                         .available
                         .wait(queue)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            };
-            if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                shared.panics_caught.fetch_add(1, Ordering::Relaxed);
+                        .unwrap_or_else(|e| e.into_inner()),
+                    Some(at) => {
+                        shared
+                            .available
+                            .wait_timeout(queue, at - now)
+                            .unwrap_or_else(|e| e.into_inner())
+                            .0
+                    }
+                };
+                continue;
             }
-            shared.jobs_run.fetch_add(1, Ordering::Relaxed);
+            queue = shared.lock();
         }
+    }
+}
+
+impl PoolShared {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -295,7 +355,7 @@ impl Drop for WorkerPool {
             // (and gets the notify). An unlocked store could land between
             // a worker's check and its wait; that worker would sleep
             // through the notify and `join` below would never return.
-            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let _queue = self.shared.lock();
             self.shared.shutdown.store(true, Ordering::Release);
         }
         self.shared.available.notify_all();
@@ -462,129 +522,6 @@ impl RuntimeHealth {
 }
 
 // ---------------------------------------------------------------------------
-// Deadlines
-// ---------------------------------------------------------------------------
-
-/// One armed wake-up. Weak: a deadline never keeps its task alive, so a
-/// wake for a dropped task simply lapses.
-struct Deadline {
-    at: Instant,
-    task: Weak<SerialInner>,
-}
-
-struct DeadlineState {
-    /// At most one entry per task; a handful of tenants, so a plain list.
-    entries: Vec<Deadline>,
-    shutdown: bool,
-}
-
-/// The runtime's deadline list, drained by one lazy `bx-timer` thread
-/// that wakes due tasks onto the pool. Private to the runtime; reached
-/// through `SerialTask::notify_in`.
-struct Deadlines {
-    state: Mutex<DeadlineState>,
-    /// Wakes the timer thread when a deadline moves earlier or shutdown
-    /// begins.
-    changed: Condvar,
-    thread: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Deadlines {
-    fn new() -> Arc<Deadlines> {
-        Arc::new(Deadlines {
-            state: Mutex::new(DeadlineState {
-                entries: Vec::new(),
-                shutdown: false,
-            }),
-            changed: Condvar::new(),
-            thread: Mutex::new(None),
-        })
-    }
-
-    /// Arm `task` for `at`, unless it already holds an earlier deadline,
-    /// and make sure the timer thread exists.
-    fn arm(this: &Arc<Deadlines>, task: &Arc<SerialInner>, at: Instant) {
-        {
-            let mut state = this.state.lock().unwrap_or_else(|e| e.into_inner());
-            if state.shutdown {
-                return;
-            }
-            let mine = Arc::as_ptr(task);
-            match state.entries.iter_mut().find(|d| d.task.as_ptr() == mine) {
-                Some(armed) if armed.at <= at => return,
-                Some(armed) => armed.at = at,
-                None => state.entries.push(Deadline {
-                    at,
-                    task: Arc::downgrade(task),
-                }),
-            }
-        }
-        this.changed.notify_all();
-        let mut thread = this.thread.lock().unwrap_or_else(|e| e.into_inner());
-        if thread.is_none() {
-            let deadlines = Arc::clone(this);
-            *thread = Some(WorkerPool::spawn_named("bx-timer", move || deadlines.run()));
-        }
-    }
-
-    /// The timer thread: sleep until the earliest deadline, then notify
-    /// every due task that still exists.
-    fn run(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if state.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            let mut due = Vec::new();
-            state.entries.retain(|d| {
-                let keep = d.at > now;
-                if !keep {
-                    due.push(d.task.clone());
-                }
-                keep
-            });
-            if !due.is_empty() {
-                // Notify outside the lock: a run may re-arm at once.
-                drop(state);
-                for task in due.iter().filter_map(Weak::upgrade) {
-                    SerialInner::notify(&task);
-                }
-                state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-                continue;
-            }
-            state = match state.entries.iter().map(|d| d.at).min() {
-                None => self.changed.wait(state).unwrap_or_else(|e| e.into_inner()),
-                Some(at) => {
-                    self.changed
-                        .wait_timeout(state, at - now)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-            };
-        }
-    }
-
-    /// Stop the timer thread (pending deadlines lapse) and join it,
-    /// unless this *is* the timer thread: a task it woke can hold the
-    /// last `Arc<Runtime>`.
-    fn shut_down(&self) {
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.shutdown = true;
-            state.entries.clear();
-        }
-        self.changed.notify_all();
-        let thread = self.thread.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(thread) = thread {
-            if thread.thread().id() != std::thread::current().id() {
-                let _ = thread.join();
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Serialized tasks
 // ---------------------------------------------------------------------------
 
@@ -605,7 +542,6 @@ struct SerialInner {
     state: Mutex<SerialState>,
     idle: Condvar,
     pool: Arc<WorkerPool>,
-    deadlines: Arc<Deadlines>,
 }
 
 impl SerialInner {
@@ -690,7 +626,7 @@ impl SerialTask {
     /// run the earlier one causes. Dropping the task lets its deadline
     /// lapse.
     pub(crate) fn notify_in(&self, delay: Duration) {
-        Deadlines::arm(&self.inner.deadlines, &self.inner, Instant::now() + delay);
+        self.inner.pool.arm(&self.inner, Instant::now() + delay);
     }
 
     /// Block until no run is scheduled or in progress. A deadline armed
@@ -710,12 +646,12 @@ impl SerialTask {
     /// Deadlines armed for this task and not yet fired.
     #[cfg(test)]
     fn pending_deadlines(&self) -> usize {
-        let state = self.inner.deadlines.state.lock().unwrap();
+        let queue = self.inner.pool.shared.lock();
         let mine = Arc::as_ptr(&self.inner);
-        state
-            .entries
+        queue
+            .deadlines
             .iter()
-            .filter(|d| d.task.as_ptr() == mine)
+            .filter(|(_, task)| task.as_ptr() == mine)
             .count()
     }
 }
@@ -724,17 +660,17 @@ impl SerialTask {
 // Runtime
 // ---------------------------------------------------------------------------
 
-/// The shared background runtime: one bounded worker pool, one deadline
-/// list, one [`RuntimeHealth`] channel. Components "rent" capacity — the
-/// durability writer, the replica daemon and the law checker as
-/// [`SerialTask`]s, parallel restore as `scatter` batches — so a node
-/// hosting dozens of federated sources runs on one fixed set of threads
-/// instead of a thread per component.
+/// The shared background runtime: one bounded worker pool, which also
+/// keeps the tasks' deadlines, and one [`RuntimeHealth`] channel.
+/// Components "rent" capacity — the durability writer, the replica
+/// daemon and the law checker as [`SerialTask`]s, parallel restore as
+/// `scatter` batches — so a node hosting dozens of federated sources
+/// runs on one fixed set of threads instead of a thread per component.
 ///
-/// Dropping the last `Arc<Runtime>` stops the timer thread first (armed
-/// deadlines lapse), then the pool (queued jobs drain, workers join).
+/// Every task holds the pool, so the pool outlives the last `Runtime`
+/// handle while a tenant lives. When the last holder drops it, queued
+/// jobs drain, armed deadlines lapse and the workers join.
 pub struct Runtime {
-    deadlines: Arc<Deadlines>,
     pool: Arc<WorkerPool>,
     health: Arc<RuntimeHealth>,
 }
@@ -757,7 +693,6 @@ impl Runtime {
     /// dumps say which node or test owns them.
     pub fn named(prefix: &str, threads: usize) -> Arc<Runtime> {
         Arc::new(Runtime {
-            deadlines: Deadlines::new(),
             pool: Arc::new(WorkerPool::named(prefix, threads)),
             health: Arc::new(RuntimeHealth::new()),
         })
@@ -805,15 +740,8 @@ impl Runtime {
                 }),
                 idle: Condvar::new(),
                 pool: Arc::clone(&self.pool),
-                deadlines: Arc::clone(&self.deadlines),
             }),
         }
-    }
-}
-
-impl Drop for Runtime {
-    fn drop(&mut self) {
-        self.deadlines.shut_down();
     }
 }
 
@@ -1044,7 +972,7 @@ mod tests {
         assert_eq!(runs.load(Ordering::SeqCst), 0, "the wake lapsed");
 
         // A task whose work holds the runtime, armed far out: dropping
-        // the task frees the runtime, and dropping that joins the timer.
+        // the task frees the runtime, and dropping that joins the workers.
         let held = Arc::clone(&runtime);
         let task = runtime.serial_task(move |_| {
             let _ = &held;
@@ -1057,6 +985,74 @@ mod tests {
             weak.upgrade().is_none(),
             "the deadline kept the runtime alive"
         );
+    }
+
+    /// The runtime's only threads are its workers: an armed deadline
+    /// starts no thread of its own.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_runtime_runs_only_its_workers() {
+        let runtime = Runtime::named("bx-only", 2);
+        let task = runtime.serial_task(|_| {});
+        task.notify_in(Duration::from_secs(600));
+        // A spawned thread names itself once it starts: hold both
+        // workers in one batch so both have started before the read.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..2)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                Box::new(move || {
+                    barrier.wait();
+                }) as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        runtime.scatter(jobs);
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("procfs lists this process's threads")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect();
+        let workers = names.iter().filter(|n| n.starts_with("bx-only-")).count();
+        assert_eq!(workers, 2, "threads: {names:?}");
+        // Every bx thread in the process, from any test's runtime, is a
+        // numbered pool worker.
+        let numbered = |n: &str| {
+            n.rsplit_once('-')
+                .is_some_and(|(_, i)| i.parse::<usize>().is_ok())
+        };
+        let others: Vec<&String> = names
+            .iter()
+            .filter(|n| n.starts_with("bx-") && !numbered(n))
+            .collect();
+        assert!(others.is_empty(), "not pool workers: {others:?}");
+        assert_eq!(task.pending_deadlines(), 1);
+    }
+
+    #[test]
+    fn a_deadline_fires_while_jobs_keep_arriving() {
+        /// A job that enqueues its successor until `stop` is set, so the
+        /// queue is never empty until then.
+        fn chain(pool: Arc<WorkerPool>, stop: Arc<AtomicBool>, done: mpsc::Sender<()>) {
+            if stop.load(Ordering::SeqCst) {
+                let _ = done.send(());
+                return;
+            }
+            let next = Arc::clone(&pool);
+            pool.execute(move || chain(next, stop, done));
+        }
+        let runtime = Runtime::new(1);
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let task = runtime.serial_task(move |_| flag.store(true, Ordering::SeqCst));
+        task.notify_in(Duration::from_millis(5));
+        let (tx, rx) = mpsc::channel();
+        let pool = Arc::clone(runtime.pool());
+        let (chain_stop, chain_pool) = (Arc::clone(&stop), Arc::clone(&pool));
+        pool.execute(move || chain(chain_pool, chain_stop, tx));
+        let fired = rx.recv_timeout(Duration::from_secs(5)).is_ok();
+        // End the chain either way, so the pool can shut down.
+        stop.store(true, Ordering::SeqCst);
+        assert!(fired, "the deadline never fired while jobs kept arriving");
     }
 
     #[test]
