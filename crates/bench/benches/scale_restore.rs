@@ -9,22 +9,13 @@
 //! through the format-aware [`EventLogBackend::restore_dir`] a restart
 //! actually runs. Current numbers, and the binary : JSONL ratio, live in
 //! the README's binary log format section.
-//!
-//! The `-t<n>` rows restore the same directories through the parallel
-//! pipeline ([`EventLogBackend::restore_dir_on`]) on a 1/2/4/8-worker
-//! runtime: decode in record-aligned byte ranges (never spanning a
-//! segment), then sharded replay. On a multi-core host the 8-thread binary row's bar is ≥ 2.5×
-//! the sequential binary row; on a single-core host (like this repo's CI
-//! container) every thread count measures the same work and the rows
-//! converge — that convergence is itself the one-worker == sequential
-//! sanity check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use bx_core::event::{Commented, RepoEvent};
 use bx_core::storage::{EventLogBackend, StorageBackend};
 use bx_core::template::Comment;
-use bx_core::{BinaryLogBackend, Principal, Repository, Runtime};
+use bx_core::{BinaryLogBackend, Principal, Repository};
 use bx_examples::benchmark::{generate_composers, pairs_of, perturb_pairs, Lcg};
 use bx_examples::composers::composers_bx;
 use bx_theory::Bx;
@@ -116,28 +107,6 @@ fn bench_log_restore(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("binary-cold", N), &(), |b, _| {
         b.iter_with_large_drop(|| EventLogBackend::restore_dir(&binary).expect("restores"))
     });
-    // The parallel pipeline at fixed thread counts, both formats.
-    for threads in [1usize, 2, 4, 8] {
-        let runtime = Runtime::new(threads);
-        group.bench_with_input(
-            BenchmarkId::new(format!("jsonl-cold-t{threads}"), N),
-            &(),
-            |b, _| {
-                b.iter_with_large_drop(|| {
-                    EventLogBackend::restore_dir_on(&jsonl, &runtime).expect("restores")
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("binary-cold-t{threads}"), N),
-            &(),
-            |b, _| {
-                b.iter_with_large_drop(|| {
-                    EventLogBackend::restore_dir_on(&binary, &runtime).expect("restores")
-                })
-            },
-        );
-    }
     group.finish();
     std::fs::remove_dir_all(&base).ok();
 }

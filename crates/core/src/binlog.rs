@@ -711,29 +711,6 @@ pub fn corrupt_frame_bytes() -> Vec<u8> {
 /// round-trip property (JSONL → binary → JSONL restores identically)
 /// is tested over generated op scripts in `tests/logconv_roundtrip.rs`.
 pub fn convert_log_dir(src: &Path, dst: &Path, to_binary: bool) -> Result<usize, RepoError> {
-    convert_log_dir_pooled(src, dst, to_binary, None)
-}
-
-/// [`convert_log_dir`] with the source decode fanned out over a
-/// [`Runtime`](crate::runtime::Runtime)'s workers — what the `bx_logconv`
-/// CLI uses, so a whole federation's source set converts on all cores.
-/// Decode order, the converted bytes and which error a corrupt source
-/// surfaces are identical to the sequential conversion.
-pub fn convert_log_dir_on(
-    src: &Path,
-    dst: &Path,
-    to_binary: bool,
-    runtime: &std::sync::Arc<crate::runtime::Runtime>,
-) -> Result<usize, RepoError> {
-    convert_log_dir_pooled(src, dst, to_binary, Some(runtime.pool()))
-}
-
-fn convert_log_dir_pooled(
-    src: &Path,
-    dst: &Path,
-    to_binary: bool,
-    pool: Option<&crate::runtime::WorkerPool>,
-) -> Result<usize, RepoError> {
     if dst.exists() {
         let occupied = std::fs::read_dir(dst).map_err(io_err)?.next().is_some();
         if occupied {
@@ -744,9 +721,7 @@ fn convert_log_dir_pooled(
         }
     }
     let (base, generation) = EventLogBackend::read_state_in(src)?;
-    let events = crate::storage::read_generation(src, &generation, 0, None, pool)?
-        .unwrap_or_default()
-        .events;
+    let events = EventLogBackend::read_generation_events(src, &generation)?;
     let mut target: Box<dyn StorageBackend> = if to_binary {
         Box::new(BinaryLogBackend::open(dst)?)
     } else {

@@ -30,9 +30,9 @@
 //!   [`replica::ReplicaDaemon`] polls it as a runtime tenant with clean
 //!   start/stop and lag stats;
 //! * [`runtime`] — the one source of worker threads and the one health
-//!   channel: every background tenant and every parallel restore
-//!   (chunked decode, sharded replay, parallel derived-state rebuild)
-//!   runs on a caller's [`Runtime`];
+//!   channel: every background tenant (writer, daemon, law checker)
+//!   runs on a caller's [`Runtime`]; restores and cold opens run on the
+//!   calling thread;
 //! * [`cite`] — citation formats for entries and the repository (§5.2);
 //! * [`index`] — keyword search with type/property filters (§5.2
 //!   findability);

@@ -1040,12 +1040,9 @@ mod tests {
         let runtime = Runtime::new(1);
         let (release, parked) = mpsc::channel::<()>();
         let (started, worker_busy) = mpsc::channel::<()>();
-        let pool = Arc::clone(&runtime);
-        let blocker = std::thread::spawn(move || {
-            pool.scatter(vec![Box::new(move || {
-                started.send(()).unwrap();
-                parked.recv().ok();
-            }) as Box<dyn FnOnce() + Send>]);
+        runtime.pool().execute(move || {
+            started.send(()).unwrap();
+            parked.recv().ok();
         });
         worker_busy.recv().unwrap();
 
@@ -1064,7 +1061,6 @@ mod tests {
         // Free the worker before asserting, so a failure cannot wedge
         // the writer's shutdown on it.
         release.send(()).unwrap();
-        blocker.join().unwrap();
         assert!(flushed.expect("the flush waited for a worker").is_ok());
         assert_eq!(recorded, repo.snapshot());
         writer.shutdown().unwrap();

@@ -78,19 +78,19 @@ use std::time::{Duration, Instant};
 
 use crate::cite;
 use crate::error::RepoError;
-use crate::event::{apply_event, dirty_set, replay, replay_parallel_with, EventSink, RepoEvent};
+use crate::event::{apply_event, replay, EventSink, RepoEvent};
 use crate::index::SearchIndex;
 use crate::manuscript::{export_manuscript, ManuscriptOptions};
 use crate::principal::Principal;
 use crate::repo::{EntryId, EntryRecord, RepositorySnapshot};
-use crate::runtime::{HealthReport, Runtime, RuntimeHealth, SerialTask, WorkerPool};
+use crate::runtime::{HealthReport, Runtime, RuntimeHealth, SerialTask};
 use crate::storage::{read_generation, EventLogBackend, Follows, ManifestFile};
 use crate::supervise::{
     RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus, SourceSupervisor,
 };
 use crate::template::slug_of;
 use crate::version::Version;
-use crate::wiki::{render_entry, WikiSite};
+use crate::wiki::WikiSite;
 use crate::wiki_bx::WikiBx;
 
 /// What one [`Federation::catch_up`] pass did for one source.
@@ -316,15 +316,6 @@ impl LogTail {
     /// the last poll it lists no directory (see [`LogTail`]). Safe to
     /// call at any cadence.
     pub fn poll(&mut self) -> Result<TailProgress, RepoError> {
-        self.poll_with(None)
-    }
-
-    /// [`LogTail::poll`], decoding the read in record-aligned ranges
-    /// across `pool`'s workers when given one (the cold open's path).
-    pub(crate) fn poll_with(
-        &mut self,
-        pool: Option<&WorkerPool>,
-    ) -> Result<TailProgress, RepoError> {
         let mut progress = TailProgress::default();
         let stamp = Self::stat_manifest(&self.dir);
         let (file_seen, known) = match self.probe(stamp) {
@@ -401,7 +392,7 @@ impl LogTail {
             // format the primary has started by now (see `probe`).
             self.generation = EventLogBackend::read_state_in(&self.dir)?.1;
         }
-        let read = match read_generation(&self.dir, &self.generation, self.offset, known, pool)? {
+        let read = match read_generation(&self.dir, &self.generation, self.offset, known)? {
             Some(read) => {
                 self.applied += read.events.len();
                 read
@@ -411,8 +402,8 @@ impl LogTail {
                 // beyond torn-tail repair). Rolling individual events
                 // back is not possible; re-base onto what the directory
                 // actually holds.
-                let mut all = read_generation(&self.dir, &self.generation, 0, None, pool)?
-                    .unwrap_or_default();
+                let mut all =
+                    read_generation(&self.dir, &self.generation, 0, None)?.unwrap_or_default();
                 let (base, _, manifest_crc) = EventLogBackend::read_base_in(&self.dir)?;
                 self.manifest_crc = manifest_crc;
                 self.applied = all.events.len();
@@ -453,91 +444,6 @@ impl LogTail {
             dir: self.dir.display().to_string(),
         }
     }
-}
-
-// == Parallel cold open ==
-//
-// The sequential cold open builds its derived state in two strokes: the
-// initial `fwd(base, empty)` gives every base entry's page its first
-// revision, then one batched `sync_changed` over the tailed events'
-// dirty set gives each dirty page its (at most one) second revision —
-// `set_page` dedups unchanged content. Both strokes are per-entry and
-// entries' pages are distinct, so the parallel open reproduces them
-// per-entry on the pool and the result is byte-for-byte identical:
-// render every base record (revision one), replay, then render each
-// dirty record's page again and build the index from the final snapshot.
-// `tests/restore_parallel.rs` pins this equivalence over random
-// histories.
-
-/// Split `ids` into at most `shards` contiguous chunks of near-equal
-/// size (none empty). Contiguity keeps the gather deterministic: shard
-/// outputs concatenate back in id order.
-fn shard_ids(ids: Vec<EntryId>, shards: usize) -> Vec<Vec<EntryId>> {
-    if ids.is_empty() {
-        return Vec::new();
-    }
-    let per = ids.len().div_ceil(shards.max(1));
-    ids.chunks(per).map(<[EntryId]>::to_vec).collect()
-}
-
-/// Render the pages of `ids` (present in `snapshot`) across the pool,
-/// returning `(page name, content)` pairs in id order.
-fn render_pages_parallel(
-    snapshot: &Arc<RepositorySnapshot>,
-    ids: Vec<EntryId>,
-    pool: &WorkerPool,
-) -> Vec<(String, String)> {
-    type Rendered = Vec<(String, String)>;
-    let jobs: Vec<Box<dyn FnOnce() -> Rendered + Send>> = shard_ids(ids, pool.threads())
-        .into_iter()
-        .map(|shard| {
-            let snapshot = Arc::clone(snapshot);
-            Box::new(move || {
-                shard
-                    .iter()
-                    .map(|id| {
-                        let record = &snapshot.records[id];
-                        (id.page_name(), render_entry(record.latest()))
-                    })
-                    .collect()
-            }) as Box<dyn FnOnce() -> Rendered + Send>
-        })
-        .collect();
-    pool.scatter(jobs).into_iter().flatten().collect()
-}
-
-/// Rebuild the search index and wiki site of a cold open:
-/// `base_pages` are the pre-replay renders (each page's first revision),
-/// the index is built once from `final_snapshot`, and the `dirty` pages
-/// are re-rendered from the final state on the pool (their second
-/// revision, deduped away when the content did not change). Equals the
-/// sequential open's `SearchIndex::build` + incremental applies and
-/// `fwd` + `sync_changed` exactly; see the section comment above.
-fn derived_parallel(
-    base_pages: Vec<(String, String)>,
-    final_snapshot: &Arc<RepositorySnapshot>,
-    dirty: BTreeSet<EntryId>,
-    pool: &WorkerPool,
-) -> (SearchIndex, WikiSite) {
-    let dirty: Vec<EntryId> = dirty
-        .into_iter()
-        .filter(|id| final_snapshot.records.contains_key(id))
-        .collect();
-    let dirty_pages = render_pages_parallel(final_snapshot, dirty, pool);
-    let mut site = WikiSite::new();
-    // Base renders first: they are each page's first revision.
-    for (page, content) in base_pages.into_iter().chain(dirty_pages) {
-        site.set_page(&page, content);
-    }
-    (SearchIndex::build(final_snapshot), site)
-}
-
-/// Reclaim a snapshot shared with pool jobs. [`WorkerPool::scatter`]
-/// returns only after every job has run to completion (dropping its
-/// `Arc` clone), so the unwrap succeeds; the clone fallback is pure
-/// belt-and-braces.
-fn unshare(snapshot: Arc<RepositorySnapshot>) -> RepositorySnapshot {
-    Arc::try_unwrap(snapshot).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// A short, slug-shaped identifier for one primary feeding a
@@ -832,81 +738,14 @@ impl Federation {
         Ok(())
     }
 
-    /// [`Federation::open`] with the cold open fanned out over
-    /// `runtime`'s workers — the path for nodes that host many
-    /// federations (or large sources) on one bounded set of workers.
-    /// Sources open one after another on the calling thread, each
-    /// decoding its log in record-aligned ranges across the pool, so a
-    /// single large source decodes as much in parallel as many small
-    /// ones; then the merged replay and derived-state rebuild fan out
-    /// over the same pool. On quiescent directories the merged snapshot,
-    /// index and site are byte-for-byte the sequential open's, and a
-    /// failing source surfaces the same error (the first in source
-    /// order).
+    /// [`Federation::open`]; `runtime` is unused. Kept only while the
+    /// end-to-end benchmark (`perfbench/`) calls it.
     pub fn open_on(
         name: &str,
         sources: Vec<(SourceId, PathBuf)>,
-        runtime: &Arc<Runtime>,
+        _runtime: &Arc<Runtime>,
     ) -> Result<Federation, RepoError> {
-        Self::open_pooled(name, sources, runtime.pool())
-    }
-
-    fn open_pooled(
-        name: &str,
-        sources: Vec<(SourceId, PathBuf)>,
-        pool: &WorkerPool,
-    ) -> Result<Federation, RepoError> {
-        Self::validate_sources(name, &sources)?;
-        let mut tails = Vec::with_capacity(sources.len());
-        let mut bases = Vec::with_capacity(sources.len());
-        let mut events: Vec<RepoEvent> = Vec::new();
-        for (source, dir) in sources {
-            let (mut tail, base) = LogTail::open(dir)?;
-            let mut progress = tail.poll_with(Some(pool))?;
-            // A checkpoint racing the open lands as a new base on the
-            // first poll, exactly as in the sequential open's catch-up.
-            let base = progress.new_base.take().unwrap_or(base);
-            for event in &mut progress.events {
-                namespace_event(&source, event);
-            }
-            // Events are large: move the first source's batch, append
-            // the rest.
-            if events.is_empty() {
-                events = progress.events;
-            } else {
-                events.append(&mut progress.events);
-            }
-            tails.push((source.clone(), tail));
-            bases.push((source, base));
-        }
-        let base = Arc::new(federate_snapshots(name, &bases));
-        drop(bases);
-        let dirty = dirty_set(&events);
-        let base_ids: Vec<EntryId> = base.records.keys().cloned().collect();
-        let base_pages = render_pages_parallel(&base, base_ids, pool);
-        // The federated replay keeps a named federation's name: `Founded`
-        // barriers register a source's curators and name only an
-        // unnamed snapshot.
-        let snapshot = Arc::new(replay_parallel_with(
-            unshare(base),
-            events,
-            pool,
-            apply_federated,
-        ));
-        let (index, site) = derived_parallel(base_pages, &snapshot, dirty, pool);
-        let supervisors = tails.iter().map(|_| SourceSupervisor::default()).collect();
-        Ok(Federation {
-            sources: tails,
-            supervisors,
-            retry: RetryPolicy::default(),
-            recovery: RecoveryPolicy::default(),
-            health: None,
-            bx: WikiBx::new(),
-            snapshot: unshare(snapshot),
-            index,
-            site,
-            observers: Vec::new(),
-        })
+        Self::open(name, sources)
     }
 
     /// The federation's own name (kept regardless of what the source
@@ -1665,13 +1504,9 @@ mod tests {
         assert_eq!((outcome.errors.len(), outcome.rebases), (0, 1));
         assert_eq!(replica.citations(), cites);
         let sources = vec![(SourceId::identity(), dir.clone())];
-        for reopened in [
-            Federation::open("", sources.clone()).unwrap(),
-            Federation::open_on("", sources.clone(), &Runtime::new(2)).unwrap(),
-        ] {
-            assert_eq!(reopened.snapshot(), &r.snapshot());
-            assert_eq!(reopened.citations(), cites);
-        }
+        let reopened = Federation::open("", sources.clone()).unwrap();
+        assert_eq!(reopened.snapshot(), &r.snapshot());
+        assert_eq!(reopened.citations(), cites);
         // A named replica keeps its own name whatever the log says.
         let named = Federation::open("mirror", sources).unwrap();
         assert_eq!(named.name(), "mirror");
@@ -1874,9 +1709,7 @@ mod tests {
         ] {
             let sources: Vec<(SourceId, PathBuf)> =
                 sources.into_iter().map(|s| (s, dir.clone())).collect();
-            let err = Federation::open("fed", sources.clone()).unwrap_err();
-            assert!(matches!(err, RepoError::Persist(ref m) if m.contains("identity")));
-            let err = Federation::open_on("fed", sources, &Runtime::new(1)).unwrap_err();
+            let err = Federation::open("fed", sources).unwrap_err();
             assert!(matches!(err, RepoError::Persist(ref m) if m.contains("identity")));
         }
     }
@@ -1888,9 +1721,7 @@ mod tests {
             (SourceId::new("a"), dir.join("a")),
             (SourceId::new("b"), dir.join("b")),
         ];
-        let err = Federation::open("", sources.clone()).unwrap_err();
-        assert!(matches!(err, RepoError::Persist(ref m) if m.contains("needs a name")));
-        let err = Federation::open_on("", sources, &Runtime::new(1)).unwrap_err();
+        let err = Federation::open("", sources).unwrap_err();
         assert!(matches!(err, RepoError::Persist(ref m) if m.contains("needs a name")));
         // One namespaced source may go unnamed: it takes its log's name.
         let r = primary("alpha");
@@ -2048,7 +1879,7 @@ mod tests {
         std::fs::remove_dir_all(&dir_b).ok();
     }
 
-    // == parallel cold open ==
+    // == cold open ==
 
     /// A directory with enough texture to exercise every rebuild path:
     /// checkpointed base entries, post-checkpoint contributions,
@@ -2093,53 +1924,56 @@ mod tests {
     }
 
     #[test]
-    fn parallel_federation_open_matches_sequential_exactly() {
-        let (dir_a, r) = textured_dir("par-fed-a");
-        let (dir_b, _) = textured_dir("par-fed-b");
-        for (name, sources) in [
-            // A plain replica: one unnamed identity source, which takes
-            // its primary's name from the log.
-            ("", vec![(SourceId::identity(), dir_a.clone())]),
-            (
-                "fed",
-                vec![
-                    (SourceId::new("a"), dir_a.clone()),
-                    (SourceId::new("b"), dir_b.clone()),
-                ],
-            ),
-        ] {
-            let sequential = Federation::open(name, sources.clone()).unwrap();
-            for threads in [1, 2, 4, 8] {
-                let parallel =
-                    Federation::open_on(name, sources.clone(), &Runtime::new(threads)).unwrap();
-                assert_eq!(parallel.name(), sequential.name());
-                assert_eq!(
-                    parallel.snapshot(),
-                    sequential.snapshot(),
-                    "{threads} threads"
-                );
-                assert_eq!(parallel.index(), sequential.index(), "{threads} threads");
-                assert_eq!(parallel.site(), sequential.site(), "{threads} threads");
-                assert_eq!(
-                    parallel.positions(),
-                    sequential.positions(),
-                    "{threads} threads"
-                );
-            }
-            if sources.len() == 1 {
-                assert_eq!(sequential.snapshot(), &r.snapshot());
-            }
+    fn federation_open_matches_the_primaries() {
+        let (dir_a, a) = textured_dir("open-fed-a");
+        let (dir_b, b) = textured_dir("open-fed-b");
+        // A plain replica: one unnamed identity source, which takes its
+        // primary's name from the log.
+        let replica = Federation::open("", vec![(SourceId::identity(), dir_a.clone())]).unwrap();
+        let fed = Federation::open(
+            "fed",
+            vec![
+                (SourceId::new("a"), dir_a.clone()),
+                (SourceId::new("b"), dir_b.clone()),
+            ],
+        )
+        .unwrap();
+        let merged = federate_snapshots(
+            "fed",
+            &[
+                (SourceId::new("a"), a.snapshot()),
+                (SourceId::new("b"), b.snapshot()),
+            ],
+        );
+        for (opened, expected) in [(&replica, a.snapshot()), (&fed, merged)] {
+            assert_eq!(opened.name(), expected.name);
+            assert_eq!(opened.snapshot(), &expected);
+            assert_eq!(opened.index(), &SearchIndex::build(&expected));
+            assert!(WikiBx::new().consistent(opened.snapshot(), opened.site()));
+            assert!(opened.lag().iter().all(|(_, lag)| *lag == 0));
         }
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
     }
 
     #[test]
-    fn parallel_federation_open_surfaces_the_first_corrupt_source() {
-        let (dir_a, _) = textured_dir("par-fed-bad-a");
-        let (dir_b, _) = textured_dir("par-fed-bad-b");
-        // Corrupt b's tailed generation (a complete, unparseable line).
+    fn federation_open_surfaces_the_first_corrupt_source() {
+        let (dir_a, _) = textured_dir("open-fed-bad-a");
+        let (dir_b, b) = textured_dir("open-fed-bad-b");
+        // A second checkpoint gives b a generation name a does not have.
+        let mut backend = EventLogBackend::open(&dir_b).unwrap();
+        backend.checkpoint(&b.snapshot()).unwrap();
+        let dates = EntryId::from_title("DATES");
+        b.comment("alice", &dates, "2014-03-29", "second generation")
+            .unwrap();
+        backend.record(&b.drain_events()).unwrap();
+        backend.flush_durable().unwrap();
         let (_, generation) = EventLogBackend::read_state_in(&dir_b).unwrap();
+        assert_ne!(
+            EventLogBackend::read_state_in(&dir_a).unwrap().1,
+            generation
+        );
+        // Corrupt b's tailed generation (a complete, unparseable line).
         let log = dir_b.join(&generation);
         let mut text = std::fs::read_to_string(&log).unwrap();
         text.push_str("{\"Vandalised\":true}\n");
@@ -2148,9 +1982,11 @@ mod tests {
             (SourceId::new("a"), dir_a.clone()),
             (SourceId::new("b"), dir_b.clone()),
         ];
-        let sequential = Federation::open("fed", sources.clone()).unwrap_err();
-        let parallel = Federation::open_on("fed", sources, &Runtime::new(4)).unwrap_err();
-        assert_eq!(parallel, sequential, "same typed error, same source");
+        let err = Federation::open("fed", sources).unwrap_err();
+        assert!(
+            matches!(err, RepoError::CorruptFrame { ref segment, .. } if *segment == generation),
+            "the typed error names source b's generation {generation}: {err:?}"
+        );
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
     }
@@ -2753,11 +2589,16 @@ mod tests {
         ];
 
         let runtime = crate::runtime::Runtime::new(2);
-        // The shared-pool cold open matches the per-pool one exactly.
-        let sequential = Federation::open("fed", sources.clone()).unwrap();
-        let mut federation = Federation::open_on("fed", sources, &runtime).unwrap();
-        assert_eq!(federation.snapshot(), sequential.snapshot());
-        assert_eq!(federation.index(), sequential.index());
+        let mut federation = Federation::open("fed", sources).unwrap();
+        let expected = federate_snapshots(
+            "fed",
+            &[
+                (SourceId::new("a"), a.snapshot()),
+                (SourceId::new("b"), b.snapshot()),
+            ],
+        );
+        assert_eq!(federation.snapshot(), &expected);
+        assert_eq!(federation.index(), &SearchIndex::build(&expected));
         // A failed source is not retried within the test, so the one
         // transition below stays the only one.
         let hour = Duration::from_secs(3600);

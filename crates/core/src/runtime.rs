@@ -2,22 +2,14 @@
 //!
 //! A [`Runtime`] is the only source of worker threads and the only
 //! health channel in bx-core. Every background tenant (the durability
-//! writer, the replica daemon, the law checker) and every parallel
-//! restore is built on a caller's `&Arc<Runtime>` plus a component name;
-//! none of them owns threads of its own. A runtime bundles:
+//! writer, the replica daemon, the law checker) is built on a caller's
+//! `&Arc<Runtime>` plus a component name; none of them owns threads of
+//! its own. A runtime bundles:
 //!
 //! * **A worker pool** (crate-private) — a fixed set of named threads
 //!   (`bx-worker-0` … `bx-worker-{n-1}`) draining a shared job queue.
-//!   Ordered scatter/gather ([`Runtime::scatter`]) is the scoped-job
-//!   primitive: results come back in **submission order** regardless of
-//!   completion order, which is what makes error reporting from
-//!   parallel decode deterministic (the first error *in log order*
-//!   wins, not the first to be discovered). Workers are panic-safe: a
-//!   panicking job is caught, counted ([`PoolStats::panics_caught`])
-//!   and the worker keeps draining; `scatter` re-raises the **first
-//!   panic in submission order** on the calling thread. A `scatter`
-//!   issued *from* a worker thread runs the nested batch inline on the
-//!   calling worker instead of deadlocking the pool.
+//!   Workers are panic-safe: a panicking job is caught, counted
+//!   ([`PoolStats::panics_caught`]) and the worker keeps draining.
 //!
 //! * **[`SerialTask`]** — the one way a tenant is scheduled: a `FnMut`
 //!   that is never run concurrently with itself, woken now
@@ -43,33 +35,16 @@
 //!   `ReplicaDaemon::stats`, `LawChecker::checks_run` and
 //!   [`Runtime::pool_stats`]. A tenant in steady state publishes
 //!   nothing.
-//!
-//! The pool runs `'static` jobs: callers share read-only inputs via
-//! [`std::sync::Arc`] and partition mutable state by *moving* disjoint
-//! pieces into each job (see `replay_parallel`, which moves each shard's
-//! `EntryRecord`s in and back out). `scatter` blocks until every
-//! submitted job has finished, so by the time it returns no worker
-//! holds any job state.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-thread_local! {
-    /// Set for the lifetime of every pool worker thread; lets `scatter`
-    /// detect that it is being called from inside the pool (nested
-    /// scatter) and fall back to running the batch inline instead of
-    /// deadlocking. Worker threads are also identifiable from the
-    /// outside by their `{prefix}-{i}` names.
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-}
 
 /// Counters a runtime's worker pool keeps about itself; snapshot via
 /// [`Runtime::pool_stats`].
@@ -147,10 +122,7 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("{prefix}-{i}"))
-                    .spawn(move || {
-                        IN_POOL_WORKER.with(|f| f.set(true));
-                        Self::work(&shared)
-                    })
+                    .spawn(move || Self::work(&shared))
                     .expect("spawning a worker thread succeeds")
             })
             .collect();
@@ -169,12 +141,6 @@ impl WorkerPool {
             jobs_run: self.shared.jobs_run.load(Ordering::Relaxed),
             panics_caught: self.shared.panics_caught.load(Ordering::Relaxed),
         }
-    }
-
-    /// Whether the calling thread is a pool worker (of *any* pool).
-    /// `scatter` uses this to run nested batches inline.
-    fn on_worker_thread() -> bool {
-        IN_POOL_WORKER.with(|f| f.get())
     }
 
     /// Enqueue one fire-and-forget job.
@@ -199,85 +165,6 @@ impl WorkerPool {
         if earliest.is_none_or(|earliest| at < earliest) {
             self.shared.available.notify_all();
         }
-    }
-
-    /// Run a batch of jobs to completion and return their results **in
-    /// submission order** (independent of which worker finished first).
-    /// Blocks the calling thread until the whole batch is done — the
-    /// scoped-job discipline: after `scatter` returns, no worker holds
-    /// any state from this batch.
-    ///
-    /// Panic contract: every job runs (a panic in one job does not stop
-    /// the others), and if any panicked, the **first panic in
-    /// submission order** is re-raised on the calling thread once the
-    /// batch is drained. The workers themselves survive.
-    ///
-    /// Called from *inside* a pool worker (any pool), the batch runs
-    /// inline on the calling worker instead — same ordering and panic
-    /// contract — because parking a worker in `scatter` while the
-    /// nested jobs sit behind it in the queue can deadlock the pool.
-    pub(crate) fn scatter<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        if Self::on_worker_thread() {
-            return self.scatter_inline(jobs);
-        }
-        let n = jobs.len();
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
-        for (i, job) in jobs.into_iter().enumerate() {
-            let tx = tx.clone();
-            let shared = Arc::clone(&self.shared);
-            self.execute(move || {
-                let result = catch_unwind(AssertUnwindSafe(job));
-                if result.is_err() {
-                    shared.panics_caught.fetch_add(1, Ordering::Relaxed);
-                }
-                // A receiver dropped early (scatter unwound) is fine:
-                // the result is simply discarded.
-                let _ = tx.send((i, result));
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<std::thread::Result<T>>> = (0..n).map(|_| None).collect();
-        for (i, result) in rx.iter().take(n) {
-            slots[i] = Some(result);
-        }
-        Self::unwrap_batch(slots)
-    }
-
-    /// The nested-scatter fallback: run the batch on the calling worker,
-    /// preserving the ordering and first-panic-in-submission-order
-    /// contract of the pooled path.
-    fn scatter_inline<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        let slots: Vec<Option<std::thread::Result<T>>> = jobs
-            .into_iter()
-            .map(|job| {
-                let result = catch_unwind(AssertUnwindSafe(job));
-                if result.is_err() {
-                    self.shared.panics_caught.fetch_add(1, Ordering::Relaxed);
-                }
-                self.shared.jobs_run.fetch_add(1, Ordering::Relaxed);
-                Some(result)
-            })
-            .collect();
-        Self::unwrap_batch(slots)
-    }
-
-    /// Unwrap a completed batch: re-raise the first panic in submission
-    /// order, otherwise return the values in submission order.
-    fn unwrap_batch<T>(slots: Vec<Option<std::thread::Result<T>>>) -> Vec<T> {
-        let mut results = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot.expect("every scattered job reports exactly once") {
-                Ok(value) => results.push(value),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        results
     }
 
     /// The worker loop. Each pass, under the queue lock: fire the due
@@ -663,9 +550,9 @@ impl SerialTask {
 /// The shared background runtime: one bounded worker pool, which also
 /// keeps the tasks' deadlines, and one [`RuntimeHealth`] channel.
 /// Components "rent" capacity — the durability writer, the replica
-/// daemon and the law checker as [`SerialTask`]s, parallel restore as
-/// `scatter` batches — so a node hosting dozens of federated sources
-/// runs on one fixed set of threads instead of a thread per component.
+/// daemon and the law checker as [`SerialTask`]s — so a node hosting
+/// dozens of federated sources runs on one fixed set of threads instead
+/// of a thread per component.
 ///
 /// Every task holds the pool, so the pool outlives the last `Runtime`
 /// handle while a tenant lives. When the last holder drops it, queued
@@ -698,12 +585,8 @@ impl Runtime {
         })
     }
 
-    /// A runtime sized by [`std::thread::available_parallelism`].
-    pub fn with_available_parallelism() -> Arc<Runtime> {
-        Runtime::new(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-    }
-
-    /// The scatter/gather pool.
+    /// The worker pool.
+    #[cfg(test)]
     pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
     }
@@ -711,16 +594,6 @@ impl Runtime {
     /// The unified health channel.
     pub fn health(&self) -> &Arc<RuntimeHealth> {
         &self.health
-    }
-
-    /// Ordered scatter/gather on the pool: results in submission order,
-    /// the first panic in submission order re-raised on the caller, and
-    /// a nested call from a worker run inline (see the module docs).
-    pub fn scatter<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        self.pool.scatter(jobs)
     }
 
     /// Snapshot the pool's counters.
@@ -749,22 +622,7 @@ impl Runtime {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn scatter_returns_results_in_submission_order() {
-        let pool = WorkerPool::named("bx-worker", 4);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..64usize)
-            .map(|i| {
-                Box::new(move || {
-                    // Vary the work so completion order scrambles.
-                    std::thread::sleep(std::time::Duration::from_micros((64 - i) as u64 * 10));
-                    i * i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let results = pool.scatter(jobs);
-        assert_eq!(results, (0..64).map(|i| i * i).collect::<Vec<_>>());
-    }
+    use std::sync::mpsc;
 
     #[test]
     fn drop_drains_queued_jobs() {
@@ -784,23 +642,20 @@ mod tests {
     #[test]
     fn workers_are_named() {
         let pool = WorkerPool::named("bx-worker", 1);
-        let jobs: Vec<Box<dyn FnOnce() -> String + Send>> = vec![Box::new(|| {
-            std::thread::current().name().unwrap_or("").to_string()
-        })];
-        assert_eq!(pool.scatter(jobs), vec!["bx-worker-0".to_string()]);
-    }
-
-    #[test]
-    fn empty_scatter_is_fine() {
-        let pool = WorkerPool::named("bx-worker", 2);
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        assert!(pool.scatter(jobs).is_empty());
+        let (tx, rx) = mpsc::channel();
+        pool.execute(move || {
+            let _ = tx.send(std::thread::current().name().unwrap_or("").to_string());
+        });
+        let name = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the job ran");
+        assert_eq!(name, "bx-worker-0");
     }
 
     /// The headline regression: a panicking job must not kill its
     /// worker. Before the fix, each panic unwound one worker thread for
-    /// good; after enough panics the pool was empty and the next
-    /// scatter blocked forever on its result channel.
+    /// good; after enough panics the pool was empty and the next jobs
+    /// never ran.
     #[test]
     fn pool_survives_panicking_jobs() {
         let pool = WorkerPool::named("bx-worker", 2);
@@ -809,16 +664,22 @@ mod tests {
         for i in 0..8 {
             pool.execute(move || panic!("injected panic {i}"));
         }
-        // A subsequent full-width scatter still completes.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16usize)
-            .map(|i| Box::new(move || i + 1) as Box<dyn FnOnce() -> usize + Send>)
+        // A subsequent full-width batch still completes.
+        let (tx, rx) = mpsc::channel();
+        for i in 0..16usize {
+            let tx = tx.clone();
+            pool.execute(move || {
+                let _ = tx.send(i + 1);
+            });
+        }
+        let mut results: Vec<usize> = (0..16)
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).expect("a job ran"))
             .collect();
-        let results = pool.scatter(jobs);
+        results.sort_unstable();
         assert_eq!(results, (1..=16).collect::<Vec<_>>());
         // The last panicking job can still be unwinding on a sibling
-        // worker when scatter returns (and `jobs_run` ticks after each
-        // scatter job has already reported); wait for the counters to
-        // settle.
+        // worker when the last result arrives (and `jobs_run` ticks after
+        // each job has already sent); wait for the counters to settle.
         let deadline = Instant::now() + Duration::from_secs(5);
         while (pool.stats().panics_caught < 8 || pool.stats().jobs_run < 24)
             && Instant::now() < deadline
@@ -828,83 +689,6 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.panics_caught, 8);
         assert!(stats.jobs_run >= 24);
-    }
-
-    #[test]
-    fn scatter_reraises_first_panic_in_submission_order() {
-        let pool = WorkerPool::named("bx-worker", 4);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 2 || i == 5 {
-                        // Make the *later* panic finish first so the
-                        // test distinguishes submission order from
-                        // completion order.
-                        if i == 2 {
-                            std::thread::sleep(Duration::from_millis(30));
-                        }
-                        panic!("boom-{i}");
-                    }
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let err = catch_unwind(AssertUnwindSafe(|| pool.scatter(jobs)))
-            .expect_err("a panicked batch re-raises");
-        let message = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "<non-string payload>".into());
-        assert_eq!(message, "boom-2", "first panic in submission order wins");
-        // And the pool is still alive.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![Box::new(|| 7), Box::new(|| 8)];
-        assert_eq!(pool.scatter(jobs), vec![7, 8]);
-    }
-
-    #[test]
-    fn nested_scatter_runs_inline_on_the_worker() {
-        let pool = Arc::new(WorkerPool::named("bx-worker", 2));
-        let inner_pool = Arc::clone(&pool);
-        type NestedJob = Box<dyn FnOnce() -> (bool, Vec<usize>) + Send>;
-        let jobs: Vec<NestedJob> = vec![Box::new(move || {
-            // From inside a pool job, the worker is detectable and a
-            // nested scatter must complete (inline) rather than
-            // deadlock every worker in `scatter`.
-            let detected = WorkerPool::on_worker_thread();
-            let nested: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-                .map(|i| Box::new(move || i * 3) as Box<dyn FnOnce() -> usize + Send>)
-                .collect();
-            (detected, inner_pool.scatter(nested))
-        })];
-        assert!(!WorkerPool::on_worker_thread());
-        let mut results = pool.scatter(jobs);
-        let (detected, nested) = results.remove(0);
-        assert!(detected, "worker thread is detectable from inside a job");
-        assert_eq!(nested, (0..8).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn nested_scatter_preserves_panic_contract() {
-        let pool = Arc::new(WorkerPool::named("bx-worker", 1));
-        let inner_pool = Arc::clone(&pool);
-        let ran_after = Arc::new(AtomicUsize::new(0));
-        let ran = Arc::clone(&ran_after);
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(move || {
-            let ran = Arc::clone(&ran);
-            let nested: Vec<Box<dyn FnOnce() + Send>> = vec![
-                Box::new(|| panic!("nested-boom")),
-                // Later jobs in the batch still run before the panic
-                // re-raises — same contract as the pooled path.
-                Box::new(move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                }),
-            ];
-            let err = catch_unwind(AssertUnwindSafe(|| inner_pool.scatter(nested)))
-                .expect_err("nested panic re-raises on the worker");
-            assert_eq!(err.downcast_ref::<&str>(), Some(&"nested-boom"));
-        })];
-        pool.scatter(jobs);
-        assert_eq!(ran_after.load(Ordering::SeqCst), 1);
     }
 
     /// Wait up to 5 s for `done`, polling.
@@ -996,17 +780,16 @@ mod tests {
         let task = runtime.serial_task(|_| {});
         task.notify_in(Duration::from_secs(600));
         // A spawned thread names itself once it starts: hold both
-        // workers in one batch so both have started before the read.
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..2)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                Box::new(move || {
-                    barrier.wait();
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        runtime.scatter(jobs);
+        // workers at one barrier with this thread, so both have started
+        // before the read.
+        let barrier = Arc::new(std::sync::Barrier::new(3));
+        for _ in 0..2 {
+            let barrier = Arc::clone(&barrier);
+            runtime.pool().execute(move || {
+                barrier.wait();
+            });
+        }
+        barrier.wait();
         let names: Vec<String> = std::fs::read_dir("/proc/self/task")
             .expect("procfs lists this process's threads")
             .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())

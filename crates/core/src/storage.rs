@@ -748,7 +748,7 @@ impl<C: Codec> SegmentedLog<C> {
         dir: &Path,
         generation: &str,
     ) -> Result<Vec<RepoEvent>, RepoError> {
-        Ok(read_generation(dir, generation, 0, None, None)?
+        Ok(read_generation(dir, generation, 0, None)?
             .unwrap_or_default()
             .events)
     }
@@ -759,34 +759,12 @@ impl<C: Codec> SegmentedLog<C> {
     /// this never mutates the directory (no torn-tail repair), so tests
     /// and tooling can compute the expected fold of a directory that is
     /// concurrently being tailed or deliberately left torn.
-    ///
-    /// This sequential path is the oracle for
-    /// [`SegmentedLog::restore_dir_on`], which runs the same recovery
-    /// through the parallel pipeline.
     pub fn restore_dir(dir: &Path) -> Result<RepositorySnapshot, RepoError> {
         let (base, generation) = Self::read_state_in(dir)?;
         Ok(replay(
             base,
             &Self::read_generation_events(dir, &generation)?,
         ))
-    }
-
-    /// [`SegmentedLog::restore_dir`] on `runtime`'s workers: decode in
-    /// record-aligned byte ranges, spliced back in log order, then a
-    /// sharded fold. Bit-identical to the sequential path on every
-    /// input, including which error a corrupt log surfaces (first
-    /// offending offset in log order, regardless of worker completion
-    /// order).
-    pub fn restore_dir_on(
-        dir: &Path,
-        runtime: &Arc<crate::runtime::Runtime>,
-    ) -> Result<RepositorySnapshot, RepoError> {
-        let pool = runtime.pool();
-        let (base, generation) = Self::read_state_in(dir)?;
-        let events = read_generation(dir, &generation, 0, None, Some(pool))?
-            .unwrap_or_default()
-            .events;
-        Ok(crate::event::replay_parallel(base, events, pool))
     }
 
     /// Truncate a torn final record off `last`, the generation's last
@@ -1032,57 +1010,47 @@ fn len_or_absent(path: &Path) -> Result<u64, RepoError> {
     }
 }
 
-/// One record-aligned byte range of one log file, decoded as a unit.
-#[derive(Clone)]
-struct ScanJob {
-    file: Arc<str>,
-    /// The file's bytes from `file_at` on, shared by the file's jobs.
-    bytes: Arc<Vec<u8>>,
+/// Decode the records of `bytes`, the contents of log file `file` from
+/// byte `file_at` on, appending the events to `events`. Returns where the
+/// scan stopped: `bytes.len()`, or the start of a torn record in the
+/// generation's last file. In a `sealed` file (not the last) a torn
+/// record is corruption.
+fn scan<C: Codec>(
+    bytes: &[u8],
+    file: &str,
     file_at: u64,
-    /// Where `bytes[0]` sits in the generation as a whole.
-    log_at: u64,
-    range: Range<usize>,
-    /// Not the generation's last file, so a torn record is corruption.
     sealed: bool,
-}
-
-type Scanned = Result<(Vec<RepoEvent>, usize), RepoError>;
-
-impl ScanJob {
-    /// Decode the job's records: the events, and where the scan stopped
-    /// (`range.end`, or the start of a torn record in the last file).
-    fn scan<C: Codec>(&self) -> Scanned {
-        let buf = &self.bytes[..self.range.end];
-        let corrupt = |pos: usize, reason: String| RepoError::CorruptFrame {
-            segment: self.file.to_string(),
-            offset: self.file_at + pos as u64,
-            reason,
-        };
-        // Guess one event per 96 bytes (small comment frames) so a full
-        // segment does not regrow the vector a dozen times.
-        let mut events = Vec::with_capacity(self.range.len() / 96);
-        let mut pos = self.range.start;
-        while pos < buf.len() {
-            match C::frame(buf, pos) {
-                Ok(Some(record)) => {
-                    if !record.is_empty() {
-                        let event = C::decode(&buf[record.clone()]);
-                        events.push(event.map_err(|reason| corrupt(pos, reason))?);
-                    }
-                    pos = record.end;
+    events: &mut Vec<RepoEvent>,
+) -> Result<usize, RepoError> {
+    let corrupt = |pos: usize, reason: String| RepoError::CorruptFrame {
+        segment: file.to_string(),
+        offset: file_at + pos as u64,
+        reason,
+    };
+    // Guess one event per 96 bytes (small comment frames) so a full
+    // segment does not regrow the vector a dozen times.
+    events.reserve(bytes.len() / 96);
+    let mut pos = 0;
+    while pos < bytes.len() {
+        match C::frame(bytes, pos) {
+            Ok(Some(record)) => {
+                if !record.is_empty() {
+                    let event = C::decode(&bytes[record.clone()]);
+                    events.push(event.map_err(|reason| corrupt(pos, reason))?);
                 }
-                Ok(None) if self.sealed => {
-                    return Err(corrupt(
-                        pos,
-                        "incomplete frame inside a sealed segment".to_string(),
-                    ))
-                }
-                Ok(None) => break,
-                Err(reason) => return Err(corrupt(pos, reason)),
+                pos = record.end;
             }
+            Ok(None) if sealed => {
+                return Err(corrupt(
+                    pos,
+                    "incomplete frame inside a sealed segment".to_string(),
+                ))
+            }
+            Ok(None) => break,
+            Err(reason) => return Err(corrupt(pos, reason)),
         }
-        Ok((events, pos))
     }
+    Ok(pos)
 }
 
 /// What one [`read_generation`] saw.
@@ -1111,16 +1079,11 @@ pub(crate) struct GenerationRead {
 /// the read lists the directory and stats each file. A caller that
 /// polls keeps the list and probes it instead, and passes it as `known`
 /// when only the last file grew (see [`crate::replica::LogTail`]).
-///
-/// With a `pool`, files split into record-aligned ranges decoded on its
-/// workers and spliced back in log order, so which corrupt offset
-/// surfaces is the first in log order, exactly as without one.
 pub(crate) fn read_generation(
     dir: &Path,
     generation: &str,
     offset: u64,
     known: Option<Vec<(String, u64)>>,
-    pool: Option<&crate::runtime::WorkerPool>,
 ) -> Result<Option<GenerationRead>, RepoError> {
     let files = match known {
         Some(files) => files,
@@ -1134,9 +1097,9 @@ pub(crate) fn read_generation(
         }
     };
     if crate::binlog::is_binary_generation(generation) {
-        read_generation_as::<FrameCodec>(dir, files, offset, pool)
+        read_generation_as::<FrameCodec>(dir, files, offset)
     } else {
-        read_generation_as::<JsonlCodec>(dir, files, offset, pool)
+        read_generation_as::<JsonlCodec>(dir, files, offset)
     }
 }
 
@@ -1144,12 +1107,8 @@ fn read_generation_as<C: Codec>(
     dir: &Path,
     files: Vec<(String, u64)>,
     offset: u64,
-    pool: Option<&crate::runtime::WorkerPool>,
 ) -> Result<Option<GenerationRead>, RepoError> {
     use std::io::{Read, Seek, SeekFrom};
-    // A one-worker pool has nothing to fan out to: read as without one,
-    // so no file is walked twice to cut ranges for a single worker.
-    let pool = pool.filter(|pool| pool.threads() > 1);
     let total: u64 = files.iter().map(|(_, size)| size).sum();
     if total <= offset {
         return Ok((total == offset).then(|| GenerationRead {
@@ -1158,13 +1117,8 @@ fn read_generation_as<C: Codec>(
             files,
         }));
     }
-    // A few ranges per worker, so one dense range cannot serialise the
-    // decode, with a floor that keeps small reads from paying scatter
-    // overhead per record. Without a pool every file is one range.
-    let range_bytes = pool.map_or(usize::MAX, |pool| {
-        ((total - offset) as usize / (pool.threads() * 4)).max(64 * 1024)
-    });
-    let mut jobs = Vec::new();
+    let mut events = Vec::new();
+    let mut consumed = offset;
     let mut base = 0;
     for (i, (name, size)) in files.iter().enumerate() {
         let size = *size;
@@ -1185,57 +1139,10 @@ fn read_generation_as<C: Codec>(
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(io_err(e)),
         }
-        let mut start = 0;
-        let mut ranges = Vec::new();
-        if bytes.len() > range_bytes {
-            let _ = walk::<C>(&bytes, |record| {
-                if record.end - start >= range_bytes {
-                    ranges.push(start..record.end);
-                    start = record.end;
-                }
-            });
-        }
-        // Whatever the walk did not cut, a torn or corrupt record
-        // included, is the last range; its job reports the damage.
-        if start < bytes.len() {
-            ranges.push(start..bytes.len());
-        }
-        let (file, bytes): (Arc<str>, _) = (Arc::from(name.as_str()), Arc::new(bytes));
-        jobs.extend(ranges.into_iter().map(|range| ScanJob {
-            file: Arc::clone(&file),
-            bytes: Arc::clone(&bytes),
-            file_at,
-            log_at,
-            range,
-            sealed: i + 1 < files.len(),
-        }));
-    }
-    let mut scattered = match pool {
-        Some(pool) if jobs.len() > 1 => Some(
-            pool.scatter(
-                jobs.iter()
-                    .cloned()
-                    .map(|job| {
-                        Box::new(move || job.scan::<C>()) as Box<dyn FnOnce() -> Scanned + Send>
-                    })
-                    .collect(),
-            )
-            .into_iter(),
-        ),
-        _ => None,
-    };
-    // Ordered gather: the first failing range in log order wins, however
-    // the workers finished.
-    let mut events = Vec::new();
-    let mut consumed = offset;
-    for job in &jobs {
-        let (mut decoded, end) = match &mut scattered {
-            Some(results) => results.next().expect("one result per job"),
-            None => job.scan::<C>(),
-        }?;
-        events.append(&mut decoded);
-        consumed = job.log_at + end as u64;
-        if end < job.range.end {
+        let end = scan::<C>(&bytes, name, file_at, i + 1 < files.len(), &mut events)?;
+        consumed = log_at + end as u64;
+        // A torn tail stays unconsumed for a later read.
+        if end < bytes.len() {
             break;
         }
     }
@@ -1998,7 +1905,7 @@ mod tests {
             backend.record(a).unwrap();
             let generation = backend.current_generation().to_string();
             let read = |offset| {
-                read_generation(&dir, &generation, offset, None, None)
+                read_generation(&dir, &generation, offset, None)
                     .unwrap()
                     .map(|read| (read.events, read.end))
             };
@@ -2018,10 +1925,7 @@ mod tests {
             // the (now empty) new generation: the re-base signal.
             backend.checkpoint(&r.snapshot()).unwrap();
             let rolled = backend.current_generation();
-            assert_eq!(
-                read_generation(&dir, rolled, end, None, None).unwrap(),
-                None
-            );
+            assert_eq!(read_generation(&dir, rolled, end, None).unwrap(), None);
             std::fs::remove_dir_all(&dir).ok();
         }
 

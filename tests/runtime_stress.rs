@@ -11,8 +11,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use bx::core::index::SearchIndex;
 use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
-use bx::core::replica::{DaemonConfig, Federation, ReplicaDaemon, SourceId};
+use bx::core::replica::{federate_snapshots, DaemonConfig, Federation, ReplicaDaemon, SourceId};
 use bx::core::runtime::{ComponentHealth, HealthReport, Runtime};
 use bx::core::storage::{
     AutoCompactingEventLog, CompactionPolicy, EventLogBackend, StorageBackend,
@@ -153,8 +154,7 @@ fn mixed_tenants_on_one_small_pool_survive_faults_and_converge() {
 
     // Tenant 5: a replica daemon federating the healthy directory, on
     // the same pool.
-    let federation =
-        Federation::open_on("fed", vec![(SourceId::new("a"), dir.clone())], &runtime).unwrap();
+    let federation = Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap();
     let mut daemon = ReplicaDaemon::spawn_on(
         federation,
         DaemonConfig {
@@ -320,12 +320,13 @@ fn health_channel_keeps_a_quarantine_through_steady_traffic() {
 
 /// 64 federated sources cold-opened and then daemon-polled on ONE shared
 /// pool: thread count stays bounded at the pool width, the merged state
-/// matches the sequential open exactly, and stopping the daemon is
+/// is the federation of the 64 primaries, and stopping the daemon is
 /// prompt. This is the test-suite twin of the `federation` bench's
 /// shared-runtime rows.
 #[test]
 fn sixty_four_sources_cold_open_and_poll_on_one_shared_pool() {
     let mut sources = Vec::new();
+    let mut primaries = Vec::new();
     let mut dirs = Vec::new();
     for i in 0..64 {
         let dir = unique_temp_dir(&format!("stress-fed-{i}"));
@@ -333,15 +334,17 @@ fn sixty_four_sources_cold_open_and_poll_on_one_shared_pool() {
         r.contribute("alice", entry(&format!("ENTRY{i}"))).unwrap();
         let mut backend = EventLogBackend::open(&dir).unwrap();
         backend.record(&r.drain_events()).unwrap();
-        sources.push((SourceId::new(&format!("s{i}")), dir.clone()));
+        let source = SourceId::new(&format!("s{i}"));
+        sources.push((source.clone(), dir.clone()));
+        primaries.push((source, r.snapshot()));
         dirs.push(dir);
     }
 
     let runtime = Runtime::named("bx-fed64", 4);
-    let sequential = Federation::open("fed", sources.clone()).unwrap();
-    let federation = Federation::open_on("fed", sources, &runtime).unwrap();
-    assert_eq!(federation.snapshot(), sequential.snapshot());
-    assert_eq!(federation.index(), sequential.index());
+    let federation = Federation::open("fed", sources).unwrap();
+    let expected = federate_snapshots("fed", &primaries);
+    assert_eq!(federation.snapshot(), &expected);
+    assert_eq!(federation.index(), &SearchIndex::build(&expected));
     assert_eq!(runtime.pool_stats().threads, 4, "64 sources, 4 workers");
 
     let mut daemon = ReplicaDaemon::spawn_on(
@@ -368,16 +371,16 @@ fn sixty_four_sources_cold_open_and_poll_on_one_shared_pool() {
         begin.elapsed()
     );
 
-    // One source converted to the binary format on the same shared pool
-    // round-trips its durable contents.
+    // One source converted to the binary format round-trips its durable
+    // contents.
     let bin = unique_temp_dir("stress-fed-bin");
-    bx::core::binlog::convert_log_dir_on(&dirs[0], &bin, true, &runtime).unwrap();
+    bx::core::binlog::convert_log_dir(&dirs[0], &bin, true).unwrap();
     let converted = bx::core::binlog::BinaryLogBackend::open(&bin).unwrap();
     let original = EventLogBackend::open(&dirs[0]).unwrap();
     assert_eq!(
         converted.restore().unwrap(),
         original.restore().unwrap(),
-        "shared-pool conversion preserves the durable state"
+        "conversion preserves the durable state"
     );
 
     for dir in &dirs {
@@ -410,8 +413,19 @@ fn runtime_churn_never_hangs_on_drop() {
                 // One job for two workers: the drop often lands while the
                 // idle worker is still starting up.
                 let runtime = Runtime::new(2);
-                let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![Box::new(move || i)];
-                assert_eq!(runtime.scatter(jobs), vec![i]);
+                let seen = Arc::new(AtomicUsize::new(usize::MAX));
+                let slot = Arc::clone(&seen);
+                let task = runtime.serial_task(move |_| slot.store(i, Ordering::Relaxed));
+                task.notify();
+                task.wait_idle();
+                assert_eq!(seen.load(Ordering::Relaxed), i);
+                // The job holds the task, and so the pool, until it has
+                // returned; `jobs_run` ticks after that. Wait for it, so the
+                // drop below is the pool's last and runs on this thread.
+                while runtime.pool_stats().jobs_run == 0 {
+                    std::thread::yield_now();
+                }
+                drop(task);
                 drop(runtime);
                 progress.fetch_add(1, Ordering::Relaxed);
             }
@@ -424,7 +438,7 @@ fn runtime_churn_never_hangs_on_drop() {
         let outcome = finished.recv_timeout(deadline.saturating_duration_since(Instant::now()));
         assert!(
             outcome.is_ok(),
-            "runtime churn ended ({outcome:?}) after {} of {} create/scatter/drop cycles",
+            "runtime churn ended ({outcome:?}) after {} of {} create/run/drop cycles",
             completed.load(Ordering::Relaxed),
             CHURNERS * CYCLES
         );
